@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import InvalidInitialError
 from .markov import GeneratorMatrix
+from .measures import csv_table
 from .operators import (
     DiffusionRates,
     RecombinationDistribution,
@@ -458,20 +459,8 @@ def partition_trajectory_to_csv(rec: PartitionTrajectory,
 
 def partition_events_from_csv(text: str) -> list[tuple[float, Partition]]:
     """Parse the output of :func:`partition_trajectory_to_csv`."""
-    events = []
-    seen_header = False
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not seen_header:
-            if line != "time,partition":
-                raise ValueError(f"unexpected header {line!r}")
-            seen_header = True
-            continue
-        t, p = line.split(",", 1)
-        events.append((float(t), parse_partition(p.strip().strip('"'))))
-    return events
+    return [(float(t), parse_partition(p))
+            for t, p in csv_table(text, ("time", "partition"))[1]]
 
 
 def generator_to_csv(gen: GeneratorMatrix, header_comment: str | None = None) -> str:
@@ -492,38 +481,10 @@ def generator_from_csv(text: str) -> GeneratorMatrix:
     """Parse the output of :func:`generator_to_csv` (partition labels)."""
     rows = []
     labels: list[Partition] = []
-    header: list[str] | None = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        # partition labels contain commas, so split on quoted fields
-        fields = _split_quoted_csv(line)
-        if header is None:
-            if fields[0] != "state":
-                raise ValueError(f"unexpected header {fields[0]!r}")
-            header = fields[1:]
-            continue
+    header, data = csv_table(text, ("state",))
+    for fields in data:
         labels.append(parse_partition(fields[0]))
         rows.append([float(v) for v in fields[1:]])
-    if header is None:
-        raise ValueError("missing header row")
-    if [format_partition(p) for p in labels] != header:
+    if [format_partition(p) for p in labels] != header[1:]:
         raise ValueError("row labels do not match the header order")
     return GeneratorMatrix(tuple(labels), np.array(rows))
-
-
-def _split_quoted_csv(line: str) -> list[str]:
-    out = []
-    field = []
-    quoted = False
-    for ch in line:
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "," and not quoted:
-            out.append("".join(field))
-            field = []
-        else:
-            field.append(ch)
-    out.append("".join(field))
-    return out

@@ -25,6 +25,10 @@ Config schema (JSON object; unknown keys are rejected)::
       "out": "runs/demo"
     }
 
+Numbers must be finite: ``NaN``, ``Infinity`` and overflowing literals are
+rejected.  ``expectations``, ``lde`` and ``duality-check`` compute the
+finite variant only and reject any other.
+
 Exit codes: 0 success, 2 config validation failure, 3 size cap exceeded,
 4 duality-check defect above tolerance.
 """
@@ -34,6 +38,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,8 +67,10 @@ from .forward import ForwardModel, simulate_forward, trajectory_to_csv
 from .measures import (
     PopulationState,
     SiteSpace,
+    csv_table,
     measure_from_csv,
     measure_to_csv,
+    parse_type_token,
     type_token,
 )
 from .operators import DiffusionRates, RecombinationDistribution, sampling
@@ -106,11 +113,19 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config numbers must be finite, got {text}")
+    return value
+
+
 def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     """Parse, validate and freeze a run configuration."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), parse_float=_finite_float,
+                         parse_constant=_finite_float)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -271,25 +286,12 @@ def expectations_to_csv(times, partitions, cards, values, comment: str) -> str:
 
 def expectations_from_csv(text: str, cards, partitions, times) -> np.ndarray:
     """Parse :func:`expectations_to_csv` back into a dense block."""
-    from .measures import parse_type_token
-
     pindex = {format_partition(p): i for i, p in enumerate(partitions)}
     tindex = {f"{t:.17g}": i for i, t in enumerate(times)}
     K = int(np.prod(cards)) if len(cards) else 1
     out = np.zeros((len(times), len(partitions), K))
-    seen_header = False
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not seen_header:
-            if line != "time,partition,type,value":
-                raise ValueError(f"unexpected header {line!r}")
-            seen_header = True
-            continue
-        t, rest = line.split(",", 1)
-        ptxt, token, value = rest.rsplit(",", 2)
-        out[tindex[t], pindex[ptxt.strip('"')], parse_type_token(cards, token)] = float(value)
+    for t, ptxt, token, value in csv_table(text, ("time", "partition", "type", "value"))[1]:
+        out[tindex[t], pindex[ptxt], parse_type_token(cards, token)] = float(value)
     return out
 
 
@@ -366,7 +368,9 @@ def cmd_lde(cfg: RunConfig) -> int:
     _write(cfg, "expected_lde.csv",
            expectations_to_csv(traj.times, traj.partitions, traj.cards,
                                traj.values, _stamp(cfg)))
-    if cfg.space.n == 3:
+    if cfg.space.n == 3 and cfg.N < 3:
+        print("lde: no 3-site diagonalization, the finite transform needs N >= 3")
+    elif cfg.space.n == 3:
         report = [f"# {_stamp(cfg)}"]
         for variant in ("finite",) + (("diffusion",) if cfg.rho is not None else ()):
             m = BackwardModel(3, cfg.N, cfg.recomb, variant, cfg.rho)
@@ -421,6 +425,8 @@ def cmd_generators(cfg: RunConfig) -> int:
     return 0
 
 
+EXACT_COMMANDS = ("expectations", "lde", "duality-check")
+
 COMMANDS = {
     "simulate-forward": cmd_simulate_forward,
     "simulate-backward": cmd_simulate_backward,
@@ -462,6 +468,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args)
+        if args.command in EXACT_COMMANDS and cfg.variant != "finite":
+            raise ConfigError(f"{args.command} supports only the finite variant, "
+                              f"got {cfg.variant!r}")
         if args.command == "duality-check":
             return cmd_duality_check(cfg, tol=args.tol)
         return COMMANDS[args.command](cfg)

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eig, expm, inv
 
 from .backward import BackwardModel, generator_theta, generator_theta_diff
@@ -36,31 +37,61 @@ from .operators import recombinator_bar, sampling
 from .partitions import (
     DEFAULT_SITE_CAP,
     Partition,
+    coarsenings_with_mobius,
     coarsest,
     enumerate_partitions,
     finest,
-    mobius,
     parse_partition,
-    refines,
     site_set,
 )
 
 
-def mobius_matrix(partitions: list[Partition]) -> np.ndarray:
-    """M[a, b] = mobius(a, b) when ``a`` refines ``b``, else 0."""
-    B = len(partitions)
-    M = np.zeros((B, B))
+def mobius_matrix(partitions: list[Partition]) -> sparse.csr_array:
+    """Sparse ``M[a, b] = mobius(a, b)`` when ``a`` refines ``b``, else 0.
+
+    Built from the coarsenings of each partition; those missing from
+    ``partitions`` are skipped.  When the list is closed under coarsening,
+    :func:`zeta_matrix` of the result is its inverse.
+    """
+    index = {p: i for i, p in enumerate(partitions)}
+    rows, cols, vals = [], [], []
     for i, a in enumerate(partitions):
-        for j, b in enumerate(partitions):
-            if refines(a, b):
-                M[i, j] = mobius(a, b)
-    return M
+        for b, mu in coarsenings_with_mobius(a):
+            j = index.get(b)
+            if j is not None:
+                rows.append(i)
+                cols.append(j)
+                vals.append(mu)
+    B = len(partitions)
+    return sparse.csr_array((np.array(vals, dtype=float), (rows, cols)), shape=(B, B))
+
+
+def zeta_matrix(M: sparse.csr_array) -> sparse.csr_array:
+    """Refinement indicator ``Z[a, b] = 1`` when ``a`` refines ``b``; ``Z = M^-1``."""
+    return (M != 0).astype(float)
+
+
+def _sampling_rows(M: sparse.csr_array, N: int, partitions: list[Partition],
+                   zs: list[Measure]) -> np.ndarray:
+    """Sampling measures ``(M @ Rbar) / (N)_|a|`` of the counting measures ``zs``.
+
+    ``Rbar[a, z]`` is the block-marginal product of ``z`` for partition
+    ``a``; the result is indexed (partition, measure, type).
+    """
+    rbar = np.array([[recombinator_bar(p, z).weights for z in zs] for p in partitions])
+    scale = np.array([1 / math.perm(N, len(p)) for p in partitions])
+    B = len(partitions)
+    return (M @ rbar.reshape(B, -1)).reshape(rbar.shape) * scale[:, None, None]
 
 
 def sampling_stack(z: PopulationState, partitions: list[Partition]) -> np.ndarray:
-    """Matrix of normalized sampling measures of ``z``, one row per partition."""
-    rows = [sampling(p, z.measure).weights for p in partitions]
-    return np.array(rows)
+    """Matrix of normalized sampling measures of ``z``, one row per partition.
+
+    Every partition needs at most ``z.N`` blocks.
+    """
+    if any(len(p) > z.N for p in partitions):
+        raise SampleTooLargeError(f"cannot draw more than {z.N} distinct individuals")
+    return _sampling_rows(mobius_matrix(partitions), z.N, partitions, [z.measure])[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +119,9 @@ def sampling_table(space: SiteSpace, N: int,
                    site_cap: int = DEFAULT_SITE_CAP) -> SamplingTable:
     """Build the full duality table over populations of size ``N``.
 
-    The per-state work is one stack of block-marginal products contracted
-    against the Mobius matrix; the falling-factorial normalization needs
-    ``N`` at least the number of sites.
+    The block-marginal products of every state are contracted against one
+    Mobius matrix in a single sparse product; the falling-factorial
+    normalization needs ``N`` at least the number of sites.
     """
     n = space.n
     if n > N:
@@ -102,14 +133,8 @@ def sampling_table(space: SiteSpace, N: int,
     partitions = enumerate_partitions(space.sites, cap=site_cap)
     M = mobius_matrix(partitions)
     states = enumerate_population_states(K, N)
-    sites = space.sites
-    norm = np.array([math.factorial(N - len(p)) / math.factorial(N)
-                     for p in partitions])
-    values = np.empty((len(states), len(partitions), K))
-    for zi, s in enumerate(states):
-        z = Measure(sites, space.cards, np.array(s, dtype=float))
-        rbar = np.array([recombinator_bar(p, z).weights for p in partitions])
-        values[zi] = (M @ rbar) * norm[:, None]
+    zs = [Measure(space.sites, space.cards, np.array(s, dtype=float)) for s in states]
+    values = np.ascontiguousarray(_sampling_rows(M, N, partitions, zs).transpose(1, 0, 2))
     return SamplingTable(tuple(states), tuple(partitions), space.cards, values)
 
 
@@ -160,8 +185,9 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState, a0: Partitio
     Solves the closed linear ODE with the partitioning generator acting on
     the initial sampling stack, via the matrix exponential; ``a0`` is
     validated so that the row of interest is well defined
-    (``len(a0) <= N``), and the trajectory for every partition is
-    returned.
+    (``len(a0) <= N``), and the trajectory is returned for every partition
+    with at most ``N`` blocks.  Those partitions are closed under the
+    partitioning process, so the generator restricted to them is exact.
     """
     t = assert_sorted_times(times)
     if z0.N != backward.N:
@@ -169,11 +195,13 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState, a0: Partitio
     if len(a0) > backward.N:
         raise SampleTooLargeError("initial partition has more blocks than individuals")
     theta = generator_theta(backward)
-    partitions = list(theta.labels)
+    keep = [i for i, p in enumerate(theta.labels) if len(p) <= backward.N]
+    partitions = [theta.labels[i] for i in keep]
+    G = theta.matrix[np.ix_(keep, keep)]
     H0 = sampling_stack(z0, partitions)
     values = np.empty((t.size, len(partitions), H0.shape[1]))
     for i, ti in enumerate(t):
-        values[i] = expm(theta.matrix * ti) @ H0
+        values[i] = expm(G * ti) @ H0
     return ExpectationTrajectory(t, tuple(partitions), z0.measure.cards, values)
 
 
@@ -202,23 +230,25 @@ def expectation_rk4(theta: np.ndarray, H0: np.ndarray, times,
     return out
 
 
+def _lde_factors(partitions: list[Partition], N: int):
+    """Mobius matrix, zeta matrix, ``N**|b|`` and ``(N)_|b|`` over ``partitions``."""
+    M = mobius_matrix(partitions)
+    sizes = np.array([len(p) for p in partitions])
+    power = np.power(float(N), sizes)
+    falling = np.array([math.perm(N, k) for k in sizes], dtype=float)
+    return M, zeta_matrix(M), power, falling
+
+
 def lde_transform(partitions: list[Partition], N: int) -> np.ndarray:
     """Matrix turning a stack of sampling expectations into LDE expectations.
 
     ``T[a, c] = sum over common refinements b of a and c of
-    N! / ((N - |c|)! N**|b|) * mobius(b, a)``.
+    (N)_|c| / N**|b| * mobius(b, a)``, that is
+    ``T = M^T diag(N**-|b|) Z diag((N)_|c|)`` with ``M`` the Mobius and
+    ``Z`` the zeta matrix.  Columns with ``|c| > N`` are zero.
     """
-    B = len(partitions)
-    T = np.zeros((B, B))
-    for ai, a in enumerate(partitions):
-        for ci, c in enumerate(partitions):
-            s = 0.0
-            for b in partitions:
-                if refines(b, a) and refines(b, c):
-                    s += (math.factorial(N) / math.factorial(N - len(c))
-                          / N ** len(b) * mobius(b, a))
-            T[ai, ci] = s
-    return T
+    M, Z, power, falling = _lde_factors(partitions, N)
+    return (M.T @ (Z.toarray() / power[:, None])) * falling[None, :]
 
 
 def lde_transform_diffusion(partitions: list[Partition]) -> tuple[np.ndarray, np.ndarray]:
@@ -227,15 +257,8 @@ def lde_transform_diffusion(partitions: list[Partition]) -> tuple[np.ndarray, np
     The limit is the Mobius matrix from below; its inverse is the
     refinement indicator (inversion from below).
     """
-    B = len(partitions)
-    T = np.zeros((B, B))
-    Tinv = np.zeros((B, B))
-    for ai, a in enumerate(partitions):
-        for bi, b in enumerate(partitions):
-            if refines(b, a):
-                T[ai, bi] = mobius(b, a)
-                Tinv[ai, bi] = 1.0
-    return T, Tinv
+    M = mobius_matrix(partitions)
+    return M.T.toarray(), zeta_matrix(M).T.toarray()
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,20 +289,20 @@ def lde_trajectory(backward: BackwardModel, z0: PopulationState, u,
     """
     u = site_set(u)
     traj = expected_sampling(backward, z0, coarsest(backward.sites), times)
-    partitions_S = list(traj.partitions)
+    partitions_S = enumerate_partitions(backward.sites)
     index_S = {p: i for i, p in enumerate(partitions_S)}
     T = lde_transform(partitions_S, backward.N)
     sub_partitions = enumerate_partitions(u)
-    rest = tuple(s for s in backward.sites if s not in u)
+    rest = tuple((s,) for s in backward.sites if s not in u)
     space = SiteSpace(z0.measure.cards)
     cards_u = space.cards_for(u)
     values = np.empty((traj.times.size, len(sub_partitions),
                        int(np.prod(cards_u)) if cards_u else 1))
-    pad_rows = []
-    for p in sub_partitions:
-        padded = Partition(p.blocks + tuple((s,) for s in rest))
-        pad_rows.append(T[index_S[padded]])
-    pad_rows = np.array(pad_rows)
+    # padded partitions may have more than N blocks; the columns of T
+    # dropped from the trajectory (|c| > N) are zero
+    rows = [index_S[Partition(p.blocks + rest)] for p in sub_partitions]
+    cols = [index_S[c] for c in traj.partitions]
+    pad_rows = T[np.ix_(rows, cols)]
     sites_S = tuple(range(1, backward.n + 1))
     for ti in range(traj.times.size):
         L_full = pad_rows @ traj.values[ti]  # signed measures on the full space
@@ -336,8 +359,12 @@ def lde_conjugation_3site(backward: BackwardModel) -> LdeTransform:
     if backward.variant == "diffusion":
         T, Tinv = lde_transform_diffusion(list(order))
     else:
+        if backward.N < 3:
+            raise SampleTooLargeError("the finite 3-site transform needs N >= 3")
         T = lde_transform(list(order), backward.N)
-        Tinv = inv(T)
+        # inverse of each factor of T, with Z^-1 = M
+        M, Z, power, falling = _lde_factors(list(order), backward.N)
+        Tinv = (M.toarray() / falling[:, None] * power[None, :]) @ Z.T.toarray()
     A = T @ theta @ Tinv
     D = np.diag(np.diag(A))
     evals, V = eig(A)

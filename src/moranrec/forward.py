@@ -27,6 +27,7 @@ from .measures import (
     Measure,
     PopulationState,
     SiteSpace,
+    csv_table,
     parse_type_token,
     type_token,
 )
@@ -238,17 +239,5 @@ def trajectory_to_csv(rec: TrajectoryRecord, cards: Sequence[int],
 
 def trajectory_events_from_csv(text: str, cards: Sequence[int]) -> list[tuple[float, int, int]]:
     """Parse the output of :func:`trajectory_to_csv` back to index events."""
-    events = []
-    seen_header = False
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not seen_header:
-            if line != "time,dying_type,new_type":
-                raise ValueError(f"unexpected header {line!r}")
-            seen_header = True
-            continue
-        t, y, x = line.split(",")
-        events.append((float(t), parse_type_token(cards, y), parse_type_token(cards, x)))
-    return events
+    return [(float(t), parse_type_token(cards, y), parse_type_token(cards, x))
+            for t, y, x in csv_table(text, ("time", "dying_type", "new_type"))[1]]

@@ -12,9 +12,10 @@ stay exact integers by construction.
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -270,20 +271,25 @@ def measure_to_csv(m: Measure) -> str:
     return buf.getvalue()
 
 
+def csv_table(text: str, header: Sequence[str]) -> tuple[list[str], Iterator[list[str]]]:
+    """Header row and data rows of a CSV table written by this package.
+
+    Blank and ``#`` comment lines are skipped.  The header row must start
+    with the fields ``header``; a dense matrix continues it with labels.
+    """
+    lines = (line for line in text.splitlines()
+             if line.strip() and not line.lstrip().startswith("#"))
+    rows = csv.reader(lines)
+    first = next(rows, None)
+    if first is None or first[:len(header)] != list(header):
+        raise ValueError(f"unexpected header {first!r}, expected {list(header)}")
+    return first, rows
+
+
 def measure_from_csv(text: str, sites: Sequence[int], cards: Sequence[int],
                      signed: bool = False) -> Measure:
     """Parse the output of :func:`measure_to_csv`; comment lines start with '#'."""
     weights = np.zeros(int(np.prod(cards)) if len(cards) else 1)
-    seen_header = False
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not seen_header:
-            if line != "type,weight":
-                raise ValueError(f"unexpected header {line!r}")
-            seen_header = True
-            continue
-        token, value = line.split(",")
+    for token, value in csv_table(text, ("type", "weight"))[1]:
         weights[parse_type_token(cards, token)] = float(value)
     return Measure(tuple(sites), tuple(cards), weights, signed)

@@ -76,8 +76,8 @@ class RecombinationDistribution:
             raise ValueError("need at least one site")
         if len(self.crossover) != self.n - 1:
             raise ValueError(f"expected {self.n - 1} crossover probabilities")
-        if any(c < 0 for c in self.crossover):
-            raise ValueError("crossover probabilities must be nonnegative")
+        if any(c < 0 or not math.isfinite(c) for c in self.crossover):
+            raise ValueError("crossover probabilities must be finite and nonnegative")
         if sum(self.crossover) > 1.0 + 1e-12:
             raise ValueError("crossover probabilities must sum to at most 1")
 
@@ -258,8 +258,7 @@ def sampling(a: Partition, z: Measure) -> Measure:
     if m > N:
         raise SampleTooLargeError(f"cannot draw {m} distinct individuals from {N}")
     bar = sampling_bar(a, z)
-    scale = math.factorial(N - m) / math.factorial(N)
-    return bar.with_weights(bar.weights * scale)
+    return bar.with_weights(bar.weights * (1 / math.perm(N, m)))
 
 
 def sampling_oracle(a: Partition, z: Measure, cap: int = DEFAULT_ORACLE_CAP) -> Measure:
@@ -333,5 +332,5 @@ def lde_from_sampling(u, z) -> Measure:
     for a in enumerate_partitions(u):
         w = mobius(a, one) * sampling(a, marg).weights
         total = w if total is None else total + w
-    scale = math.factorial(N) / (N ** k * math.factorial(N - k))
+    scale = math.perm(N, k) / N ** k
     return Measure(marg.sites, marg.cards, scale * total, signed=True)

@@ -66,6 +66,24 @@ class TestConfigValidation:
         path.write_text(json.dumps(raw))
         assert main(["duality-check", "--config", str(path)]) == 3
 
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        text = path.read_text()
+        for bad in ("NaN", "Infinity", "-Infinity", "1e999"):
+            path.write_text(text.replace('"crossover_probs": [0.2]',
+                                         f'"crossover_probs": [{bad}]'))
+            assert main(["expectations", "--config", str(path)]) == 2
+            assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_exact_commands_reject_other_variants(self, tmp_path, capsys):
+        path = write_config(tmp_path, rho=[1.0], variant="deterministic")
+        for command in ("expectations", "lde", "duality-check"):
+            for extra in ([], ["--variant", "diffusion"]):
+                assert main([command, "--config", str(path), *extra]) == 2
+                assert "finite variant" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestDualityCommand:
     def test_passes_and_reports(self, tmp_path, capsys):
@@ -190,6 +208,16 @@ class TestExpectationsAndLde:
         assert block.shape == (3, 2, 4)
         assert np.allclose(block[0, 0], [0.4, 0.2, 0.1, 0.3])
         assert np.allclose(block.sum(axis=2), 1.0, atol=1e-9)
+
+    def test_fewer_individuals_than_sites(self, tmp_path):
+        path = write_config(tmp_path, sites=3, population_size=2,
+                            crossover_probs=[0.1, 0.25],
+                            initial_counts=[1, 0, 0, 0, 0, 0, 0, 1],
+                            initial_partition="1,2|3")
+        assert main(["expectations", "--config", str(path)]) == 0
+        text = (tmp_path / "out" / "expected_sampling.csv").read_text()
+        assert '"1|2|3"' not in text
+        assert main(["lde", "--config", str(path)]) == 0
 
     def test_lde_three_site_prints_diagonal(self, tmp_path, capsys):
         path = write_config(tmp_path, sites=3, population_size=6,

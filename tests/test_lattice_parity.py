@@ -1,0 +1,124 @@
+"""The sparse Mobius/zeta kernel against the pairwise-scan oracles."""
+
+import math
+
+import numpy as np
+import pytest
+
+import oracles
+from moranrec import (
+    BackwardModel,
+    PopulationState,
+    SampleTooLargeError,
+    SiteSpace,
+    coarsest,
+    enumerate_partitions,
+    expected_sampling,
+    lde_conjugation_3site,
+    lde_operator,
+    lde_trajectory,
+    lde_transform,
+    lde_transform_diffusion,
+    marginalize,
+    recombinator_bar,
+    sampling,
+    sampling_table,
+)
+from moranrec.expectations import mobius_matrix, sampling_stack, zeta_matrix
+from moranrec.markov import count_population_states
+
+from util import binary_space, random_population, random_recomb
+
+CASES = [(n, N) for n in range(1, 6) for N in (n, n + 3, 40)]
+
+
+def table_space(n: int, N: int, limit: int = 60) -> SiteSpace:
+    """Binary on as many leading sites as keeps the population states few."""
+    for k in range(n, 0, -1):
+        space = SiteSpace((2,) * k + (1,) * (n - k))
+        if count_population_states(space.total_states, N) <= limit:
+            return space
+    raise AssertionError("no small space")
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_mobius_matrix_equals_oracle_and_zeta_inverts_it(n):
+    parts = enumerate_partitions(range(1, n + 1))
+    M = mobius_matrix(parts)
+    assert np.array_equal(M.toarray(), oracles.mobius_matrix(parts))
+    Z = zeta_matrix(M).toarray()
+    assert np.array_equal(Z @ M.toarray(), np.eye(len(parts)))
+
+
+@pytest.mark.parametrize("n,N", CASES)
+def test_sampling_stack_matches_per_partition_sampling(n, N):
+    parts = enumerate_partitions(range(1, n + 1))
+    z = random_population(binary_space(n), N, seed=10 * n + N)
+    old = np.array([sampling(p, z.measure).weights for p in parts])
+    assert np.abs(sampling_stack(z, parts) - old).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n,N", CASES)
+def test_sampling_table_matches_oracle_contraction(n, N):
+    space = table_space(n, N)
+    table = sampling_table(space, N)
+    parts = list(table.partitions)
+    M = oracles.mobius_matrix(parts)
+    norm = np.array([math.factorial(N - len(p)) / math.factorial(N) for p in parts])
+    for zi, s in enumerate(table.pop_states):
+        z = PopulationState.from_counts(space, s).measure
+        rbar = np.array([recombinator_bar(p, z).weights for p in parts])
+        assert np.abs(table.values[zi] - (M @ rbar) * norm[:, None]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n,N", CASES)
+def test_lde_transform_matches_oracle(n, N):
+    parts = enumerate_partitions(range(1, n + 1))
+    old = oracles.lde_transform(parts, N)
+    assert np.abs(lde_transform(parts, N) - old).max() <= 1e-12 * np.abs(old).max()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_lde_transform_diffusion_matches_oracle(n):
+    parts = enumerate_partitions(range(1, n + 1))
+    M = oracles.mobius_matrix(parts)
+    T, Tinv = lde_transform_diffusion(parts)
+    assert np.abs(T - M.T).max() <= 1e-12
+    assert np.abs(Tinv - (M != 0).T).max() <= 1e-12
+
+
+@pytest.mark.parametrize("N", (3, 6, 40))
+def test_finite_3site_inverse_is_exact(N):
+    tr = lde_conjugation_3site(BackwardModel(3, N, random_recomb(3, N)))
+    assert np.abs(tr.T @ tr.Tinv - np.eye(5)).max() <= 1e-12
+
+
+def test_finite_3site_transform_needs_three_individuals():
+    with pytest.raises(SampleTooLargeError):
+        lde_conjugation_3site(BackwardModel(3, 2, random_recomb(3, 2)))
+
+
+class TestFewerIndividualsThanSites:
+    """N < n: only partitions with at most N blocks carry sampling measures."""
+
+    n, N = 4, 3
+
+    def setup_method(self):
+        self.bwd = BackwardModel(self.n, self.N, random_recomb(self.n, 3))
+        self.z0 = random_population(binary_space(self.n), self.N, seed=3)
+
+    def test_expected_sampling_at_time_zero(self):
+        traj = expected_sampling(self.bwd, self.z0, coarsest([1, 2, 3, 4]), [0.0, 0.5])
+        kept = [p for p in enumerate_partitions(range(1, self.n + 1)) if len(p) <= self.N]
+        assert list(traj.partitions) == kept
+        for pi, a in enumerate(traj.partitions):
+            direct = sampling(a, self.z0.measure).weights
+            assert np.abs(traj.values[0, pi] - direct).max() <= 1e-14
+        assert np.allclose(traj.values[1].sum(axis=1), 1.0, atol=1e-12)
+
+    def test_lde_trajectory_at_time_zero(self):
+        for u in [(1, 2), (2, 4), (1, 2, 3), (1, 2, 3, 4)]:
+            traj = lde_trajectory(self.bwd, self.z0, u, [0.0])
+            for pi, a in enumerate(traj.partitions):
+                direct = lde_operator(a, marginalize(self.z0.measure, u)).weights
+                assert np.abs(traj.values[0, pi] - direct).max() <= 1e-12

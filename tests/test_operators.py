@@ -44,6 +44,9 @@ class TestRecombinationDistribution:
             RecombinationDistribution(3, (0.7, 0.4))
         with pytest.raises(ValueError):
             RecombinationDistribution(3, (-0.1, 0.2))
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                RecombinationDistribution(3, (bad, 0.2))
         with pytest.raises(ValueError):
             RecombinationDistribution(3, (0.1,))
 
