@@ -22,7 +22,6 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -111,7 +110,7 @@ def theta_rate(model: BackwardModel, j: int, jj: Partition, a: Partition,
     return r * model.N ** (-len(jj)) * _falling_weight(model.N, m, len(b))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _split_choices(model: BackwardModel, block: tuple[int, ...]) -> tuple[tuple[Partition, float], ...]:
     """(split, probability) over the at-most-two-part partitions of ``block``."""
     return tuple((jj, marginal_recomb_prob(model.recomb, block, jj))
@@ -275,27 +274,37 @@ class PartitionTrajectory:
         return self.state_at(np.inf)
 
 
-@lru_cache(maxsize=None)
-def _silent_rate_finite(model: BackwardModel, a: Partition) -> float:
-    """Total rate of events that leave the state unchanged."""
+def _exit_rate(model: BackwardModel, a: Partition) -> float:
+    """Total rate of the narrative events that change ``a``.
+
+    Every block meets an event at rate one.  The event is silent when the
+    block stays whole and lands on an empty parent, or splits and both
+    fragments land on the same empty parent.  In the deterministic limit
+    every parent is fresh, so only the first case is silent.
+    """
     N = model.N
     m = len(a)
     s = 0.0
     for block in a.blocks:
         r_one = _split_choices(model, block)[0][1]
-        stay = (N - (m - 1)) / N
-        s += r_one * stay + (1.0 - r_one) * stay / N
-    return s
+        if model.variant == "finite":
+            stay = (N - (m - 1)) / N
+            s += r_one * stay + (1.0 - r_one) * stay / N
+        else:
+            s += r_one
+    return m - s
 
 
-def _narrative_step_finite(model: BackwardModel, a: Partition,
-                           rng: np.random.Generator) -> Partition:
-    """One block-level event: split, then parent choice per fragment."""
-    N = model.N
+def _narrative_step(model: BackwardModel, a: Partition,
+                    rng: np.random.Generator) -> Partition:
+    """One block-level event: split a uniform block, then a parent per fragment.
+
+    Parents ``0..m-2`` carry the other blocks, the rest are empty.  The
+    finite variant draws each parent among the ``N`` individuals; the
+    deterministic variant gives every fragment a fresh one.
+    """
     m = len(a)
     j = int(rng.integers(m))
-    block = a.blocks[j]
-    others = [blk for k, blk in enumerate(a.blocks) if k != j]
     choices = _split_choices(model, a.blocks[j])
     u = rng.random()
     acc = 0.0
@@ -305,40 +314,31 @@ def _narrative_step_finite(model: BackwardModel, a: Partition,
         if u < acc:
             jj = cand
             break
-    if len(jj) == 1:
-        parent = int(rng.integers(N))
+    if model.variant == "finite":
+        parents = [int(rng.integers(model.N)) for _ in jj.blocks]
+    else:
+        parents = list(range(m - 1, m - 1 + len(jj)))
+    if parents[0] >= m - 1 and len(set(parents)) == 1:
+        return a  # the whole block lands on one empty parent
+    blocks = [blk for k, blk in enumerate(a.blocks) if k != j]
+    for fragment, parent in zip(jj.blocks, parents):
         if parent < m - 1:
-            blocks = list(others)
-            _merge_into(blocks, parent, block)
-            return Partition(tuple(blocks))
-        return a
-    f1, f2 = jj.blocks
-    p1 = int(rng.integers(N))
-    p2 = int(rng.integers(N))
-    blocks = list(others)
-    if p1 < m - 1:
-        _merge_into(blocks, p1, f1)
-    else:
-        blocks.append(f1)
-    if p2 < m - 1:
-        _merge_into(blocks, p2, f2)
-    elif p2 == p1:
-        return a  # both fragments picked the same empty parent
-    else:
-        blocks.append(f2)
+            _merge_into(blocks, parent, fragment)
+        else:
+            blocks.append(fragment)
     return Partition(tuple(blocks))
 
 
 def simulate_backward(model: BackwardModel, sigma0: Partition, t_end: float,
-                      seed: int, *, exact_events: bool = False,
-                      replicate: int = 0) -> PartitionTrajectory:
+                      seed: int, *, replicate: int = 0) -> PartitionTrajectory:
     """Event-driven path of the partitioning process up to ``t_end``.
 
-    For the finite variant silent events are skipped by default: holding
-    times use the exact effective rate and the jump is redrawn from the
-    narrative until it changes the state, which leaves the path law
-    unchanged.  The deterministic variant only ever refines; the diffusion
-    variant has no silent events at all.
+    Holding times use the exact rate of leaving the current state.  For the
+    finite and deterministic variants the jump is the narrative step,
+    redrawn until it changes the state, which leaves the path law
+    unchanged; the diffusion variant picks its jump from the transition
+    rates.  The finite chain has in general no absorbing state, so give it
+    a finite ``t_end``.
     """
     if sigma0.ground != model.sites:
         raise InvalidInitialError(f"initial partition must cover sites {model.sites}")
@@ -348,101 +348,32 @@ def simulate_backward(model: BackwardModel, sigma0: Partition, t_end: float,
     cur = sigma0
     t = 0.0
     events: list[tuple[float, Partition]] = []
-
     while True:
-        if model.variant == "finite":
-            m = len(cur)
-            effective = m - _silent_rate_finite(model, cur)
-            if effective <= m * 1e-13:
-                break  # absorbing: no state-changing event has positive rate
-            if exact_events:
-                t += rng.exponential(1.0 / m)
-                if t >= t_end:
-                    break
-                nxt = _narrative_step_finite(model, cur, rng)
-                if nxt == cur:
-                    continue
-            else:
-                t += rng.exponential(1.0 / effective)
-                if t >= t_end:
-                    break
-                while True:
-                    nxt = _narrative_step_finite(model, cur, rng)
-                    if nxt != cur:
-                        break
-        elif model.variant == "deterministic":
-            m = len(cur)
-            split_rates = [1.0 - _split_choices(model, blk)[0][1]
-                           for blk in cur.blocks]
-            total = sum(split_rates)
-            if total <= 1e-15:
-                break  # nothing left to split
-            if exact_events:
-                t += rng.exponential(1.0 / m)
-                if t >= t_end:
-                    break
-                j = int(rng.integers(m))
-                nxt = _det_split(model, cur, j, rng)
-                if nxt == cur:
-                    continue
-            else:
-                t += rng.exponential(1.0 / total)
-                if t >= t_end:
-                    break
-                j = _pick_weighted(rng, split_rates, total)
-                while True:
-                    nxt = _det_split(model, cur, j, rng)
-                    if nxt != cur:
-                        break
-        else:  # diffusion: no silent events
+        if model.variant == "diffusion":
             rates = transition_rates(model, cur)
             total = sum(rates.values())
-            if total <= 1e-15:
-                break
-            t += rng.exponential(1.0 / total)
-            if t >= t_end:
-                break
+        else:
+            total = _exit_rate(model, cur)
+        if total <= len(cur) * 1e-13:
+            break  # absorbing: no state-changing event has positive rate
+        t += rng.exponential(1.0 / total)
+        if t >= t_end:
+            break
+        nxt = cur
+        if model.variant == "diffusion":
             u = rng.random() * total
             acc = 0.0
-            nxt = cur
             for b, rate in rates.items():
                 acc += rate
                 if u < acc:
                     nxt = b
                     break
+        else:
+            while nxt == cur:
+                nxt = _narrative_step(model, cur, rng)
         cur = nxt
         events.append((t, cur))
     return PartitionTrajectory(sigma0, tuple(events), seed, replicate, t_end)
-
-
-def _det_split(model: BackwardModel, a: Partition, j: int,
-               rng: np.random.Generator) -> Partition:
-    """Split block ``j`` per the marginal distribution; may stay whole."""
-    block = a.blocks[j]
-    choices = _split_choices(model, block)
-    u = rng.random()
-    acc = 0.0
-    jj = choices[-1][0]
-    for cand, p in choices:
-        acc += p
-        if u < acc:
-            jj = cand
-            break
-    if len(jj) == 1:
-        return a
-    others = tuple(blk for k, blk in enumerate(a.blocks) if k != j)
-    return Partition(others + jj.blocks)
-
-
-def _pick_weighted(rng: np.random.Generator, weights: Sequence[float],
-                   total: float) -> int:
-    u = rng.random() * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return i
-    return len(weights) - 1
 
 
 def partition_trajectory_to_csv(rec: PartitionTrajectory,

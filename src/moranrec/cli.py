@@ -10,7 +10,7 @@ Config schema (JSON object; unknown keys are rejected)::
 
     {
       "sites": 2,                  // number of sites n
-      "alphabet_sizes": 2,         // int, or list of n ints
+      "alphabet_sizes": 2,         // int, or list of n ints, each 1..10
       "population_size": 10,
       "crossover_probs": [0.2],    // n-1 values, sum <= 1
       "rho": [1.5],                // optional, n-1 rates (diffusion variant)
@@ -19,15 +19,16 @@ Config schema (JSON object; unknown keys are rejected)::
       "initial_partition": "1,2",  // blocks "|"-separated, sites ","-separated
       "lde_sites": [1, 2],         // optional, defaults to all sites
       "t_end": 1.0,
-      "grid": [0.0, 0.5, 1.0],     // or {"stop": 1.0, "num": 11}
-      "replicates": 100,
-      "seed": 42,
+      "grid": [0.0, 0.5, 1.0],     // or {"stop": 1.0, "num": 11}; num optional
+      "replicates": 100,           // integer >= 0
+      "seed": 42,                  // integer >= 0
       "out": "runs/demo"
     }
 
 Numbers must be finite: ``NaN``, ``Infinity`` and overflowing literals are
-rejected.  ``expectations``, ``lde`` and ``duality-check`` compute the
-finite variant only and reject any other.
+rejected, in the config and in the ``--t-end`` and ``--grid`` overrides.
+Integer fields must be JSON integers.  ``expectations``, ``lde`` and
+``duality-check`` compute the finite variant only and reject any other.
 
 Exit codes: 0 success, 2 config validation failure, 3 size cap exceeded,
 4 duality-check defect above tolerance.
@@ -98,7 +99,6 @@ class RunConfig:
     replicates: int
     seed: int
     out: Path
-    exact_events: bool
     config_hash: str
     raw: dict
 
@@ -113,11 +113,31 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
+def _finite_float(text: str | float) -> float:
+    try:
+        value = float(text)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"expected a finite number, got {text!r}")
     if not math.isfinite(value):
         raise ConfigError(f"config numbers must be finite, got {text}")
     return value
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(raw: dict, key: str, default: int | None, minimum: int) -> int:
+    value = raw.get(key, default)
+    _require(_is_int(value) and value >= minimum,
+             f"'{key}' must be an integer of at least {minimum}")
+    return value
+
+
+def _number(value: object, what: str) -> float:
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             f"{what} must be a number")
+    return _finite_float(value)
 
 
 def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
@@ -134,30 +154,27 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     unknown = set(raw) - _ALLOWED_KEYS
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
 
-    for field in ("seed", "replicates", "t_end", "out", "variant"):
-        val = getattr(overrides, field.replace("-", "_"), None)
+    for field in ("seed", "replicates", "out", "variant"):
+        val = getattr(overrides, field, None)
         if val is not None:
             raw[field] = val
+    if getattr(overrides, "t_end", None) is not None:
+        raw["t_end"] = _finite_float(overrides.t_end)
     if getattr(overrides, "grid", None) is not None:
-        raw["grid"] = [float(x) for x in overrides.grid.split(",")]
+        raw["grid"] = [_finite_float(x) for x in overrides.grid.split(",")]
 
-    n = raw.get("sites")
-    _require(isinstance(n, int) and n >= 1, "'sites' must be a positive integer")
+    n = _int_field(raw, "sites", None, 1)
     alph = raw.get("alphabet_sizes", 2)
-    if isinstance(alph, int):
-        cards = (alph,) * n
-    else:
-        _require(isinstance(alph, list) and len(alph) == n,
-                 f"'alphabet_sizes' must be an int or a list of {n} ints")
-        cards = tuple(int(a) for a in alph)
-    _require(all(c >= 1 for c in cards), "alphabet sizes must be at least 1")
+    cards = (alph,) * n if _is_int(alph) else alph
+    _require(isinstance(cards, (tuple, list)) and len(cards) == n
+             and all(_is_int(c) and 1 <= c <= 10 for c in cards),
+             f"'alphabet_sizes' must be an int or a list of {n} ints, each in 1..10")
     try:
         space = SiteSpace(cards)
     except SizeCapError as exc:
         raise ConfigError(str(exc))
 
-    N = raw.get("population_size")
-    _require(isinstance(N, int) and N >= 1, "'population_size' must be a positive integer")
+    N = _int_field(raw, "population_size", None, 1)
 
     probs = raw.get("crossover_probs", [0.0] * (n - 1))
     _require(isinstance(probs, list) and len(probs) == n - 1,
@@ -215,7 +232,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     _require(all(isinstance(s, int) and 1 <= s <= n for s in lde_sites) and lde_sites,
              f"'lde_sites' must be site labels in 1..{n}")
 
-    t_end = float(raw.get("t_end", 1.0))
+    t_end = _number(raw.get("t_end", 1.0), "'t_end'")
     _require(t_end >= 0, "'t_end' must be nonnegative")
 
     grid_spec = raw.get("grid")
@@ -223,23 +240,25 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         grid = np.linspace(0.0, t_end, 11)
     elif isinstance(grid_spec, dict):
         _require(set(grid_spec) <= {"stop", "num"}, "'grid' object takes stop and num")
-        grid = np.linspace(0.0, float(grid_spec["stop"]), int(grid_spec.get("num", 11)))
+        _require("stop" in grid_spec, "'grid' object needs 'stop'")
+        stop = _number(grid_spec["stop"], "'grid' stop")
+        _require(stop >= 0, "'grid' stop must be nonnegative")
+        grid = np.linspace(0.0, stop, _int_field(grid_spec, "num", 11, 1))
     else:
         _require(isinstance(grid_spec, list) and grid_spec, "'grid' must be a list")
-        grid = np.asarray([float(x) for x in grid_spec])
+        grid = np.asarray([_number(x, "'grid' times") for x in grid_spec])
         _require(bool(np.all(np.diff(grid) >= 0)) and grid[0] >= 0,
                  "'grid' must be nondecreasing and nonnegative")
 
-    replicates = int(raw.get("replicates", 0))
-    _require(replicates >= 0, "'replicates' must be nonnegative")
-    seed = int(raw.get("seed", 0))
+    replicates = _int_field(raw, "replicates", 0, 0)
+    seed = _int_field(raw, "seed", 0, 0)
     out = Path(raw.get("out", "."))
 
     return RunConfig(
         space=space, N=N, recomb=recomb, rho=rho, variant=variant,
         initial=initial, initial_partition=initial_partition,
         lde_sites=lde_sites, t_end=t_end, grid=grid, replicates=replicates,
-        seed=seed, out=out, exact_events=bool(getattr(overrides, "exact_events", False)),
+        seed=seed, out=out,
         config_hash=config_hash(raw), raw=raw,
     )
 
@@ -305,8 +324,7 @@ def cmd_simulate_forward(cfg: RunConfig) -> int:
     mean = np.zeros((grid.size, cfg.space.total_states))
     msq = np.zeros_like(mean)
     for rep in range(cfg.replicates):
-        rec = simulate_forward(model, z0, cfg.t_end, cfg.seed,
-                               exact_events=cfg.exact_events, replicate=rep)
+        rec = simulate_forward(model, z0, cfg.t_end, cfg.seed, replicate=rep)
         _write(cfg, f"forward_rep{rep:04d}.csv",
                trajectory_to_csv(rec, cfg.space.cards, f"{stamp} replicate={rep}"))
         for gi, t in enumerate(grid):
@@ -339,7 +357,7 @@ def cmd_simulate_backward(cfg: RunConfig) -> int:
     stamp = _stamp(cfg)
     for rep in range(cfg.replicates):
         rec = simulate_backward(model, cfg.initial_partition, cfg.t_end, cfg.seed,
-                                exact_events=cfg.exact_events, replicate=rep)
+                                replicate=rep)
         _write(cfg, f"backward_rep{rep:04d}.csv",
                partition_trajectory_to_csv(rec, f"{stamp} replicate={rep} "
                                                 f"variant={cfg.variant}"))
@@ -451,14 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--reps", dest="replicates", type=int, default=None)
-        p.add_argument("--t-end", dest="t_end", type=float, default=None)
+        p.add_argument("--t-end", dest="t_end", type=str, default=None)
         p.add_argument("--grid", type=str, default=None,
                        help="comma-separated times, overrides the config grid")
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--variant", type=str, default=None,
                        choices=("finite", "deterministic", "diffusion"))
-        p.add_argument("--exact-events", dest="exact_events", action="store_true",
-                       help="step through silent events instead of thinning them")
         if name == "duality-check":
             p.add_argument("--tol", type=float, default=1e-8)
     return parser

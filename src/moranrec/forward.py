@@ -6,22 +6,25 @@ distribution.  The module provides the exact transition rates, the full
 generator matrix over all populations of size ``N``, an event-driven
 simulator, and the infinite-population replacement ODE.
 
-Simulation skips silent replacements (offspring type equals the dying
-type) by default: the holding time uses the exact effective rate and the
-jump is drawn from the exact conditional law, so the law of the recorded
-path is unchanged.  ``exact_events=True`` restores literal rate-``N``
-stepping through silent events.
+The simulator tells the same story one individual at a time: it keeps the
+type codes of the ``N`` individuals, and at each event (rate ``N``) one of
+them dies and is replaced by a splice of two uniformly drawn parents, cut
+where the recombination distribution says.  Its cost per event does not
+depend on the number of types.  Silent events (the newborn has the type of
+the individual it replaces) are not recorded.
 """
 
 from __future__ import annotations
 
 import io
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import SizeCapError
+from .errors import InvalidInitialError, SizeCapError
 from .markov import GeneratorMatrix, count_population_states, enumerate_population_states
 from .measures import (
     Measure,
@@ -136,48 +139,46 @@ class TrajectoryRecord:
 
 
 def simulate_forward(model: ForwardModel, z0: PopulationState, t_end: float,
-                     seed: int, *, exact_events: bool = False,
-                     replicate: int = 0) -> TrajectoryRecord:
+                     seed: int, *, replicate: int = 0) -> TrajectoryRecord:
     """Event-driven path of the population process up to ``t_end``.
 
     The stream is seeded by ``(seed, replicate)``, so replicates are
     independent and each run is bit-reproducible.  ``t_end`` may be
     ``inf``; the loop then runs until absorption (monomorphic state).
     """
+    space = model.space
+    if z0.N != model.N or (z0.measure.sites, z0.measure.cards) != (space.sites, space.cards):
+        raise InvalidInitialError(
+            f"initial population must hold {model.N} individuals on sites {space.sites} "
+            f"with alphabet sizes {space.cards}")
     rng = np.random.default_rng([seed, replicate])
-    counts = z0.counts.astype(np.int64).copy()
     N = model.N
-    K = counts.size
+    counts = [int(c) for c in z0.counts]
+    pop = [x for x, c in enumerate(counts) for _ in range(c)]
+    # A cut after site i keeps the first parent's letters on sites 1..i and
+    # takes the rest from the second parent: the second parent's type code
+    # modulo the number of types on sites i+1..n.  No cut is a tail of 1.
+    tails = [1] + [math.prod(space.cards[i:]) for i in range(1, space.n)]
+    cum = np.minimum(np.cumsum((model.recomb.r_whole, *model.recomb.crossover)), 1.0).tolist()
+    last = len(cum) - 1
     t = 0.0
     events: list[tuple[float, int, int]] = []
-    while True:
-        if counts.max() == N:
-            break  # monomorphic: only silent replacements remain
-        q = replacement_distribution(model, counts)
-        if exact_events:
-            t += rng.exponential(1.0 / N)
-            if t >= t_end:
-                break
-            y = int(rng.choice(K, p=counts / N))
-            x = int(rng.choice(K, p=q))
-            if x == y:
-                continue
-        else:
-            silent = float(q @ counts)
-            effective = N - silent
-            if effective <= N * 1e-13:
-                break
-            t += rng.exponential(1.0 / effective)
-            if t >= t_end:
-                break
-            w = np.outer(counts.astype(float), q)
-            np.fill_diagonal(w, 0.0)
-            flat = w.ravel()
-            k = int(rng.choice(flat.size, p=flat / flat.sum()))
-            y, x = divmod(k, K)
+    absorbed = max(counts) == N
+    while not absorbed:
+        t += rng.exponential(1.0 / N)
+        if t >= t_end:
+            break
+        dying, first, second = rng.integers(N, size=3).tolist()
+        tail = tails[min(bisect_right(cum, rng.random()), last)]
+        a, b, y = pop[first], pop[second], pop[dying]
+        x = a - a % tail + b % tail
+        if x == y:
+            continue
+        pop[dying] = x
         counts[y] -= 1
         counts[x] += 1
         events.append((t, y, x))
+        absorbed = counts[x] == N
     return TrajectoryRecord(tuple(int(c) for c in z0.counts), tuple(events),
                             seed, replicate, t_end)
 

@@ -312,12 +312,18 @@ class TestSimulateBackward:
                 assert split or merge
                 prev = p
 
-    def test_first_jump_law_matches_generator(self):
+    @pytest.mark.parametrize("variant, start, generator", [
+        ("finite", "1|2,3", generator_theta),
+        ("deterministic", "1,2,3", generator_theta_det),
+        ("diffusion", "1|2,3", generator_theta_diff),
+    ], ids=["finite", "deterministic", "diffusion"])
+    def test_first_jump_law_matches_generator(self, variant, start, generator):
         # chi-square of the embedded jump chain against the generator row,
         # plus the mean holding time
-        model = BackwardModel(3, 5, RecombinationDistribution(3, (0.25, 0.15)))
-        start = P("1|2,3")
-        gen = generator_theta(model)
+        model = BackwardModel(3, 5, RecombinationDistribution(3, (0.25, 0.15)), variant,
+                              DiffusionRates(3, (0.8, 1.3)))
+        start = P(start)
+        gen = generator(model)
         row = gen.matrix[gen.index(start)].copy()
         row[gen.index(start)] = 0.0
         total_rate = row.sum()
@@ -338,15 +344,6 @@ class TestSimulateBackward:
         # holding time is exponential with rate equal to the row sum
         se = holds.std(ddof=1) / np.sqrt(reps)
         assert abs(holds.mean() - 1.0 / total_rate) < 4 * se
-
-    def test_exact_events_same_law_smoke(self):
-        model = BackwardModel(2, 5, RecombinationDistribution(2, (0.3,)))
-        thin = simulate_backward(model, coarsest([1, 2]), 3.0, seed=6)
-        full = simulate_backward(model, coarsest([1, 2]), 3.0, seed=6,
-                                 exact_events=True)
-        for rec in (thin, full):
-            for _, p in rec.events:
-                assert p.ground == (1, 2)
 
 
 class TestTransitionRatesHelper:

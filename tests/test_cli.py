@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from moranrec import measure_from_csv, parse_partition, refines
 from moranrec.backward import partition_events_from_csv
@@ -82,6 +83,46 @@ class TestConfigValidation:
             for extra in ([], ["--variant", "diffusion"]):
                 assert main([command, "--config", str(path), *extra]) == 2
                 assert "finite variant" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("simulate-forward", ["--t-end", "inf"]),
+        ("simulate-forward", ["--t-end", "x"]),
+        ("expectations", ["--grid", "0,inf"]),
+        ("expectations", ["--grid", "0,1e999"]),
+        ("expectations", ["--grid", "0,nan"]),
+    ])
+    def test_non_finite_overrides_rejected(self, tmp_path, command, flags):
+        path = write_config(tmp_path)
+        assert main([command, "--config", str(path), *flags]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, field", [
+        ("simulate-forward", {"replicates": 2.5}),
+        ("simulate-forward", {"replicates": "x"}),
+        ("simulate-forward", {"replicates": -1}),
+        ("simulate-forward", {"seed": 2.5}),
+        ("simulate-forward", {"seed": "x"}),
+        ("simulate-forward", {"seed": -1}),
+        ("simulate-forward", {"seed": True}),
+        ("expectations", {"grid": {"num": 3}}),
+        ("expectations", {"grid": {"stop": -1.0, "num": 3}}),
+        ("expectations", {"grid": {"stop": "x", "num": 3}}),
+        ("expectations", {"grid": {"stop": 1.0, "num": 0}}),
+        ("expectations", {"grid": {"stop": 1.0, "num": 2.5}}),
+        ("expectations", {"grid": [0.0, "x"]}),
+        ("simulate-forward", {"t_end": "x"}),
+        ("simulate-forward", {"sites": 1, "alphabet_sizes": 11, "crossover_probs": [],
+                              "population_size": 11, "initial_counts": [1] * 11,
+                              "initial_partition": "1"}),
+        ("simulate-forward", {"alphabet_sizes": [2, 11],
+                              "initial_counts": [1] * 10 + [0] * 12}),
+        ("simulate-forward", {"alphabet_sizes": [2, "x"]}),
+    ])
+    def test_typed_fields(self, tmp_path, capsys, command, field):
+        path = write_config(tmp_path, **field)
+        assert main([command, "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

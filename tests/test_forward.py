@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from moranrec import (
     ForwardModel,
+    InvalidInitialError,
     PopulationState,
     RecombinationDistribution,
     SizeCapError,
@@ -95,7 +97,7 @@ class TestSimulateForward:
     def test_no_recombination_monomorphic_type_survives(self):
         m = model2(4, 0.0)
         z0 = PopulationState.from_counts(SP2, [0, 4, 0, 0])
-        rec = simulate_forward(m, z0, 100.0, seed=2, exact_events=True)
+        rec = simulate_forward(m, z0, 100.0, seed=2)
         assert rec.events == ()
 
     def test_norm_preserved_at_every_event(self):
@@ -134,6 +136,44 @@ class TestSimulateForward:
                 z[y] -= 1
                 z[x] += 1
             assert np.array_equal(rec.state_at(mid), z)
+
+    def test_population_must_match_model(self):
+        m = model2(5, 0.3)
+        with pytest.raises(InvalidInitialError):
+            simulate_forward(m, PopulationState.from_counts(SP2, [1, 1, 1, 1]), 1.0, seed=0)
+        three = binary_space(3)
+        with pytest.raises(InvalidInitialError):
+            simulate_forward(m, PopulationState.from_counts(three, [1, 1, 1, 1, 1, 0, 0, 0]),
+                             1.0, seed=0)
+
+    def test_first_jump_law_matches_generator(self):
+        # chi-square of the first jump against the generator row, plus the
+        # mean holding time
+        m = model2(5, 0.35)
+        z0 = PopulationState.from_counts(SP2, [2, 1, 0, 2])
+        gen = generator_lambda(m)
+        start = tuple(int(c) for c in z0.counts)
+        row = gen.matrix[gen.index(start)].copy()
+        row[gen.index(start)] = 0.0
+        total_rate = row.sum()
+        reps = 4000
+        horizon = 30.0 / total_rate  # a first event is then all but certain
+        counts = np.zeros(gen.size)
+        holds = np.empty(reps)
+        for rep in range(reps):
+            rec = simulate_forward(m, z0, horizon, seed=271, replicate=rep)
+            t, y, x = rec.events[0]
+            first = list(start)
+            first[y] -= 1
+            first[x] += 1
+            counts[gen.index(tuple(first))] += 1
+            holds[rep] = t
+        expected = reps * row / total_rate
+        mask = expected > 0
+        assert counts[~mask].sum() == 0
+        assert stats.chisquare(counts[mask], expected[mask]).pvalue > 1e-3
+        se = holds.std(ddof=1) / np.sqrt(reps)
+        assert abs(holds.mean() - 1.0 / total_rate) < 4 * se
 
     def test_absorption_with_infinite_horizon(self):
         m = model2(5, 0.3)
@@ -211,7 +251,7 @@ class TestDeterministicOde:
         t = 1.0
         omega = integrate_deterministic(r, measure_from_counts(SP2, freq), t, dt=1e-3)
         dists = []
-        for N in (25, 250):
+        for N in (20, 200):
             m = ForwardModel(SP2, N, r)
             z0 = PopulationState.from_counts(SP2, (freq * N).astype(int))
             reps = 300
