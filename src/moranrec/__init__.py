@@ -17,7 +17,6 @@ from .backward import (
     generator_theta_det,
     generator_theta_diff,
     simulate_backward,
-    theta_rate,
     transition_rates,
 )
 from .errors import (
@@ -30,6 +29,7 @@ from .errors import (
     NotComparableError,
     NotOrderedPartitionError,
     NotSubsetError,
+    OutputCheckError,
     OverlapError,
     SampleTooLargeError,
     ShapeError,
@@ -43,7 +43,6 @@ from .expectations import (
     SamplingTable,
     check_generator_duality,
     diffusion_left_eigenvectors,
-    expectation_rk4,
     expected_sampling,
     fixation_2site,
     lde_conjugation_3site,
@@ -81,7 +80,6 @@ from .operators import (
     DiffusionRates,
     RecombinationDistribution,
     dump_recombination_file,
-    lde_from_sampling,
     lde_operator,
     load_recombination_file,
     marginal_recomb_prob,
@@ -90,7 +88,6 @@ from .operators import (
     recombinator_bar,
     sampling,
     sampling_bar,
-    sampling_oracle,
 )
 from .partitions import (
     EMPTY,

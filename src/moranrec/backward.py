@@ -41,8 +41,6 @@ from .partitions import (
     format_partition,
     ordered_partitions_le2,
     parse_partition,
-    refines,
-    restrict,
 )
 
 VARIANTS = ("finite", "deterministic", "diffusion")
@@ -87,27 +85,6 @@ def _falling_weight(N: int, m: int, b_size: int) -> float:
             return 0.0
         w *= i
     return w
-
-
-def theta_rate(model: BackwardModel, j: int, jj: Partition, a: Partition,
-               b: Partition) -> float:
-    """Rate of the transition ``a -> b`` through block ``j`` splitting as ``jj``.
-
-    ``jj`` is an ordered partition of block ``j`` into at most two parts.
-    Nonzero exactly when ``b`` restricted to block ``j`` coarsens ``jj``
-    while the other blocks of ``a`` stay intact in ``b``; includes the
-    silent case ``b == a``.  Transitions to partitions with more than ``N``
-    blocks get weight zero.
-    """
-    m = len(a)
-    block = a.blocks[j]
-    rest = a.drop_block(j)
-    if restrict(b, rest.ground) != rest:
-        return 0.0
-    if not refines(jj, restrict(b, block)):
-        return 0.0
-    r = marginal_recomb_prob(model.recomb, block, jj)
-    return r * model.N ** (-len(jj)) * _falling_weight(model.N, m, len(b))
 
 
 @lru_cache(maxsize=4096)

@@ -31,7 +31,9 @@ Integer fields must be JSON integers.  ``expectations``, ``lde`` and
 ``duality-check`` compute the finite variant only and reject any other.
 
 Exit codes: 0 success, 2 config validation failure, 3 size cap exceeded,
-4 duality-check defect above tolerance.
+4 duality-check defect above tolerance, 5 output check failed (``expectations``
+found a non-finite value or a block that is not a probability vector, or
+``lde`` a non-finite value; no CSV is written).
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .backward import (
     partition_trajectory_to_csv,
     simulate_backward,
 )
-from .errors import ConfigError, MoranRecError, SizeCapError
+from .errors import ConfigError, MoranRecError, OutputCheckError, SizeCapError
 from .expectations import (
     check_generator_duality,
     expected_sampling,
@@ -68,14 +70,16 @@ from .forward import ForwardModel, simulate_forward, trajectory_to_csv
 from .measures import (
     PopulationState,
     SiteSpace,
-    csv_table,
     measure_from_csv,
     measure_to_csv,
-    parse_type_token,
     type_token,
 )
 from .operators import DiffusionRates, RecombinationDistribution, sampling
 from .partitions import Partition, coarsest, format_partition, parse_partition
+
+# postcondition on expected sampling measures before they are written
+NEGATIVE_TOL = 1e-12
+MASS_TOL = 1e-10
 
 _ALLOWED_KEYS = {
     "sites", "alphabet_sizes", "population_size", "crossover_probs", "rho",
@@ -267,9 +271,13 @@ def _stamp(cfg: RunConfig) -> str:
     return f"config={cfg.config_hash} seed={cfg.seed} moranrec={__version__}"
 
 
-def _write(cfg: RunConfig, name: str, text: str) -> Path:
+def _target(cfg: RunConfig, name: str) -> Path:
     cfg.out.mkdir(parents=True, exist_ok=True)
-    target = cfg.out / name
+    return cfg.out / name
+
+
+def _write(cfg: RunConfig, name: str, text: str) -> Path:
+    target = _target(cfg, name)
     target.write_text(text)
     return target
 
@@ -291,27 +299,35 @@ def _need_initial(cfg: RunConfig) -> PopulationState:
     return cfg.initial
 
 
-def expectations_to_csv(times, partitions, cards, values, comment: str) -> str:
-    """Rows ``time,partition,type,value`` over a (times, partitions, types) block."""
-    lines = [f"# {comment}", "time,partition,type,value"]
-    for ti, t in enumerate(times):
-        for pi, p in enumerate(partitions):
-            ptxt = format_partition(p)
-            for xi in range(values.shape[2]):
-                lines.append(f'{t:.17g},"{ptxt}",{type_token(cards, xi)},'
-                             f"{values[ti, pi, xi]:.17g}")
-    return "\n".join(lines) + "\n"
+def expectations_to_csv(path: Path, times, partitions, cards, values,
+                        comment: str) -> None:
+    """Write rows ``time,partition,type,value`` of a (times, partitions, types) block.
+
+    The file is written one (time, partition) block at a time.
+    """
+    tokens = [type_token(cards, xi) for xi in range(values.shape[2])]
+    # one %-template per block: the prefix (a time and a partition) holds no '%'
+    rows = [f"{tok},%.17g\n" for tok in tokens]
+    with open(path, "w") as f:
+        f.write(f"# {comment}\ntime,partition,type,value\n")
+        for ti, t in enumerate(times):
+            for pi, p in enumerate(partitions):
+                prefix = f'{t:.17g},"{format_partition(p)}",'
+                f.write((prefix + prefix.join(rows)) % tuple(values[ti, pi].tolist()))
 
 
-def expectations_from_csv(text: str, cards, partitions, times) -> np.ndarray:
-    """Parse :func:`expectations_to_csv` back into a dense block."""
-    pindex = {format_partition(p): i for i, p in enumerate(partitions)}
-    tindex = {f"{t:.17g}": i for i, t in enumerate(times)}
-    K = int(np.prod(cards)) if len(cards) else 1
-    out = np.zeros((len(times), len(partitions), K))
-    for t, ptxt, token, value in csv_table(text, ("time", "partition", "type", "value"))[1]:
-        out[tindex[t], pindex[ptxt], parse_type_token(cards, token)] = float(value)
-    return out
+def _check_output(values: np.ndarray, probability: bool) -> None:
+    """Raise :class:`OutputCheckError` unless every value is finite and, when
+    ``probability``, every (time, partition) block is a probability vector."""
+    if not np.isfinite(values).all():
+        raise OutputCheckError("non-finite value in the computed output")
+    if probability:
+        low = float(values.min())
+        mass = float(np.abs(values.sum(axis=-1) - 1.0).max())
+        if low < -NEGATIVE_TOL or mass > MASS_TOL:
+            raise OutputCheckError(
+                f"a block is not a probability vector (min {low:.3e}, "
+                f"max |sum-1| {mass:.3e})")
 
 
 def cmd_simulate_forward(cfg: RunConfig) -> int:
@@ -369,10 +385,10 @@ def cmd_expectations(cfg: RunConfig) -> int:
     z0 = _need_initial(cfg)
     model = BackwardModel(cfg.space.n, cfg.N, cfg.recomb, "finite", cfg.rho)
     traj = expected_sampling(model, z0, cfg.initial_partition, cfg.grid)
+    _check_output(traj.values, probability=True)
     _write_manifest(cfg, "expectations")
-    _write(cfg, "expected_sampling.csv",
-           expectations_to_csv(traj.times, traj.partitions, traj.cards,
-                               traj.values, _stamp(cfg)))
+    expectations_to_csv(_target(cfg, "expected_sampling.csv"), traj.times,
+                        traj.partitions, traj.cards, traj.values, _stamp(cfg))
     print(f"expectations: {traj.times.size} times x {len(traj.partitions)} "
           f"partitions -> {cfg.out}")
     return 0
@@ -382,10 +398,10 @@ def cmd_lde(cfg: RunConfig) -> int:
     z0 = _need_initial(cfg)
     model = BackwardModel(cfg.space.n, cfg.N, cfg.recomb, "finite", cfg.rho)
     traj = lde_trajectory(model, z0, cfg.lde_sites, cfg.grid)
+    _check_output(traj.values, probability=False)
     _write_manifest(cfg, "lde")
-    _write(cfg, "expected_lde.csv",
-           expectations_to_csv(traj.times, traj.partitions, traj.cards,
-                               traj.values, _stamp(cfg)))
+    expectations_to_csv(_target(cfg, "expected_lde.csv"), traj.times,
+                        traj.partitions, traj.cards, traj.values, _stamp(cfg))
     if cfg.space.n == 3 and cfg.N < 3:
         print("lde: no 3-site diagonalization, the finite transform needs N >= 3")
     elif cfg.space.n == 3:
@@ -496,6 +512,9 @@ def main(argv: list[str] | None = None) -> int:
     except SizeCapError as exc:
         print(f"size cap exceeded: {exc} (reduce sites, alphabet or N)", file=sys.stderr)
         return 3
+    except OutputCheckError as exc:
+        print(f"output check failed, nothing written: {exc}", file=sys.stderr)
+        return 5
     except MoranRecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

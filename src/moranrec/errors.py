@@ -55,3 +55,7 @@ class ShapeError(MoranRecError):
 
 class ConfigError(MoranRecError):
     """A run configuration failed validation."""
+
+
+class OutputCheckError(MoranRecError):
+    """A computed output failed its postcondition and was not written."""

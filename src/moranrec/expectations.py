@@ -8,11 +8,10 @@ of the partitioning generator.  That identity closes the moment hierarchy:
 the expectations of all sampling measures solve a linear ODE driven by the
 small partition-lattice generator, independently of the type coordinate.
 
-This module verifies the identity exactly, integrates the ODE (matrix
-exponential as the production path, fixed-step RK4 as an independent
-cross-check), translates sampling expectations into expected linkage
-disequilibria, and evaluates the closed-form results available for two
-and three sites.
+This module verifies the identity exactly, integrates the ODE (the matrix
+exponential of each grid step), translates sampling expectations into
+expected linkage disequilibria, and evaluates the closed-form results
+available for two and three sites.
 """
 
 from __future__ import annotations
@@ -183,11 +182,14 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState, a0: Partitio
     """Expected sampling measures of the evolving population, all partitions.
 
     Solves the closed linear ODE with the partitioning generator acting on
-    the initial sampling stack, via the matrix exponential; ``a0`` is
-    validated so that the row of interest is well defined
-    (``len(a0) <= N``), and the trajectory is returned for every partition
-    with at most ``N`` blocks.  Those partitions are closed under the
-    partitioning process, so the generator restricted to them is exact.
+    the initial sampling stack, stepping along the sorted grid from time 0:
+    ``y_i = expm(G h_i) @ y_{i-1}`` with ``h_i = t_i - t_{i-1}``.  The
+    exponential is recomputed only when the step length changes, so a
+    grid of bitwise-equal steps needs one.  ``a0`` is validated so that the row of
+    interest is well defined (``len(a0) <= N``), and the trajectory is
+    returned for every partition with at most ``N`` blocks.  Those
+    partitions are closed under the partitioning process, so the generator
+    restricted to them is exact.
     """
     t = assert_sorted_times(times)
     if z0.N != backward.N:
@@ -198,36 +200,18 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState, a0: Partitio
     keep = [i for i, p in enumerate(theta.labels) if len(p) <= backward.N]
     partitions = [theta.labels[i] for i in keep]
     G = theta.matrix[np.ix_(keep, keep)]
-    H0 = sampling_stack(z0, partitions)
-    values = np.empty((t.size, len(partitions), H0.shape[1]))
+    y = sampling_stack(z0, partitions)
+    values = np.empty((t.size, len(partitions), y.shape[1]))
+    step, E, prev = None, None, 0.0
     for i, ti in enumerate(t):
-        values[i] = expm(G * ti) @ H0
+        h = ti - prev
+        if h != 0:
+            if h != step:
+                step, E = h, expm(G * h)
+            y = E @ y
+        values[i] = y
+        prev = ti
     return ExpectationTrajectory(t, tuple(partitions), z0.measure.cards, values)
-
-
-def expectation_rk4(theta: np.ndarray, H0: np.ndarray, times,
-                    dt: float = 1e-3) -> np.ndarray:
-    """Fixed-step RK4 integration of ``dY/dt = theta @ Y``.
-
-    Independent of the matrix-exponential path; used to cross-check it.
-    """
-    t = assert_sorted_times(times)
-    out = np.empty((t.size,) + H0.shape)
-    y = H0.astype(float).copy()
-    now = 0.0
-    for i, ti in enumerate(t):
-        span = ti - now
-        steps = max(1, int(np.ceil(span / dt))) if span > 0 else 0
-        h = span / steps if steps else 0.0
-        for _ in range(steps):
-            k1 = theta @ y
-            k2 = theta @ (y + 0.5 * h * k1)
-            k3 = theta @ (y + 0.5 * h * k2)
-            k4 = theta @ (y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        now = ti
-        out[i] = y
-    return out
 
 
 def _lde_factors(partitions: list[Partition], N: int):

@@ -15,9 +15,9 @@ indexed by a partition ``a`` of ``u``:
   recombinators; the all-in-one-block case is the multilocus linkage
   disequilibrium of the sites in ``u``.
 
-The production path for ``sampling_bar`` is the Mobius sum (cheap, a Bell
-number of tensor products); ``sampling_oracle`` enumerates label tuples
-directly and exists for verification.
+``sampling_bar`` is the Mobius sum (cheap, a Bell number of tensor
+products); the test suite checks it against a brute-force enumeration of
+label tuples.
 """
 
 from __future__ import annotations
@@ -25,21 +25,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations
-
-import numpy as np
 
 from .errors import (
     NotOrderedPartitionError,
     SampleTooLargeError,
-    SizeCapError,
     ZeroMeasureError,
 )
 from .measures import (
     Measure,
-    PopulationState,
-    decode_type,
-    encode_type,
     marginalize,
     tensor_site_ordered,
 )
@@ -47,16 +40,12 @@ from .partitions import (
     Partition,
     coarsenings_with_mobius,
     coarsest,
-    enumerate_partitions,
     mobius,
     ordered_partitions_le2,
     refinements,
     restrict,
     site_set,
 )
-
-# Brute-force tuple enumeration is N!/(N-m)! work; keep it for tests only.
-DEFAULT_ORACLE_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -261,35 +250,6 @@ def sampling(a: Partition, z: Measure) -> Measure:
     return bar.with_weights(bar.weights * (1 / math.perm(N, m)))
 
 
-def sampling_oracle(a: Partition, z: Measure, cap: int = DEFAULT_ORACLE_CAP) -> Measure:
-    """Brute-force spliced-sample count over ordered tuples of distinct individuals.
-
-    Expands ``z`` into labelled individuals and enumerates every injective
-    assignment of blocks to labels; equals :func:`sampling_bar` exactly.
-    Exponential in the number of blocks, so capped.
-    """
-    N = int(round(z.norm))
-    if N > cap:
-        raise SizeCapError(f"oracle capped at {cap} individuals, got {N}")
-    if not a.blocks:
-        return recombinator_bar(a, z)
-    counts = np.rint(z.weights).astype(int)
-    individuals = [decode_type(z.cards, idx)
-                   for idx in range(z.n_states) for _ in range(counts[idx])]
-    pos = {s: i for i, s in enumerate(z.sites)}
-    block_slots = [[pos[s] for s in blk] for blk in a.blocks]
-    out = np.zeros(z.n_states)
-    m = len(a.blocks)
-    letters = [0] * len(z.sites)
-    for labels in permutations(range(N), m):
-        for slots, lab in zip(block_slots, labels):
-            t = individuals[lab]
-            for s in slots:
-                letters[s] = t[s]
-        out[encode_type(z.cards, letters)] += 1
-    return Measure(z.sites, z.cards, out)
-
-
 def lde_operator(a: Partition, m: Measure) -> Measure:
     """Correlation operator: Mobius inversion of normalized recombinators
     from below.  Returns a signed measure.
@@ -304,33 +264,3 @@ def lde_operator(a: Partition, m: Measure) -> Measure:
         w = mobius(b, a) * recombinator(b, m).weights
         total = w if total is None else total + w
     return Measure(m.sites, m.cards, total, signed=True)
-
-
-def lde_from_sampling(u, z) -> Measure:
-    """Top-order LDE on up to three sites via sampling functions.
-
-    Evaluates ``N!/(N**k (N-k)!)`` times the Mobius-weighted sum of the
-    normalized sampling measures over all partitions of ``u``; agrees with
-    ``lde_operator`` applied to the marginal of ``z`` on ``u``.
-    """
-    u = site_set(u)
-    k = len(u)
-    if k > 3:
-        raise SizeCapError("closed form only implemented for up to 3 sites; "
-                           "use lde_operator instead")
-    if isinstance(z, PopulationState):
-        zm = z.measure
-        N = z.N
-    else:
-        zm = z
-        N = int(round(zm.norm))
-    if k > N:
-        raise SampleTooLargeError(f"need at least {k} individuals, have {N}")
-    marg = marginalize(zm, u)
-    one = coarsest(u)
-    total = None
-    for a in enumerate_partitions(u):
-        w = mobius(a, one) * sampling(a, marg).weights
-        total = w if total is None else total + w
-    scale = math.perm(N, k) / N ** k
-    return Measure(marg.sites, marg.cards, scale * total, signed=True)

@@ -1,16 +1,51 @@
 """Reference implementations kept for parity tests.
 
 These are the pairwise-scan versions of the lattice computations that the
-package now does with one sparse Mobius/zeta pair; tests compare the two.
+package now does with one sparse Mobius/zeta pair, the per-time matrix
+exponential and the one-string CSV writer that the package replaced with
+grid stepping and a block-by-block writer, and the brute-force paths
+(transition rates, sampling, RK4, LDE via sampling) that only tests call.
+Tests compare the package against them.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import permutations
 
 import numpy as np
+from scipy.linalg import expm
 
-from moranrec import Partition, mobius, refines
+from moranrec import (
+    BackwardModel,
+    ExpectationTrajectory,
+    Measure,
+    Partition,
+    PopulationState,
+    SampleTooLargeError,
+    SizeCapError,
+    coarsest,
+    decode_type,
+    encode_type,
+    enumerate_partitions,
+    format_partition,
+    generator_theta,
+    marginal_recomb_prob,
+    marginalize,
+    mobius,
+    recombinator_bar,
+    refines,
+    restrict,
+    sampling,
+)
+from moranrec.backward import _falling_weight
+from moranrec.expectations import sampling_stack
+from moranrec.markov import assert_sorted_times
+from moranrec.measures import csv_table, parse_type_token, type_token
+from moranrec.partitions import site_set
+
+# Brute-force tuple enumeration is N!/(N-m)! work; keep it for tests only.
+DEFAULT_ORACLE_CAP = 12
 
 
 def mobius_matrix(partitions: list[Partition]) -> np.ndarray:
@@ -41,3 +76,150 @@ def lde_transform(partitions: list[Partition], N: int) -> np.ndarray:
                           / N ** len(b) * mobius(b, a))
             T[ai, ci] = s
     return T
+
+
+def theta_rate(model: BackwardModel, j: int, jj: Partition, a: Partition,
+               b: Partition) -> float:
+    """Rate of the transition ``a -> b`` through block ``j`` splitting as ``jj``.
+
+    ``jj`` is an ordered partition of block ``j`` into at most two parts.
+    Nonzero exactly when ``b`` restricted to block ``j`` coarsens ``jj``
+    while the other blocks of ``a`` stay intact in ``b``; includes the
+    silent case ``b == a``.  Transitions to partitions with more than ``N``
+    blocks get weight zero.
+    """
+    m = len(a)
+    block = a.blocks[j]
+    rest = a.drop_block(j)
+    if restrict(b, rest.ground) != rest:
+        return 0.0
+    if not refines(jj, restrict(b, block)):
+        return 0.0
+    r = marginal_recomb_prob(model.recomb, block, jj)
+    return r * model.N ** (-len(jj)) * _falling_weight(model.N, m, len(b))
+
+
+def sampling_oracle(a: Partition, z: Measure, cap: int = DEFAULT_ORACLE_CAP) -> Measure:
+    """Brute-force spliced-sample count over ordered tuples of distinct individuals.
+
+    Expands ``z`` into labelled individuals and enumerates every injective
+    assignment of blocks to labels; equals :func:`sampling_bar` exactly.
+    Exponential in the number of blocks, so capped.
+    """
+    N = int(round(z.norm))
+    if N > cap:
+        raise SizeCapError(f"oracle capped at {cap} individuals, got {N}")
+    if not a.blocks:
+        return recombinator_bar(a, z)
+    counts = np.rint(z.weights).astype(int)
+    individuals = [decode_type(z.cards, idx)
+                   for idx in range(z.n_states) for _ in range(counts[idx])]
+    pos = {s: i for i, s in enumerate(z.sites)}
+    block_slots = [[pos[s] for s in blk] for blk in a.blocks]
+    out = np.zeros(z.n_states)
+    m = len(a.blocks)
+    letters = [0] * len(z.sites)
+    for labels in permutations(range(N), m):
+        for slots, lab in zip(block_slots, labels):
+            t = individuals[lab]
+            for s in slots:
+                letters[s] = t[s]
+        out[encode_type(z.cards, letters)] += 1
+    return Measure(z.sites, z.cards, out)
+
+
+def lde_from_sampling(u, z) -> Measure:
+    """Top-order LDE on up to three sites via sampling functions.
+
+    Evaluates ``N!/(N**k (N-k)!)`` times the Mobius-weighted sum of the
+    normalized sampling measures over all partitions of ``u``; agrees with
+    ``lde_operator`` applied to the marginal of ``z`` on ``u``.
+    """
+    u = site_set(u)
+    k = len(u)
+    if k > 3:
+        raise SizeCapError("closed form only implemented for up to 3 sites; "
+                           "use lde_operator instead")
+    if isinstance(z, PopulationState):
+        zm = z.measure
+        N = z.N
+    else:
+        zm = z
+        N = int(round(zm.norm))
+    if k > N:
+        raise SampleTooLargeError(f"need at least {k} individuals, have {N}")
+    marg = marginalize(zm, u)
+    one = coarsest(u)
+    total = None
+    for a in enumerate_partitions(u):
+        w = mobius(a, one) * sampling(a, marg).weights
+        total = w if total is None else total + w
+    scale = math.perm(N, k) / N ** k
+    return Measure(marg.sites, marg.cards, scale * total, signed=True)
+
+
+def expected_sampling(backward: BackwardModel, z0: PopulationState, a0: Partition,
+                      times) -> ExpectationTrajectory:
+    """Expected sampling measures via a dense ``expm(G * t)`` from 0 per time."""
+    t = assert_sorted_times(times)
+    if z0.N != backward.N:
+        raise ValueError(f"population holds {z0.N} individuals, model expects {backward.N}")
+    if len(a0) > backward.N:
+        raise SampleTooLargeError("initial partition has more blocks than individuals")
+    theta = generator_theta(backward)
+    keep = [i for i, p in enumerate(theta.labels) if len(p) <= backward.N]
+    partitions = [theta.labels[i] for i in keep]
+    G = theta.matrix[np.ix_(keep, keep)]
+    H0 = sampling_stack(z0, partitions)
+    values = np.empty((t.size, len(partitions), H0.shape[1]))
+    for i, ti in enumerate(t):
+        values[i] = expm(G * ti) @ H0
+    return ExpectationTrajectory(t, tuple(partitions), z0.measure.cards, values)
+
+
+def expectation_rk4(theta: np.ndarray, H0: np.ndarray, times,
+                    dt: float = 1e-3) -> np.ndarray:
+    """Fixed-step RK4 integration of ``dY/dt = theta @ Y``.
+
+    Independent of the matrix-exponential path; used to cross-check it.
+    """
+    t = assert_sorted_times(times)
+    out = np.empty((t.size,) + H0.shape)
+    y = H0.astype(float).copy()
+    now = 0.0
+    for i, ti in enumerate(t):
+        span = ti - now
+        steps = max(1, int(np.ceil(span / dt))) if span > 0 else 0
+        h = span / steps if steps else 0.0
+        for _ in range(steps):
+            k1 = theta @ y
+            k2 = theta @ (y + 0.5 * h * k1)
+            k3 = theta @ (y + 0.5 * h * k2)
+            k4 = theta @ (y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        now = ti
+        out[i] = y
+    return out
+
+
+def expectations_to_csv(times, partitions, cards, values, comment: str) -> str:
+    """Rows ``time,partition,type,value`` over a (times, partitions, types) block."""
+    lines = [f"# {comment}", "time,partition,type,value"]
+    for ti, t in enumerate(times):
+        for pi, p in enumerate(partitions):
+            ptxt = format_partition(p)
+            for xi in range(values.shape[2]):
+                lines.append(f'{t:.17g},"{ptxt}",{type_token(cards, xi)},'
+                             f"{values[ti, pi, xi]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def expectations_from_csv(text: str, cards, partitions, times) -> np.ndarray:
+    """Parse :func:`expectations_to_csv` back into a dense block."""
+    pindex = {format_partition(p): i for i, p in enumerate(partitions)}
+    tindex = {f"{t:.17g}": i for i, t in enumerate(times)}
+    K = int(np.prod(cards)) if len(cards) else 1
+    out = np.zeros((len(times), len(partitions), K))
+    for t, ptxt, token, value in csv_table(text, ("time", "partition", "type", "value"))[1]:
+        out[tindex[t], pindex[ptxt], parse_type_token(cards, token)] = float(value)
+    return out

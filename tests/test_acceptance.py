@@ -38,13 +38,13 @@ from moranrec import (
     restrict,
     sampling,
     sampling_bar,
-    sampling_oracle,
     simulate_backward,
     simulate_forward,
     tensor_site_ordered,
 )
 from moranrec.markov import enumerate_population_states
 
+from oracles import sampling_oracle
 from util import (
     THREE_SITE_ORDER,
     binary_space,

@@ -21,7 +21,6 @@ from moranrec import (
     refines,
     restrict,
     simulate_backward,
-    theta_rate,
     transition_rates,
 )
 from moranrec.backward import (
@@ -30,6 +29,7 @@ from moranrec.backward import (
     partition_trajectory_to_csv,
 )
 
+from oracles import theta_rate
 from util import (
     THREE_SITE_ORDER,
     permuted_generator,

@@ -5,8 +5,11 @@ import pytest
 
 from moranrec import measure_from_csv, parse_partition, refines
 from moranrec.backward import partition_events_from_csv
-from moranrec.cli import expectations_from_csv, main
+from moranrec import cli
+from moranrec.cli import main
 from moranrec.forward import trajectory_events_from_csv
+
+from oracles import expectations_from_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -287,6 +290,44 @@ class TestExpectationsAndLde:
         z0 = PopulationState.from_counts(SiteSpace((2, 2)), [4, 2, 1, 3])
         direct = lde_operator(coarsest([1, 2]), z0.measure)
         assert np.allclose(block[0, 0], direct.weights, atol=1e-12)
+
+
+class TestOutputPostcondition:
+    @staticmethod
+    def _poison(monkeypatch, name):
+        real = getattr(cli, name)
+
+        def with_nan(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            traj.values[-1, 0, 0] = np.nan
+            return traj
+
+        monkeypatch.setattr(cli, name, with_nan)
+
+    @pytest.mark.parametrize("command,producer,csv", [
+        ("expectations", "expected_sampling", "expected_sampling.csv"),
+        ("lde", "lde_trajectory", "expected_lde.csv"),
+    ])
+    def test_nan_exits_5_without_csv(self, tmp_path, monkeypatch, capsys,
+                                     command, producer, csv):
+        self._poison(monkeypatch, producer)
+        path = write_config(tmp_path)
+        assert main([command, "--config", str(path)]) == 5
+        assert "output check failed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / csv).exists()
+
+    def test_expectations_rejects_a_block_off_the_simplex(self, tmp_path, monkeypatch):
+        real = cli.expected_sampling
+
+        def shifted(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            traj.values[1, 0] += 1e-9
+            return traj
+
+        monkeypatch.setattr(cli, "expected_sampling", shifted)
+        path = write_config(tmp_path)
+        assert main(["expectations", "--config", str(path)]) == 5
+        assert not (tmp_path / "out" / "expected_sampling.csv").exists()
 
 
 class TestFixationCommand:

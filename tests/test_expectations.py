@@ -12,7 +12,6 @@ from moranrec import (
     check_generator_duality,
     coarsest,
     diffusion_left_eigenvectors,
-    expectation_rk4,
     expected_sampling,
     finest,
     fixation_2site,
@@ -30,6 +29,7 @@ from moranrec import (
 )
 from moranrec.expectations import sampling_stack
 
+from oracles import expectation_rk4
 from util import binary_space, random_population, random_recomb
 
 P = parse_partition

@@ -18,7 +18,6 @@ from moranrec import (
     coarsest,
     enumerate_partitions,
     finest,
-    lde_from_sampling,
     lde_operator,
     marginal_recomb_prob,
     marginalize,
@@ -29,10 +28,10 @@ from moranrec import (
     restrict,
     sampling,
     sampling_bar,
-    sampling_oracle,
     tensor_site_ordered,
 )
 
+from oracles import lde_from_sampling, sampling_oracle
 from util import binary_space, random_measure, random_population, random_recomb
 
 P = parse_partition
