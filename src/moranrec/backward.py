@@ -20,10 +20,12 @@ same transition rates and serve as the exact reference.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InvalidInitialError
 from .markov import GeneratorMatrix
@@ -194,12 +196,16 @@ def _transition_rates_diff(model: BackwardModel, a: Partition) -> dict[Partition
 def _generator_from_rates(model: BackwardModel, cap: int) -> GeneratorMatrix:
     states = enumerate_partitions(model.sites, cap=cap)
     index = {p: i for i, p in enumerate(states)}
-    G = np.zeros((len(states), len(states)))
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
     for ai, a in enumerate(states):
-        for b, rate in transition_rates(model, a).items():
-            G[ai, index[b]] = rate
-        G[ai, ai] = -G[ai].sum()
-    return GeneratorMatrix(tuple(states), G)
+        rates = transition_rates(model, a)
+        rows += [ai] * (len(rates) + 1)
+        cols += [index[b] for b in rates] + [ai]
+        vals += [*rates.values(), -math.fsum(rates.values())]
+    B = len(states)
+    return GeneratorMatrix(tuple(states), sparse.coo_array((vals, (rows, cols)), shape=(B, B)))
 
 
 def generator_theta(model: BackwardModel, cap: int = DEFAULT_SITE_CAP) -> GeneratorMatrix:
@@ -379,8 +385,9 @@ def generator_to_csv(gen: GeneratorMatrix, header_comment: str | None = None) ->
     labels = [format_partition(p) if isinstance(p, Partition) else str(p)
               for p in gen.labels]
     buf.write("state," + ",".join(f'"{lab}"' for lab in labels) + "\n")
-    for i, lab in enumerate(labels):
-        row = ",".join(f"{v:.17g}" for v in gen.matrix[i])
+    dense = gen.matrix.toarray()
+    for lab, values in zip(labels, dense):
+        row = ",".join(f"{v:.17g}" for v in values)
         buf.write(f'"{lab}",{row}\n')
     return buf.getvalue()
 

@@ -26,7 +26,8 @@ Config schema (JSON object; unknown keys are rejected)::
     }
 
 Numbers must be finite: ``NaN``, ``Infinity`` and overflowing literals are
-rejected, in the config and in the ``--t-end`` and ``--grid`` overrides.
+rejected, in the config and in the ``--t-end``, ``--grid`` and ``--tol``
+flags; ``--tol`` must also be at least 0.
 Integer fields must be JSON integers.  ``expectations``, ``lde`` and
 ``duality-check`` compute the finite variant only and reject any other.
 
@@ -208,7 +209,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         counts = raw["initial_counts"]
         _require(isinstance(counts, list) and len(counts) == space.total_states,
                  f"'initial_counts' must list {space.total_states} integers")
-        _require(all(isinstance(c, int) and c >= 0 for c in counts),
+        _require(all(_is_int(c) and c >= 0 for c in counts),
                  "'initial_counts' must be nonnegative integers")
         _require(sum(counts) == N, f"'initial_counts' must sum to {N}")
         initial = PopulationState.from_counts(space, counts)
@@ -233,7 +234,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
              "'initial_partition' has more blocks than individuals")
 
     lde_sites = tuple(raw.get("lde_sites", range(1, n + 1)))
-    _require(all(isinstance(s, int) and 1 <= s <= n for s in lde_sites) and lde_sites,
+    _require(all(_is_int(s) and 1 <= s <= n for s in lde_sites) and lde_sites,
              f"'lde_sites' must be site labels in 1..{n}")
 
     t_end = _number(raw.get("t_end", 1.0), "'t_end'")
@@ -492,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--variant", type=str, default=None,
                        choices=("finite", "deterministic", "diffusion"))
         if name == "duality-check":
-            p.add_argument("--tol", type=float, default=1e-8)
+            p.add_argument("--tol", type=str, default="1e-8",
+                           help="largest accepted duality defect, a finite number >= 0")
     return parser
 
 
@@ -504,7 +506,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"{args.command} supports only the finite variant, "
                               f"got {cfg.variant!r}")
         if args.command == "duality-check":
-            return cmd_duality_check(cfg, tol=args.tol)
+            tol = _finite_float(args.tol)
+            _require(tol >= 0, f"'--tol' must be nonnegative, got {args.tol}")
+            return cmd_duality_check(cfg, tol=tol)
         return COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -32,7 +32,7 @@ from .markov import (
     enumerate_population_states,
 )
 from .measures import Measure, PopulationState, SiteSpace, marginalize
-from .operators import recombinator_bar, sampling
+from .operators import sampling
 from .partitions import (
     DEFAULT_SITE_CAP,
     Partition,
@@ -71,13 +71,29 @@ def zeta_matrix(M: sparse.csr_array) -> sparse.csr_array:
 
 
 def _sampling_rows(M: sparse.csr_array, N: int, partitions: list[Partition],
-                   zs: list[Measure]) -> np.ndarray:
-    """Sampling measures ``(M @ Rbar) / (N)_|a|`` of the counting measures ``zs``.
+                   sites: tuple[int, ...], grid: np.ndarray) -> np.ndarray:
+    """Sampling measures ``(M @ Rbar) / (N)_|a|`` of a stack of counting measures.
 
-    ``Rbar[a, z]`` is the block-marginal product of ``z`` for partition
-    ``a``; the result is indexed (partition, measure, type).
+    ``grid[z]`` holds the counts of measure ``z`` on ``sites``, one axis
+    per site.  ``Rbar[a, z]`` is the block-marginal product of ``z`` for
+    partition ``a``: the broadcast product over the blocks of ``grid[z]``
+    summed over the sites outside the block.  On integer counts the sums
+    and products are exact, so ``Rbar[a, z]`` equals
+    ``recombinator_bar(a, z)`` bitwise.  The result is indexed
+    (partition, measure, type).
     """
-    rbar = np.array([[recombinator_bar(p, z).weights for z in zs] for p in partitions])
+    Z = grid.shape[0]
+    axis = {s: i for i, s in enumerate(sites, start=1)}
+    marginals: dict[tuple[int, ...], np.ndarray] = {}
+    rbar = np.empty((len(partitions), Z, grid[0].size))
+    for i, p in enumerate(partitions):
+        product = None
+        for blk in p.blocks:
+            if blk not in marginals:
+                outside = tuple(axis[s] for s in sites if s not in blk)
+                marginals[blk] = grid.sum(axis=outside, keepdims=True)
+            product = marginals[blk] if product is None else product * marginals[blk]
+        rbar[i] = product.reshape(Z, -1)
     scale = np.array([1 / math.perm(N, len(p)) for p in partitions])
     B = len(partitions)
     return (M @ rbar.reshape(B, -1)).reshape(rbar.shape) * scale[:, None, None]
@@ -86,11 +102,16 @@ def _sampling_rows(M: sparse.csr_array, N: int, partitions: list[Partition],
 def sampling_stack(z: PopulationState, partitions: list[Partition]) -> np.ndarray:
     """Matrix of normalized sampling measures of ``z``, one row per partition.
 
-    Every partition needs at most ``z.N`` blocks.
+    Every partition must cover the sites of ``z`` and have at most ``z.N``
+    blocks.
     """
+    sites = z.measure.sites
+    if any(p.ground != sites for p in partitions):
+        raise ValueError(f"every partition must cover the sites {sites}")
     if any(len(p) > z.N for p in partitions):
         raise SampleTooLargeError(f"cannot draw more than {z.N} distinct individuals")
-    return _sampling_rows(mobius_matrix(partitions), z.N, partitions, [z.measure])[:, 0]
+    return _sampling_rows(mobius_matrix(partitions), z.N, partitions, sites,
+                          z.measure.as_grid()[None])[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,8 +153,9 @@ def sampling_table(space: SiteSpace, N: int,
     partitions = enumerate_partitions(space.sites, cap=site_cap)
     M = mobius_matrix(partitions)
     states = enumerate_population_states(K, N)
-    zs = [Measure(space.sites, space.cards, np.array(s, dtype=float)) for s in states]
-    values = np.ascontiguousarray(_sampling_rows(M, N, partitions, zs).transpose(1, 0, 2))
+    grid = np.array(states, dtype=float).reshape((len(states),) + space.cards)
+    values = np.ascontiguousarray(
+        _sampling_rows(M, N, partitions, space.sites, grid).transpose(1, 0, 2))
     return SamplingTable(tuple(states), tuple(partitions), space.cards, values)
 
 
@@ -155,9 +177,10 @@ def check_generator_duality(forward: ForwardModel, backward: BackwardModel,
     table = sampling_table(forward.space, forward.N, cap=cap)
     if tuple(lam.labels) != table.pop_states or tuple(theta.labels) != table.partitions:
         raise RuntimeError("state enumeration mismatch")
-    lhs = np.einsum("zw,wbx->zbx", lam.matrix, table.values)
-    rhs = np.einsum("ab,zbx->zax", theta.matrix, table.values)
-    return float(np.abs(lhs - rhs).max())
+    Z, B, K = table.values.shape
+    lhs = (lam.matrix @ table.values.reshape(Z, B * K)).reshape(Z, B, K)
+    rhs = theta.matrix @ table.values.transpose(1, 0, 2).reshape(B, Z * K)
+    return float(np.abs(lhs - rhs.reshape(B, Z, K).transpose(1, 0, 2)).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +222,7 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState, a0: Partitio
     theta = generator_theta(backward)
     keep = [i for i, p in enumerate(theta.labels) if len(p) <= backward.N]
     partitions = [theta.labels[i] for i in keep]
-    G = theta.matrix[np.ix_(keep, keep)]
+    G = theta.matrix[np.ix_(keep, keep)].toarray()
     y = sampling_stack(z0, partitions)
     values = np.empty((t.size, len(partitions), y.shape[1]))
     step, E, prev = None, None, 0.0
@@ -339,7 +362,7 @@ def lde_conjugation_3site(backward: BackwardModel) -> LdeTransform:
     else:
         gen = generator_theta(backward)
     perm = [gen.index(p) for p in order]
-    theta = gen.matrix[np.ix_(perm, perm)]
+    theta = gen.matrix[np.ix_(perm, perm)].toarray()
     if backward.variant == "diffusion":
         T, Tinv = lde_transform_diffusion(list(order))
     else:

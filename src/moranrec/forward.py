@@ -23,9 +23,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InvalidInitialError, SizeCapError
-from .markov import GeneratorMatrix, count_population_states, enumerate_population_states
+from .markov import (
+    GeneratorMatrix,
+    count_population_states,
+    enumerate_population_states,
+    rank_population_states,
+)
 from .measures import (
     Measure,
     PopulationState,
@@ -58,19 +64,21 @@ def replacement_distribution(model: ForwardModel, counts: np.ndarray) -> np.ndar
     """Type distribution of a newborn given the current counts.
 
     Mixture over the recombination distribution of the normalized
-    block-marginal products; a probability vector.
+    block-marginal products; a probability vector.  ``counts`` may stack
+    count vectors along leading axes; each gets its own distribution.
     """
     cards = model.space.cards
-    N = counts.sum()
+    lead = counts.shape[:-1]
+    N = counts.sum(axis=-1, keepdims=True)
     q = (model.recomb.r_whole / N) * counts.astype(float)
-    grid = counts.reshape(cards)
-    ndim = len(cards)
-    for i, ri in enumerate(model.recomb.crossover, start=1):
+    grid = counts.reshape(lead + cards)
+    first, ndim = len(lead), len(lead) + len(cards)
+    for i, ri in enumerate(model.recomb.crossover, start=first + 1):
         if ri == 0.0:
             continue
-        lead = grid.sum(axis=tuple(range(i, ndim))).ravel()
-        trail = grid.sum(axis=tuple(range(0, i))).ravel()
-        q += (ri / N**2) * np.outer(lead, trail).ravel()
+        head = grid.sum(axis=tuple(range(i, ndim))).reshape(lead + (-1, 1))
+        tail = grid.sum(axis=tuple(range(first, i))).reshape(lead + (1, -1))
+        q += (ri / N**2) * (head * tail).reshape(q.shape)
     return q
 
 
@@ -89,29 +97,31 @@ def generator_lambda(model: ForwardModel, cap: int = DEFAULT_POPULATION_CAP) -> 
 
     Rows are indexed by count vectors in the order of
     ``enumerate_population_states``; monomorphic rows are zero (absorbing).
+    A row holds at most ``K**2 - K + 1`` entries: the rate of replacing a
+    ``y`` by an ``x`` goes to the state with one ``y`` fewer and one ``x``
+    more, found by :func:`rank_population_states`.
     """
     K = model.space.total_states
     n_states = count_population_states(K, model.N)
     if n_states > cap:
         raise SizeCapError(f"{n_states} population states exceeds the cap of {cap}")
-    states = enumerate_population_states(K, model.N)
-    index = {s: i for i, s in enumerate(states)}
-    G = np.zeros((n_states, n_states))
-    for si, s in enumerate(states):
-        counts = np.array(s)
-        q = replacement_distribution(model, counts)
-        for y in range(K):
-            if counts[y] == 0:
-                continue
-            for x in range(K):
-                if x == y or q[x] == 0.0:
-                    continue
-                t = list(s)
-                t[y] -= 1
-                t[x] += 1
-                G[si, index[tuple(t)]] += q[x] * counts[y]
-        G[si, si] = -G[si].sum()
-    return GeneratorMatrix(tuple(states), G)
+    labels = enumerate_population_states(K, model.N)
+    states = np.array(labels, dtype=np.int64)
+    # rates[z, y, x] = q_z(x) * z(y); distinct (y, x) reach distinct states
+    rates = replacement_distribution(model, states)[:, None, :] * states[:, :, None]
+    rates[:, np.arange(K), np.arange(K)] = 0.0
+    diagonal = -rates.sum(axis=(1, 2))
+    rows, y, x = np.nonzero(rates)
+    targets = states[rows]
+    hit = np.arange(rows.size)
+    targets[hit, y] -= 1
+    targets[hit, x] += 1
+    cols = rank_population_states(targets, model.N)
+    every = np.arange(n_states)
+    G = sparse.coo_array((np.concatenate([rates[rows, y, x], diagonal]),
+                          (np.concatenate([rows, every]), np.concatenate([cols, every]))),
+                         shape=(n_states, n_states))
+    return GeneratorMatrix(tuple(labels), G)
 
 
 @dataclass(frozen=True)

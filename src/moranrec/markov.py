@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
+from scipy import sparse
 
 
 @dataclass(frozen=True, eq=False)
@@ -13,16 +15,24 @@ class GeneratorMatrix:
     """Square rate matrix with rows/columns labelled by explicit states.
 
     Rows sum to zero; the diagonal is minus the off-diagonal row sum.
+    ``matrix`` is a read-only CSR array without explicit zeros, whatever
+    dense or sparse input it was built from; callers that need a dense
+    block take ``.toarray()`` of it.
     """
 
     labels: tuple
-    matrix: np.ndarray
+    matrix: sparse.csr_array
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        m = sparse.csr_array(self.matrix, dtype=float, copy=True)
         if m.shape != (len(self.labels), len(self.labels)):
             raise ValueError("matrix shape must match the number of labels")
-        m.flags.writeable = False
+        # canonical (summed, sorted) before freezing: scipy sorts unsorted
+        # indices in place, which read-only arrays would refuse
+        m.sum_duplicates()
+        m.eliminate_zeros()
+        for part in (m.data, m.indices, m.indptr):
+            part.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(self.labels)})
 
@@ -56,11 +66,26 @@ def enumerate_population_states(n_types: int, N: int) -> list[tuple[int, ...]]:
     return list(rec(N, n_types))
 
 
+def rank_population_states(counts: np.ndarray, N: int) -> np.ndarray:
+    """Index of each count vector in the order of :func:`enumerate_population_states`.
+
+    ``counts`` holds count vectors summing to ``N`` along its last axis;
+    the result has the leading shape.  Combinatorial number system: with
+    ``d_k = K - k - 2`` and ``m_k = N - c_0 - ... - c_k``, the states
+    before ``c`` number ``sum_k C(m_k + d_k, d_k + 1)`` over ``k < K - 1``
+    (those with the same first ``k`` counts and a larger ``k``-th one).
+    """
+    c = np.asarray(counts)
+    K = c.shape[-1]
+    rest = N - np.cumsum(c[..., :-1], axis=-1)
+    table = np.array([[math.comb(m + d, d + 1) for m in range(N + 1)]
+                      for d in range(K - 2, -1, -1)], dtype=np.int64).reshape(K - 1, N + 1)
+    return table[np.arange(K - 1), rest].sum(axis=-1)
+
+
 def count_population_states(n_types: int, N: int) -> int:
     """Number of count vectors: C(N + n_types - 1, n_types - 1)."""
-    from math import comb
-
-    return comb(N + n_types - 1, n_types - 1)
+    return math.comb(N + n_types - 1, n_types - 1)
 
 
 def assert_sorted_times(times: Sequence[float]) -> np.ndarray:

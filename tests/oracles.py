@@ -3,7 +3,10 @@
 These are the pairwise-scan versions of the lattice computations that the
 package now does with one sparse Mobius/zeta pair, the per-time matrix
 exponential and the one-string CSV writer that the package replaced with
-grid stepping and a block-by-block writer, and the brute-force paths
+grid stepping and a block-by-block writer, the per-state loops over
+population states (the dense population generator and the duality table
+from one ``recombinator_bar`` call per state and partition) that the
+package replaced with whole-array products, and the brute-force paths
 (transition rates, sampling, RK4, LDE via sampling) that only tests call.
 Tests compare the package against them.
 """
@@ -39,8 +42,14 @@ from moranrec import (
     sampling,
 )
 from moranrec.backward import _falling_weight
+from moranrec.expectations import mobius_matrix as sparse_mobius_matrix
 from moranrec.expectations import sampling_stack
-from moranrec.markov import assert_sorted_times
+from moranrec.forward import DEFAULT_POPULATION_CAP, ForwardModel, replacement_distribution
+from moranrec.markov import (
+    assert_sorted_times,
+    count_population_states,
+    enumerate_population_states,
+)
 from moranrec.measures import csv_table, parse_type_token, type_token
 from moranrec.partitions import site_set
 
@@ -169,7 +178,7 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState, a0: Partitio
     theta = generator_theta(backward)
     keep = [i for i, p in enumerate(theta.labels) if len(p) <= backward.N]
     partitions = [theta.labels[i] for i in keep]
-    G = theta.matrix[np.ix_(keep, keep)]
+    G = theta.matrix.toarray()[np.ix_(keep, keep)]
     H0 = sampling_stack(z0, partitions)
     values = np.empty((t.size, len(partitions), H0.shape[1]))
     for i, ti in enumerate(t):
@@ -223,3 +232,47 @@ def expectations_from_csv(text: str, cards, partitions, times) -> np.ndarray:
     for t, ptxt, token, value in csv_table(text, ("time", "partition", "type", "value"))[1]:
         out[tindex[t], pindex[ptxt], parse_type_token(cards, token)] = float(value)
     return out
+
+
+def generator_lambda(model: ForwardModel,
+                     cap: int = DEFAULT_POPULATION_CAP) -> tuple[tuple, np.ndarray]:
+    """Dense population generator, one state and one (y, x) pair at a time.
+
+    Returns the states in the order of ``enumerate_population_states`` and
+    the dense matrix; each rate goes to its target through a tuple index.
+    """
+    K = model.space.total_states
+    n_states = count_population_states(K, model.N)
+    if n_states > cap:
+        raise SizeCapError(f"{n_states} population states exceeds the cap of {cap}")
+    states = enumerate_population_states(K, model.N)
+    index = {s: i for i, s in enumerate(states)}
+    G = np.zeros((n_states, n_states))
+    for si, s in enumerate(states):
+        counts = np.array(s)
+        q = replacement_distribution(model, counts)
+        for y in range(K):
+            if counts[y] == 0:
+                continue
+            for x in range(K):
+                if x == y or q[x] == 0.0:
+                    continue
+                t = list(s)
+                t[y] -= 1
+                t[x] += 1
+                G[si, index[tuple(t)]] += q[x] * counts[y]
+        G[si, si] = -G[si].sum()
+    return tuple(states), G
+
+
+def sampling_table_values(space, N: int) -> np.ndarray:
+    """Duality table ``(z, partition, type)`` from one ``recombinator_bar`` per entry."""
+    partitions = enumerate_partitions(space.sites)
+    M = sparse_mobius_matrix(partitions)
+    zs = [Measure(space.sites, space.cards, np.array(s, dtype=float))
+          for s in enumerate_population_states(space.total_states, N)]
+    rbar = np.array([[recombinator_bar(p, z).weights for z in zs] for p in partitions])
+    scale = np.array([1 / math.perm(N, len(p)) for p in partitions])
+    B = len(partitions)
+    rows = (M @ rbar.reshape(B, -1)).reshape(rbar.shape) * scale[:, None, None]
+    return np.ascontiguousarray(rows.transpose(1, 0, 2))

@@ -184,7 +184,7 @@ class TestGeneratorTheta:
 class TestGeneratorDet:
     def test_finest_row_is_zero(self):
         gen = generator_theta_det(BackwardModel(3, 10, RecombinationDistribution(3, (0.2, 0.3))))
-        assert np.allclose(gen.matrix[gen.index(finest([1, 2, 3]))], 0.0)
+        assert np.allclose(gen.matrix.toarray()[gen.index(finest([1, 2, 3]))], 0.0)
 
     def test_two_site_split_rate(self):
         r = 0.35
@@ -324,7 +324,7 @@ class TestSimulateBackward:
                               DiffusionRates(3, (0.8, 1.3)))
         start = P(start)
         gen = generator(model)
-        row = gen.matrix[gen.index(start)].copy()
+        row = gen.matrix.toarray()[gen.index(start)].copy()
         row[gen.index(start)] = 0.0
         total_rate = row.sum()
         reps = 4000
@@ -373,4 +373,4 @@ class TestPartitionCsv:
         gen = generator_theta(model)
         back = generator_from_csv(generator_to_csv(gen, "stamp"))
         assert back.labels == gen.labels
-        assert np.array_equal(back.matrix, gen.matrix)
+        assert np.array_equal(back.matrix.toarray(), gen.matrix.toarray())

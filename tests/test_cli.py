@@ -121,6 +121,8 @@ class TestConfigValidation:
         ("simulate-forward", {"alphabet_sizes": [2, 11],
                               "initial_counts": [1] * 10 + [0] * 12}),
         ("simulate-forward", {"alphabet_sizes": [2, "x"]}),
+        ("simulate-forward", {"initial_counts": [4, 2, True, 3]}),
+        ("lde", {"lde_sites": [True, 2]}),
     ])
     def test_typed_fields(self, tmp_path, capsys, command, field):
         path = write_config(tmp_path, **field)
@@ -141,6 +143,22 @@ class TestDualityCommand:
     def test_tiny_tolerance_fails_with_code_4(self, tmp_path):
         path = write_config(tmp_path)
         assert main(["duality-check", "--config", str(path), "--tol", "1e-30"]) == 4
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1e999", "x"])
+    def test_bad_tolerance_rejected_before_compute(self, tmp_path, capsys, monkeypatch, tol):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("duality computed despite a bad --tol")
+
+        monkeypatch.setattr(cli, "check_generator_duality", no_compute)
+        path = write_config(tmp_path)
+        assert main(["duality-check", "--config", str(path), "--tol", tol]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_tolerance_accepted(self, tmp_path):
+        path = write_config(tmp_path)
+        assert main(["duality-check", "--config", str(path), "--tol", "0"]) != 2
+        assert (tmp_path / "out" / "duality_report.txt").exists()
 
 
 class TestSimulateForwardCommand:

@@ -61,7 +61,7 @@ class TestGeneratorLambda:
         g = generator_lambda(model2(3, 0.4))
         for x in range(4):
             state = tuple(3 if i == x else 0 for i in range(4))
-            assert np.allclose(g.matrix[g.index(state)], 0.0)
+            assert np.allclose(g.matrix.toarray()[g.index(state)], 0.0)
 
     def test_pure_resampling_matches_hand_construction(self):
         # with no crossover the off-diagonal rate is z(y) * z(x) / N
@@ -153,7 +153,7 @@ class TestSimulateForward:
         z0 = PopulationState.from_counts(SP2, [2, 1, 0, 2])
         gen = generator_lambda(m)
         start = tuple(int(c) for c in z0.counts)
-        row = gen.matrix[gen.index(start)].copy()
+        row = gen.matrix.toarray()[gen.index(start)].copy()
         row[gen.index(start)] = 0.0
         total_rate = row.sum()
         reps = 4000

@@ -132,4 +132,4 @@ def conjugated_closed_form_diffusion(rho1: float, rho2: float) -> np.ndarray:
 
 def permuted_generator(gen, order) -> np.ndarray:
     perm = [gen.index(p) for p in order]
-    return gen.matrix[np.ix_(perm, perm)]
+    return gen.matrix.toarray()[np.ix_(perm, perm)]
