@@ -30,7 +30,7 @@ from .markov import (
     GeneratorMatrix,
     count_population_states,
     enumerate_population_states,
-    rank_population_states,
+    rank_population_moves,
 )
 from .measures import (
     Measure,
@@ -97,9 +97,12 @@ def generator_lambda(model: ForwardModel, cap: int = DEFAULT_POPULATION_CAP) -> 
 
     Rows are indexed by count vectors in the order of
     ``enumerate_population_states``; monomorphic rows are zero (absorbing).
-    A row holds at most ``K**2 - K + 1`` entries: the rate of replacing a
-    ``y`` by an ``x`` goes to the state with one ``y`` fewer and one ``x``
-    more, found by :func:`rank_population_states`.
+    The rate of replacing a ``y`` by an ``x`` goes to the state with one
+    ``y`` fewer and one ``x`` more, ranked by
+    :func:`rank_population_moves`.  Only types present in a state can die,
+    so a row holds at most ``min(N, K) * (K - 1) + 1`` entries, and the
+    working arrays hold ``O(states * K)`` numbers plus the nonzeros (at
+    most the order of a dense matrix, as ``states >= K``).
     """
     K = model.space.total_states
     n_states = count_population_states(K, model.N)
@@ -107,18 +110,17 @@ def generator_lambda(model: ForwardModel, cap: int = DEFAULT_POPULATION_CAP) -> 
         raise SizeCapError(f"{n_states} population states exceeds the cap of {cap}")
     labels = enumerate_population_states(K, model.N)
     states = np.array(labels, dtype=np.int64)
-    # rates[z, y, x] = q_z(x) * z(y); distinct (y, x) reach distinct states
-    rates = replacement_distribution(model, states)[:, None, :] * states[:, :, None]
-    rates[:, np.arange(K), np.arange(K)] = 0.0
-    diagonal = -rates.sum(axis=(1, 2))
-    rows, y, x = np.nonzero(rates)
-    targets = states[rows]
-    hit = np.arange(rows.size)
-    targets[hit, y] -= 1
-    targets[hit, x] += 1
-    cols = rank_population_states(targets, model.N)
+    # one row of rates[(z, y), x] = q_z(x) * z(y) per type y present in z;
+    # distinct (y, x) reach distinct states
+    src, y = np.nonzero(states)
+    rates = replacement_distribution(model, states)[src] * states[src, y, None]
+    rates[np.arange(src.size), y] = 0.0
+    diagonal = -np.bincount(src, weights=rates.sum(axis=1), minlength=n_states)
+    hit, x = np.nonzero(rates)
+    rows, y = src[hit], y[hit]
+    cols = rank_population_moves(states, model.N, rows, y, x)
     every = np.arange(n_states)
-    G = sparse.coo_array((np.concatenate([rates[rows, y, x], diagonal]),
+    G = sparse.coo_array((np.concatenate([rates[hit, x], diagonal]),
                           (np.concatenate([rows, every]), np.concatenate([cols, every]))),
                          shape=(n_states, n_states))
     return GeneratorMatrix(tuple(labels), G)

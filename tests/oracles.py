@@ -6,8 +6,10 @@ exponential and the one-string CSV writer that the package replaced with
 grid stepping and a block-by-block writer, the per-state loops over
 population states (the dense population generator and the duality table
 from one ``recombinator_bar`` call per state and partition) that the
-package replaced with whole-array products, and the brute-force paths
-(transition rates, sampling, RK4, LDE via sampling) that only tests call.
+package replaced with whole-array products, the recursive enumeration of
+population states that the package replaced with a successor loop, and
+the brute-force paths (transition rates, sampling, RK4, LDE via sampling)
+that only tests call.
 Tests compare the package against them.
 """
 
@@ -234,6 +236,20 @@ def expectations_from_csv(text: str, cards, partitions, times) -> np.ndarray:
     return out
 
 
+def population_states(n_types: int, N: int) -> list[tuple[int, ...]]:
+    """Count vectors in the order of ``enumerate_population_states``, by recursion."""
+
+    def rec(remaining: int, slots: int):
+        if slots == 1:
+            yield (remaining,)
+            return
+        for c in range(remaining, -1, -1):
+            for rest in rec(remaining - c, slots - 1):
+                yield (c,) + rest
+
+    return list(rec(N, n_types))
+
+
 def generator_lambda(model: ForwardModel,
                      cap: int = DEFAULT_POPULATION_CAP) -> tuple[tuple, np.ndarray]:
     """Dense population generator, one state and one (y, x) pair at a time.
@@ -245,7 +261,7 @@ def generator_lambda(model: ForwardModel,
     n_states = count_population_states(K, model.N)
     if n_states > cap:
         raise SizeCapError(f"{n_states} population states exceeds the cap of {cap}")
-    states = enumerate_population_states(K, model.N)
+    states = population_states(K, model.N)
     index = {s: i for i, s in enumerate(states)}
     G = np.zeros((n_states, n_states))
     for si, s in enumerate(states):

@@ -11,6 +11,7 @@ from moranrec.forward import generator_lambda, replacement_distribution
 from moranrec.markov import (
     count_population_states,
     enumerate_population_states,
+    rank_population_moves,
     rank_population_states,
 )
 
@@ -46,6 +47,35 @@ def test_generator_lambda_matches_dict_loop(cards, probs, N):
     assert gen.matrix.nnz == np.count_nonzero(dense)
 
 
+@pytest.mark.parametrize("cards, probs, N", [
+    ((4, 4), (0.3,), 2),
+    ((3, 3, 3), (0.1, 0.2), 2),
+    ((6,), (), 3),
+    ((5, 2), (0.0,), 1),
+])
+def test_generator_lambda_matches_dict_loop_many_types(cards, probs, N):
+    m = model(cards, probs, N)
+    labels, dense = oracles.generator_lambda(m)
+    G = generator_lambda(m).matrix.toarray()
+    off = ~np.eye(len(labels), dtype=bool)
+    assert np.array_equal(G[off], dense[off])
+    assert np.abs(np.diag(G) - np.diag(dense)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("cards, N", [((10, 10, 10), 1), ((10, 10), 2)])
+def test_generator_lambda_memory_many_types(cards, N):
+    # a dense (states, K, K) rate block would be 8 GB and 404 MB here
+    m = model(cards, (0.25,) * (len(cards) - 1), N)
+    tracemalloc.start()
+    try:
+        gen = generator_lambda(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(gen.matrix.sum(axis=1)).max() <= 1e-12
+    assert peak < 64 * 2**20
+
+
 def test_generator_matrix_is_read_only_csr():
     gen = generator_lambda(model((2, 2), (0.3,), 3))
     assert gen.matrix.format == "csr"
@@ -59,6 +89,32 @@ def test_rank_reproduces_enumeration_order(K, N):
     states = np.array(enumerate_population_states(K, N)).reshape(-1, K)
     assert len(states) == count_population_states(K, N)
     assert np.array_equal(rank_population_states(states, N), np.arange(len(states)))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("N", [0, 1, 2, 5])
+def test_enumeration_matches_recursion(K, N):
+    assert enumerate_population_states(K, N) == oracles.population_states(K, N)
+
+
+def test_enumeration_many_types():
+    states = enumerate_population_states(1000, 1)
+    assert np.array_equal(np.array(states), np.eye(1000, dtype=int))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("N", [1, 2, 5])
+def test_rank_of_moves_matches_rank_of_targets(K, N):
+    states = np.array(enumerate_population_states(K, N)).reshape(-1, K)
+    src, y = (np.repeat(a, K) for a in np.nonzero(states))
+    x = np.tile(np.arange(K), src.size // K)
+    keep = x != y
+    src, y, x = src[keep], y[keep], x[keep]
+    targets = states[src]
+    targets[np.arange(src.size), y] -= 1
+    targets[np.arange(src.size), x] += 1
+    assert np.array_equal(rank_population_moves(states, N, src, y, x),
+                          rank_population_states(targets, N))
 
 
 def test_rank_keeps_leading_shape():
