@@ -17,7 +17,7 @@ Config schema (JSON object; unknown keys are rejected)::
       "variant": "finite",         // finite | deterministic | diffusion
       "initial_counts": [4,2,1,3], // length prod(alphabet), sum N
       "initial_partition": "1,2",  // blocks "|"-separated, sites ","-separated
-      "lde_sites": [1, 2],         // optional, defaults to all sites
+      "lde_sites": [1, 2],         // optional list, defaults to all sites
       "t_end": 1.0,
       "grid": [0.0, 0.5, 1.0],     // or {"stop": 1.0, "num": 11}; num optional
       "replicates": 100,           // integer >= 0
@@ -30,6 +30,9 @@ rejected, in the config and in the ``--t-end``, ``--grid`` and ``--tol``
 flags; ``--tol`` must also be at least 0.
 Integer fields must be JSON integers.  ``expectations``, ``lde`` and
 ``duality-check`` compute the finite variant only and reject any other.
+``lde`` solves on the partition lattice of ``lde_sites`` alone (the sites
+of a subset evolve as a Moran model of their own), so only the number of
+``lde_sites`` is capped at 8; ``sites`` is bounded by the dense type cap.
 
 Exit codes: 0 success, 2 config validation failure, 3 size cap exceeded,
 4 duality-check defect above tolerance, 5 output check failed (``expectations``
@@ -233,9 +236,10 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     _require(variant != "finite" or len(initial_partition) <= N,
              "'initial_partition' has more blocks than individuals")
 
-    lde_sites = tuple(raw.get("lde_sites", range(1, n + 1)))
-    _require(all(_is_int(s) and 1 <= s <= n for s in lde_sites) and lde_sites,
-             f"'lde_sites' must be site labels in 1..{n}")
+    lde_sites = raw.get("lde_sites", list(range(1, n + 1)))
+    _require(isinstance(lde_sites, list) and lde_sites
+             and all(_is_int(s) and 1 <= s <= n for s in lde_sites),
+             f"'lde_sites' must be a nonempty list of site labels in 1..{n}")
 
     t_end = _number(raw.get("t_end", 1.0), "'t_end'")
     _require(t_end >= 0, "'t_end' must be nonnegative")
@@ -262,7 +266,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     return RunConfig(
         space=space, N=N, recomb=recomb, rho=rho, variant=variant,
         initial=initial, initial_partition=initial_partition,
-        lde_sites=lde_sites, t_end=t_end, grid=grid, replicates=replicates,
+        lde_sites=tuple(lde_sites), t_end=t_end, grid=grid, replicates=replicates,
         seed=seed, out=out,
         config_hash=config_hash(raw), raw=raw,
     )

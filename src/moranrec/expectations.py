@@ -290,33 +290,27 @@ def lde_trajectory(backward: BackwardModel, z0: PopulationState, u,
                    times) -> LdeTrajectory:
     """Expected linkage disequilibria on the sites ``u`` over a time grid.
 
-    Pads each partition of ``u`` with singletons, applies the linear map
-    from sampling expectations to correlation expectations on the full
-    site set, and marginalizes the resulting signed measures onto ``u``.
+    The sites of ``u`` evolve as a Moran model of their own, with the
+    recombination law :meth:`RecombinationDistribution.marginal`: the
+    expected sampling measures of the ``u``-marginal population are solved
+    on the Bell(|u|) lattice of ``u``, mapped by :func:`lde_transform` and
+    relabelled to the sites of ``u``.  Only ``|u|`` is capped, not ``n``.
     """
+    if backward.variant != "finite":
+        raise ValueError("lde_trajectory needs the finite variant")
+    if z0.measure.sites != backward.sites:
+        raise ValueError(f"population covers sites {z0.measure.sites}, model 1..{backward.n}")
     u = site_set(u)
-    traj = expected_sampling(backward, z0, coarsest(backward.sites), times)
-    partitions_S = enumerate_partitions(backward.sites)
-    index_S = {p: i for i, p in enumerate(partitions_S)}
-    T = lde_transform(partitions_S, backward.N)
-    sub_partitions = enumerate_partitions(u)
-    rest = tuple((s,) for s in backward.sites if s not in u)
-    space = SiteSpace(z0.measure.cards)
-    cards_u = space.cards_for(u)
-    values = np.empty((traj.times.size, len(sub_partitions),
-                       int(np.prod(cards_u)) if cards_u else 1))
-    # padded partitions may have more than N blocks; the columns of T
-    # dropped from the trajectory (|c| > N) are zero
-    rows = [index_S[Partition(p.blocks + rest)] for p in sub_partitions]
-    cols = [index_S[c] for c in traj.partitions]
-    pad_rows = T[np.ix_(rows, cols)]
-    sites_S = tuple(range(1, backward.n + 1))
-    for ti in range(traj.times.size):
-        L_full = pad_rows @ traj.values[ti]  # signed measures on the full space
-        for pi in range(len(sub_partitions)):
-            m = Measure(sites_S, space.cards, L_full[pi], signed=True)
-            values[ti, pi] = marginalize(m, u).weights
-    return LdeTrajectory(traj.times, u, cards_u, tuple(sub_partitions), values)
+    sub = BackwardModel(len(u), backward.N, backward.recomb.marginal(u))
+    partitions = enumerate_partitions(sub.sites)
+    zu = marginalize(z0.measure, u)
+    traj = expected_sampling(sub, PopulationState(Measure(sub.sites, zu.cards, zu.weights), z0.N),
+                             coarsest(sub.sites), times)
+    # columns with more than N blocks are zero and absent from the trajectory
+    T = lde_transform(partitions, sub.N)[:, [len(p) <= sub.N for p in partitions]]
+    labels = tuple(Partition(tuple(tuple(u[s - 1] for s in blk) for blk in p.blocks))
+                   for p in partitions)
+    return LdeTrajectory(traj.times, u, zu.cards, labels, T @ traj.values)
 
 
 @dataclass(frozen=True, eq=False)

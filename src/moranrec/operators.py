@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from .errors import (
     NotOrderedPartitionError,
+    NotSubsetError,
     SampleTooLargeError,
     ZeroMeasureError,
 )
@@ -95,6 +96,22 @@ class RecombinationDistribution:
             if a == p:
                 return r
         raise NotOrderedPartitionError(f"{a} is not an ordered partition of 1..{self.n}")
+
+    def marginal(self, u) -> "RecombinationDistribution":
+        """The law of the cuts among the sites of ``u``, relabelled ``1..|u|``.
+
+        A crossover in any gap between consecutive sites ``u[j]`` and
+        ``u[j+1]`` separates them, so the cut after relabelled site ``j+1``
+        has the summed probability of those gaps; a crossover outside the
+        span of ``u`` leaves it whole.
+        """
+        u = site_set(u)
+        if not u:
+            raise ValueError("a marginal needs at least one site")
+        if u[-1] > self.n:
+            raise NotSubsetError(f"sites {u} outside 1..{self.n}")
+        return RecombinationDistribution(
+            len(u), tuple(sum(self.crossover[a - 1:b - 1]) for a, b in zip(u, u[1:])))
 
     def rescaled_without_replacement(self, N: int) -> "RecombinationDistribution":
         """Equivalent distribution when parents are drawn without replacement.

@@ -7,9 +7,10 @@ grid stepping and a block-by-block writer, the per-state loops over
 population states (the dense population generator and the duality table
 from one ``recombinator_bar`` call per state and partition) that the
 package replaced with whole-array products, the recursive enumeration of
-population states that the package replaced with a successor loop, and
-the brute-force paths (transition rates, sampling, RK4, LDE via sampling)
-that only tests call.
+population states that the package replaced with a successor loop, the
+full-lattice LDE trajectory that the package replaced with a solve on the
+lattice of the subset, and the brute-force paths (transition rates,
+sampling, RK4, LDE via sampling) that only tests call.
 Tests compare the package against them.
 """
 
@@ -24,10 +25,12 @@ from scipy.linalg import expm
 from moranrec import (
     BackwardModel,
     ExpectationTrajectory,
+    LdeTrajectory,
     Measure,
     Partition,
     PopulationState,
     SampleTooLargeError,
+    SiteSpace,
     SizeCapError,
     coarsest,
     decode_type,
@@ -44,6 +47,8 @@ from moranrec import (
     sampling,
 )
 from moranrec.backward import _falling_weight
+from moranrec.expectations import expected_sampling as stepped_expected_sampling
+from moranrec.expectations import lde_transform as sparse_lde_transform
 from moranrec.expectations import mobius_matrix as sparse_mobius_matrix
 from moranrec.expectations import sampling_stack
 from moranrec.forward import DEFAULT_POPULATION_CAP, ForwardModel, replacement_distribution
@@ -292,3 +297,37 @@ def sampling_table_values(space, N: int) -> np.ndarray:
     B = len(partitions)
     rows = (M @ rbar.reshape(B, -1)).reshape(rbar.shape) * scale[:, None, None]
     return np.ascontiguousarray(rows.transpose(1, 0, 2))
+
+
+def lde_trajectory(backward: BackwardModel, z0: PopulationState, u,
+                   times) -> LdeTrajectory:
+    """Expected linkage disequilibria on the sites ``u``, on the full lattice.
+
+    Solves the Bell(n) system of all sites of the model: pads each
+    partition of ``u`` with singletons, applies the linear map from
+    sampling expectations to correlation expectations on the full site
+    set, and marginalizes the resulting signed measures onto ``u``.
+    """
+    u = site_set(u)
+    traj = stepped_expected_sampling(backward, z0, coarsest(backward.sites), times)
+    partitions_S = enumerate_partitions(backward.sites)
+    index_S = {p: i for i, p in enumerate(partitions_S)}
+    T = sparse_lde_transform(partitions_S, backward.N)
+    sub_partitions = enumerate_partitions(u)
+    rest = tuple((s,) for s in backward.sites if s not in u)
+    space = SiteSpace(z0.measure.cards)
+    cards_u = space.cards_for(u)
+    values = np.empty((traj.times.size, len(sub_partitions),
+                       int(np.prod(cards_u)) if cards_u else 1))
+    # padded partitions may have more than N blocks; the columns of T
+    # dropped from the trajectory (|c| > N) are zero
+    rows = [index_S[Partition(p.blocks + rest)] for p in sub_partitions]
+    cols = [index_S[c] for c in traj.partitions]
+    pad_rows = T[np.ix_(rows, cols)]
+    sites_S = tuple(range(1, backward.n + 1))
+    for ti in range(traj.times.size):
+        L_full = pad_rows @ traj.values[ti]  # signed measures on the full space
+        for pi in range(len(sub_partitions)):
+            m = Measure(sites_S, space.cards, L_full[pi], signed=True)
+            values[ti, pi] = marginalize(m, u).weights
+    return LdeTrajectory(traj.times, u, cards_u, tuple(sub_partitions), values)

@@ -123,6 +123,8 @@ class TestConfigValidation:
         ("simulate-forward", {"alphabet_sizes": [2, "x"]}),
         ("simulate-forward", {"initial_counts": [4, 2, True, 3]}),
         ("lde", {"lde_sites": [True, 2]}),
+        ("lde", {"lde_sites": 5}),
+        ("lde", {"lde_sites": None}),
     ])
     def test_typed_fields(self, tmp_path, capsys, command, field):
         path = write_config(tmp_path, **field)
@@ -308,6 +310,27 @@ class TestExpectationsAndLde:
         z0 = PopulationState.from_counts(SiteSpace((2, 2)), [4, 2, 1, 3])
         direct = lde_operator(coarsest([1, 2]), z0.measure)
         assert np.allclose(block[0, 0], direct.weights, atol=1e-12)
+
+    @staticmethod
+    def _ten_site_config(tmp_path, lde_sites):
+        counts = [0] * 2 ** 10
+        counts[0], counts[5], counts[700], counts[1023] = 3, 2, 2, 1
+        return write_config(tmp_path, sites=10, population_size=8,
+                            crossover_probs=[0.02] * 9, initial_counts=counts,
+                            initial_partition=None, lde_sites=lde_sites)
+
+    def test_lde_on_two_of_ten_sites(self, tmp_path):
+        path = self._ten_site_config(tmp_path, [2, 9])
+        assert main(["lde", "--config", str(path)]) == 0
+        text = (tmp_path / "out" / "expected_lde.csv").read_text()
+        partitions = [parse_partition("2,9"), parse_partition("2|9")]
+        block = expectations_from_csv(text, (2, 2), partitions, [0.0, 0.5, 1.0])
+        assert np.isfinite(block).all()
+
+    def test_lde_on_nine_sites_exceeds_the_cap(self, tmp_path, capsys):
+        path = self._ten_site_config(tmp_path, list(range(1, 10)))
+        assert main(["lde", "--config", str(path)]) == 3
+        assert "size cap exceeded" in capsys.readouterr().err
 
 
 class TestOutputPostcondition:
