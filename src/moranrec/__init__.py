@@ -82,8 +82,6 @@ from .operators import (
     dump_recombination_file,
     lde_operator,
     load_recombination_file,
-    marginal_recomb_prob,
-    marginal_split_rate,
     recombinator,
     recombinator_bar,
     sampling,

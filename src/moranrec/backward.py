@@ -27,15 +27,10 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 
-from .errors import InvalidInitialError
+from .errors import InvalidInitialError, SizeCapError
 from .markov import GeneratorMatrix
 from .measures import csv_table
-from .operators import (
-    DiffusionRates,
-    RecombinationDistribution,
-    marginal_recomb_prob,
-    marginal_split_rate,
-)
+from .operators import DiffusionRates, RecombinationDistribution
 from .partitions import (
     DEFAULT_SITE_CAP,
     Partition,
@@ -46,6 +41,11 @@ from .partitions import (
 )
 
 VARIANTS = ("finite", "deterministic", "diffusion")
+
+# Events one simulated path may hold (about 0.5 kB each).  The finite and
+# diffusion chains never absorb, so a huge ``t_end`` would otherwise run
+# until memory is exhausted.
+MAX_EVENTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,8 @@ def _falling_weight(N: int, m: int, b_size: int) -> float:
 @lru_cache(maxsize=4096)
 def _split_choices(model: BackwardModel, block: tuple[int, ...]) -> tuple[tuple[Partition, float], ...]:
     """(split, probability) over the at-most-two-part partitions of ``block``."""
-    return tuple((jj, marginal_recomb_prob(model.recomb, block, jj))
-                 for jj in ordered_partitions_le2(block))
+    sub = model.recomb.marginal(block)
+    return tuple(zip(ordered_partitions_le2(block), (sub.r_whole, *sub.crossover)))
 
 
 def _merge_into(blocks: list[tuple[int, ...]], target: int,
@@ -178,8 +178,7 @@ def _transition_rates_diff(model: BackwardModel, a: Partition) -> dict[Partition
     for j in range(m):
         block = a.blocks[j]
         others = tuple(blk for k, blk in enumerate(a.blocks) if k != j)
-        for jj in ordered_partitions_le2(block)[1:]:
-            rho = marginal_split_rate(model.rho, block, jj)
+        for jj, rho in zip(ordered_partitions_le2(block)[1:], model.rho.marginal(block).rho):
             if rho == 0.0:
                 continue
             b = Partition(others + jj.blocks)
@@ -320,8 +319,9 @@ def simulate_backward(model: BackwardModel, sigma0: Partition, t_end: float,
     finite and deterministic variants the jump is the narrative step,
     redrawn until it changes the state, which leaves the path law
     unchanged; the diffusion variant picks its jump from the transition
-    rates.  The finite chain has in general no absorbing state, so give it
-    a finite ``t_end``.
+    rates.  The finite and diffusion chains have in general no absorbing
+    state, so a path that would need more than ``MAX_EVENTS`` events before
+    ``t_end`` raises :class:`SizeCapError`.
     """
     if sigma0.ground != model.sites:
         raise InvalidInitialError(f"initial partition must cover sites {model.sites}")
@@ -342,6 +342,9 @@ def simulate_backward(model: BackwardModel, sigma0: Partition, t_end: float,
         t += rng.exponential(1.0 / total)
         if t >= t_end:
             break
+        if len(events) == MAX_EVENTS:
+            raise SizeCapError(f"more than {MAX_EVENTS} events before t_end={t_end:g}; "
+                               "lower t_end")
         nxt = cur
         if model.variant == "diffusion":
             u = rng.random() * total

@@ -28,16 +28,21 @@ Config schema (JSON object; unknown keys are rejected)::
 Numbers must be finite: ``NaN``, ``Infinity`` and overflowing literals are
 rejected, in the config and in the ``--t-end``, ``--grid`` and ``--tol``
 flags; ``--tol`` must also be at least 0.
-Integer fields must be JSON integers.  ``expectations``, ``lde`` and
+Integer fields must be JSON integers; the entries of ``crossover_probs``
+and ``rho`` must be numbers (not booleans), and ``out`` and
+``initial_population_file`` strings.  ``expectations``, ``lde`` and
 ``duality-check`` compute the finite variant only and reject any other.
 ``lde`` solves on the partition lattice of ``lde_sites`` alone (the sites
 of a subset evolve as a Moran model of their own), so only the number of
 ``lde_sites`` is capped at 8; ``sites`` is bounded by the dense type cap.
 
-Exit codes: 0 success, 2 config validation failure, 3 size cap exceeded,
-4 duality-check defect above tolerance, 5 output check failed (``expectations``
-found a non-finite value or a block that is not a probability vector, or
-``lde`` a non-finite value; no CSV is written).
+Exit codes: 0 success, 2 config validation failure, 3 size cap exceeded
+(including a ``simulate-backward`` replicate that would record more than
+``backward.MAX_EVENTS`` = 100,000 events before ``t_end``: the finite and
+diffusion chains never absorb), 4 duality-check defect above tolerance,
+5 output check failed (``expectations`` found a non-finite value or a
+block that is not a probability vector, or ``lde`` a non-finite value; no
+CSV is written).
 """
 
 from __future__ import annotations
@@ -188,7 +193,8 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     _require(isinstance(probs, list) and len(probs) == n - 1,
              f"'crossover_probs' must list {n - 1} values")
     try:
-        recomb = RecombinationDistribution(n, tuple(float(p) for p in probs))
+        recomb = RecombinationDistribution(
+            n, tuple(_number(p, "'crossover_probs' entries") for p in probs))
     except ValueError as exc:
         raise ConfigError(f"'crossover_probs': {exc}")
 
@@ -197,7 +203,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         _require(isinstance(raw["rho"], list) and len(raw["rho"]) == n - 1,
                  f"'rho' must list {n - 1} values")
         try:
-            rho = DiffusionRates(n, tuple(float(p) for p in raw["rho"]))
+            rho = DiffusionRates(n, tuple(_number(p, "'rho' entries") for p in raw["rho"]))
         except ValueError as exc:
             raise ConfigError(f"'rho': {exc}")
 
@@ -217,11 +223,16 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         _require(sum(counts) == N, f"'initial_counts' must sum to {N}")
         initial = PopulationState.from_counts(space, counts)
     elif raw.get("initial_population_file") is not None:
+        _require(isinstance(raw["initial_population_file"], str),
+                 "'initial_population_file' must be a string")
         pop_path = path.parent / raw["initial_population_file"]
-        _require(pop_path.exists(), f"population file not found: {pop_path}")
-        m = measure_from_csv(pop_path.read_text(), space.sites, space.cards)
-        _require(int(round(m.norm)) == N, f"population file must sum to {N}")
-        initial = PopulationState(m, N)
+        _require(pop_path.is_file(), f"population file not found: {pop_path}")
+        try:
+            m = measure_from_csv(pop_path.read_text(), space.sites, space.cards)
+            _require(int(round(m.norm)) == N, f"population file must sum to {N}")
+            initial = PopulationState(m, N)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"population file {pop_path}: {exc}")
 
     part_text = raw.get("initial_partition")
     if part_text is None:
@@ -261,13 +272,14 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
 
     replicates = _int_field(raw, "replicates", 0, 0)
     seed = _int_field(raw, "seed", 0, 0)
-    out = Path(raw.get("out", "."))
+    out = raw.get("out", ".")
+    _require(isinstance(out, str), "'out' must be a string")
 
     return RunConfig(
         space=space, N=N, recomb=recomb, rho=rho, variant=variant,
         initial=initial, initial_partition=initial_partition,
         lde_sites=tuple(lde_sites), t_end=t_end, grid=grid, replicates=replicates,
-        seed=seed, out=out,
+        seed=seed, out=Path(out),
         config_hash=config_hash(raw), raw=raw,
     )
 

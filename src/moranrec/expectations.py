@@ -32,11 +32,10 @@ from .markov import (
     enumerate_population_states,
 )
 from .measures import Measure, PopulationState, SiteSpace, marginalize
-from .operators import sampling
+from .operators import block_products, mobius_matrix, sampling, zeta_matrix
 from .partitions import (
     DEFAULT_SITE_CAP,
     Partition,
-    coarsenings_with_mobius,
     coarsest,
     enumerate_partitions,
     finest,
@@ -45,55 +44,15 @@ from .partitions import (
 )
 
 
-def mobius_matrix(partitions: list[Partition]) -> sparse.csr_array:
-    """Sparse ``M[a, b] = mobius(a, b)`` when ``a`` refines ``b``, else 0.
-
-    Built from the coarsenings of each partition; those missing from
-    ``partitions`` are skipped.  When the list is closed under coarsening,
-    :func:`zeta_matrix` of the result is its inverse.
-    """
-    index = {p: i for i, p in enumerate(partitions)}
-    rows, cols, vals = [], [], []
-    for i, a in enumerate(partitions):
-        for b, mu in coarsenings_with_mobius(a):
-            j = index.get(b)
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-                vals.append(mu)
-    B = len(partitions)
-    return sparse.csr_array((np.array(vals, dtype=float), (rows, cols)), shape=(B, B))
-
-
-def zeta_matrix(M: sparse.csr_array) -> sparse.csr_array:
-    """Refinement indicator ``Z[a, b] = 1`` when ``a`` refines ``b``; ``Z = M^-1``."""
-    return (M != 0).astype(float)
-
-
 def _sampling_rows(M: sparse.csr_array, N: int, partitions: list[Partition],
                    sites: tuple[int, ...], grid: np.ndarray) -> np.ndarray:
     """Sampling measures ``(M @ Rbar) / (N)_|a|`` of a stack of counting measures.
 
     ``grid[z]`` holds the counts of measure ``z`` on ``sites``, one axis
-    per site.  ``Rbar[a, z]`` is the block-marginal product of ``z`` for
-    partition ``a``: the broadcast product over the blocks of ``grid[z]``
-    summed over the sites outside the block.  On integer counts the sums
-    and products are exact, so ``Rbar[a, z]`` equals
-    ``recombinator_bar(a, z)`` bitwise.  The result is indexed
-    (partition, measure, type).
+    per site, and ``Rbar`` is their :func:`block_products`.  The result is
+    indexed (partition, measure, type).
     """
-    Z = grid.shape[0]
-    axis = {s: i for i, s in enumerate(sites, start=1)}
-    marginals: dict[tuple[int, ...], np.ndarray] = {}
-    rbar = np.empty((len(partitions), Z, grid[0].size))
-    for i, p in enumerate(partitions):
-        product = None
-        for blk in p.blocks:
-            if blk not in marginals:
-                outside = tuple(axis[s] for s in sites if s not in blk)
-                marginals[blk] = grid.sum(axis=outside, keepdims=True)
-            product = marginals[blk] if product is None else product * marginals[blk]
-        rbar[i] = product.reshape(Z, -1)
+    rbar = block_products(grid, sites, partitions)
     scale = np.array([1 / math.perm(N, len(p)) for p in partitions])
     B = len(partitions)
     return (M @ rbar.reshape(B, -1)).reshape(rbar.shape) * scale[:, None, None]

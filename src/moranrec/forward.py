@@ -40,7 +40,7 @@ from .measures import (
     parse_type_token,
     type_token,
 )
-from .operators import RecombinationDistribution
+from .operators import RecombinationDistribution, block_products
 
 DEFAULT_POPULATION_CAP = 20000
 
@@ -67,19 +67,12 @@ def replacement_distribution(model: ForwardModel, counts: np.ndarray) -> np.ndar
     block-marginal products; a probability vector.  ``counts`` may stack
     count vectors along leading axes; each gets its own distribution.
     """
-    cards = model.space.cards
+    support = [(a, r) for a, r in model.recomb.support() if r != 0.0]
     lead = counts.shape[:-1]
     N = counts.sum(axis=-1, keepdims=True)
-    q = (model.recomb.r_whole / N) * counts.astype(float)
-    grid = counts.reshape(lead + cards)
-    first, ndim = len(lead), len(lead) + len(cards)
-    for i, ri in enumerate(model.recomb.crossover, start=first + 1):
-        if ri == 0.0:
-            continue
-        head = grid.sum(axis=tuple(range(i, ndim))).reshape(lead + (-1, 1))
-        tail = grid.sum(axis=tuple(range(first, i))).reshape(lead + (1, -1))
-        q += (ri / N**2) * (head * tail).reshape(q.shape)
-    return q
+    products = block_products(counts.reshape(lead + model.space.cards), model.space.sites,
+                              [a for a, _ in support])
+    return sum((r / N**len(a)) * rbar for (a, r), rbar in zip(support, products))
 
 
 def rate_lambda(model: ForwardModel, z: PopulationState, y: int, x: int) -> float:
@@ -206,18 +199,14 @@ def deterministic_step(recomb: RecombinationDistribution, omega: Measure,
     if dt <= 0:
         raise ValueError("dt must be positive")
     cards = omega.cards
-    cuts = [(i, r) for i, r in enumerate(recomb.crossover, start=1) if r > 0.0]
-    ndim = len(cards)
+    cuts = [(a, r) for a, r in recomb.support()[1:] if r > 0.0]
+    parts = [a for a, _ in cuts]
 
     def field(w: np.ndarray) -> np.ndarray:
         norm = w.sum()
-        grid = w.reshape(cards)
-        out = np.zeros_like(w)
-        for i, ri in cuts:
-            lead = grid.sum(axis=tuple(range(i, ndim))).ravel()
-            trail = grid.sum(axis=tuple(range(0, i))).ravel()
-            out += ri * (np.outer(lead, trail).ravel() / norm**2 - w)
-        return out
+        products = block_products(w.reshape(cards), recomb.sites, parts)
+        return sum((ri * (rbar / norm**2 - w) for (_, ri), rbar in zip(cuts, products)),
+                   np.zeros_like(w))
 
     w = omega.weights
     k1 = field(w)

@@ -15,9 +15,11 @@ indexed by a partition ``a`` of ``u``:
   recombinators; the all-in-one-block case is the multilocus linkage
   disequilibrium of the sites in ``u``.
 
-``sampling_bar`` is the Mobius sum (cheap, a Bell number of tensor
-products); the test suite checks it against a brute-force enumeration of
-label tuples.
+Each is one row of the lattice algebra on measures kept here: the kernel
+:func:`block_products` forms the block-marginal products of a stack of
+weight grids for a list of partitions, and :func:`mobius_matrix` /
+:func:`zeta_matrix` carry every Mobius sum.  The marginal crossover law on
+a subset of sites is :meth:`RecombinationDistribution.marginal`.
 """
 
 from __future__ import annotations
@@ -26,27 +28,36 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy import sparse
+
 from .errors import (
     NotOrderedPartitionError,
     NotSubsetError,
     SampleTooLargeError,
     ZeroMeasureError,
 )
-from .measures import (
-    Measure,
-    marginalize,
-    tensor_site_ordered,
-)
+from .measures import Measure
 from .partitions import (
     Partition,
+    coarsenings,
     coarsenings_with_mobius,
     coarsest,
-    mobius,
     ordered_partitions_le2,
     refinements,
-    restrict,
     site_set,
 )
+
+
+def _gap_sums(per_gap: tuple[float, ...], u: tuple[int, ...]) -> tuple[float, ...]:
+    """Sum of ``per_gap`` (one value per gap of ``1..n``) over the gaps between
+    each pair of consecutive sites of ``u``."""
+    n = len(per_gap) + 1
+    if not u:
+        raise ValueError("a marginal needs at least one site")
+    if u[-1] > n:
+        raise NotSubsetError(f"sites {u} outside 1..{n}")
+    return tuple(sum(per_gap[a - 1:b - 1]) for a, b in zip(u, u[1:]))
 
 
 @dataclass(frozen=True)
@@ -106,12 +117,7 @@ class RecombinationDistribution:
         span of ``u`` leaves it whole.
         """
         u = site_set(u)
-        if not u:
-            raise ValueError("a marginal needs at least one site")
-        if u[-1] > self.n:
-            raise NotSubsetError(f"sites {u} outside 1..{self.n}")
-        return RecombinationDistribution(
-            len(u), tuple(sum(self.crossover[a - 1:b - 1]) for a, b in zip(u, u[1:])))
+        return RecombinationDistribution(len(u), _gap_sums(self.crossover, u))
 
     def rescaled_without_replacement(self, N: int) -> "RecombinationDistribution":
         """Equivalent distribution when parents are drawn without replacement.
@@ -145,6 +151,12 @@ class DiffusionRates:
     def support(self) -> list[tuple[Partition, float]]:
         return list(zip(ordered_partitions_le2(self.sites)[1:], self.rho))
 
+    def marginal(self, u) -> "DiffusionRates":
+        """The rates of the splits among the sites of ``u``, relabelled ``1..|u|``;
+        see :meth:`RecombinationDistribution.marginal`."""
+        u = site_set(u)
+        return DiffusionRates(len(u), _gap_sums(self.rho, u))
+
 
 def dump_recombination_file(recomb: RecombinationDistribution,
                             rho: DiffusionRates | None = None) -> str:
@@ -176,36 +188,65 @@ def load_recombination_file(text: str) -> tuple[RecombinationDistribution,
     return recomb, rho
 
 
-def _marginal_sum(support: list[tuple[Partition, float]], u: tuple[int, ...],
-                  b: Partition) -> float:
-    """Sum of weights over full-set partitions restricting to ``b`` on ``u``."""
-    total = 0.0
-    for a, w in support:
-        if restrict(a, u) == b:
-            total += w
-    return total
+def block_products(grid: np.ndarray, sites: tuple[int, ...],
+                   partitions: list[Partition]) -> np.ndarray:
+    """Block-marginal products ``Rbar_a`` of a stack of weight grids.
 
-
-def marginal_recomb_prob(recomb: RecombinationDistribution, u, b: Partition) -> float:
-    """Probability that a reproduction partitions the sites of ``u`` as ``b``.
-
-    Crossovers inside material trapped between the sites of ``u`` still
-    separate the flanking blocks, which the restriction sum picks up
-    automatically.
+    ``grid`` holds weights on ``sites``, one trailing axis per site, after
+    any number of leading axes.  ``Rbar_a`` is the broadcast product over
+    the blocks of ``a`` of the grid summed over the sites outside the
+    block.  Each block marginal is summed once and shared by every
+    partition that has the block.  The result is indexed (partition,
+    leading axes..., type).  On integer counts the sums and products are
+    exact.
     """
-    u = site_set(u)
-    if b not in ordered_partitions_le2(u):
-        raise NotOrderedPartitionError(f"{b} is not in the ordered partitions of {u}")
-    return _marginal_sum(recomb.support(), u, b)
+    grid = np.asarray(grid, dtype=float)
+    lead = grid.shape[:grid.ndim - len(sites)]
+    axis = {s: i for i, s in enumerate(sites, start=len(lead))}
+    marginals: dict[tuple[int, ...], np.ndarray] = {}
+    out = np.empty((len(partitions),) + lead + (math.prod(grid.shape[len(lead):]),))
+    for i, p in enumerate(partitions):
+        product = grid  # the empty partition of a 0-site grid
+        for k, blk in enumerate(p.blocks):
+            if blk not in marginals:
+                outside = tuple(axis[s] for s in sites if s not in blk)
+                marginals[blk] = grid.sum(axis=outside, keepdims=True)
+            product = marginals[blk] if k == 0 else product * marginals[blk]
+        out[i] = product.reshape(out.shape[1:])
+    return out
 
 
-def marginal_split_rate(rates: DiffusionRates, u, b: Partition) -> float:
-    """Diffusion-limit analogue of :func:`marginal_recomb_prob` for true splits."""
-    u = site_set(u)
-    opts = ordered_partitions_le2(u)
-    if b not in opts[1:]:
-        raise NotOrderedPartitionError(f"{b} is not a two-part ordered partition of {u}")
-    return _marginal_sum(rates.support(), u, b)
+def _block_products(a: Partition, m: Measure, partitions: list[Partition]) -> np.ndarray:
+    """:func:`block_products` of one measure over partitions of the ground of ``a``,
+    one weight vector per partition."""
+    if a.ground != m.sites:
+        raise ValueError(f"partition ground {a.ground} does not match sites {m.sites}")
+    return block_products(m.as_grid(), m.sites, partitions).reshape(len(partitions), -1)
+
+
+def mobius_matrix(partitions: list[Partition]) -> sparse.csr_array:
+    """Sparse ``M[a, b] = mobius(a, b)`` when ``a`` refines ``b``, else 0.
+
+    Built from the coarsenings of each partition; those missing from
+    ``partitions`` are skipped.  When the list is closed under coarsening,
+    :func:`zeta_matrix` of the result is its inverse.
+    """
+    index = {p: i for i, p in enumerate(partitions)}
+    rows, cols, vals = [], [], []
+    for i, a in enumerate(partitions):
+        for b, mu in coarsenings_with_mobius(a):
+            j = index.get(b)
+            if j is not None:
+                rows.append(i)
+                cols.append(j)
+                vals.append(mu)
+    B = len(partitions)
+    return sparse.csr_array((np.array(vals, dtype=float), (rows, cols)), shape=(B, B))
+
+
+def zeta_matrix(M: sparse.csr_array) -> sparse.csr_array:
+    """Refinement indicator ``Z[a, b] = 1`` when ``a`` refines ``b``; ``Z = M^-1``."""
+    return (M != 0).astype(float)
 
 
 def recombinator_bar(a: Partition, m: Measure) -> Measure:
@@ -214,15 +255,9 @@ def recombinator_bar(a: Partition, m: Measure) -> Measure:
     For the empty partition acting on a 0-site measure this is the measure
     itself (a scalar).  The norm of the result is ``norm(m) ** len(a)``.
     """
-    if not a.blocks:
-        if m.sites:
-            raise ValueError("empty partition needs a 0-site measure")
+    if len(a) == 1 and a.ground == m.sites:
         return m
-    if a.ground != m.sites:
-        raise ValueError(f"partition ground {a.ground} does not match sites {m.sites}")
-    if len(a) == 1:
-        return m
-    return tensor_site_ordered([marginalize(m, blk) for blk in a.blocks])
+    return m.with_weights(_block_products(a, m, [a])[0])
 
 
 def recombinator(a: Partition, m: Measure) -> Measure:
@@ -231,24 +266,18 @@ def recombinator(a: Partition, m: Measure) -> Measure:
     if norm <= 0:
         raise ZeroMeasureError("cannot normalize the zero measure")
     bar = recombinator_bar(a, m)
-    k = len(a) if a.blocks else 0
-    return bar.with_weights(bar.weights / norm ** k)
+    return bar.with_weights(bar.weights / norm ** len(a))
 
 
 def sampling_bar(a: Partition, z: Measure) -> Measure:
     """Mobius-inverted recombinator: counts site-spliced samples drawn
     without replacement when ``z`` is a counting measure.
 
-    Computed as the signed sum of ``recombinator_bar`` over all coarsenings
-    of ``a``; exact on integer input.
+    The row of ``a`` in the Mobius matrix of its coarsenings applied to
+    their block-marginal products; exact on integer input.
     """
-    if not a.blocks:
-        return recombinator_bar(a, z)
-    total = None
-    for b, mu in coarsenings_with_mobius(a):
-        w = mu * recombinator_bar(b, z).weights
-        total = w if total is None else total + w
-    return Measure(z.sites, z.cards, total)
+    up = coarsenings(a)  # a itself is the last coarsening
+    return Measure(z.sites, z.cards, (mobius_matrix(up) @ _block_products(a, z, up))[-1])
 
 
 def sampling(a: Partition, z: Measure) -> Measure:
@@ -271,13 +300,15 @@ def lde_operator(a: Partition, m: Measure) -> Measure:
     """Correlation operator: Mobius inversion of normalized recombinators
     from below.  Returns a signed measure.
 
-    For ``a`` the one-block partition of ``u`` this is the multilocus
-    linkage disequilibrium of the sites in ``u``.
+    The row of ``a`` in the transposed Mobius matrix of its refinements
+    applied to their normalized block-marginal products.  For ``a`` the
+    one-block partition of ``u`` this is the multilocus linkage
+    disequilibrium of the sites in ``u``.
     """
-    if m.norm <= 0:
+    norm = m.norm
+    if norm <= 0:
         raise ZeroMeasureError("cannot normalize the zero measure")
-    total = None
-    for b in refinements(a):
-        w = mobius(b, a) * recombinator(b, m).weights
-        total = w if total is None else total + w
-    return Measure(m.sites, m.cards, total, signed=True)
+    down = refinements(a)  # a itself is the first refinement
+    power = np.array([norm ** len(b) for b in down])
+    rows = _block_products(a, m, down) / power[:, None]
+    return Measure(m.sites, m.cards, (mobius_matrix(down).T @ rows)[0], signed=True)

@@ -9,7 +9,13 @@ from one ``recombinator_bar`` call per state and partition) that the
 package replaced with whole-array products, the recursive enumeration of
 population states that the package replaced with a successor loop, the
 full-lattice LDE trajectory that the package replaced with a solve on the
-lattice of the subset, and the brute-force paths (transition rates,
+lattice of the subset, the per-measure loops that the package replaced
+with one block-marginal product kernel and one-row Mobius products
+(``recombinator_bar`` from marginals and tensor products, the
+``sampling_bar`` and ``lde_operator`` sums, the head/tail replacement
+law), the restriction sums that the package replaced with the gap sums of
+``RecombinationDistribution.marginal`` (``marginal_recomb_prob``,
+``marginal_split_rate``), and the brute-force paths (transition rates,
 sampling, RK4, LDE via sampling) that only tests call.
 Tests compare the package against them.
 """
@@ -24,34 +30,40 @@ from scipy.linalg import expm
 
 from moranrec import (
     BackwardModel,
+    DiffusionRates,
     ExpectationTrajectory,
     LdeTrajectory,
     Measure,
+    NotOrderedPartitionError,
     Partition,
     PopulationState,
+    RecombinationDistribution,
     SampleTooLargeError,
     SiteSpace,
     SizeCapError,
+    ZeroMeasureError,
     coarsest,
     decode_type,
     encode_type,
     enumerate_partitions,
     format_partition,
     generator_theta,
-    marginal_recomb_prob,
     marginalize,
     mobius,
-    recombinator_bar,
+    ordered_partitions_le2,
+    refinements,
     refines,
     restrict,
     sampling,
+    tensor_site_ordered,
 )
 from moranrec.backward import _falling_weight
 from moranrec.expectations import expected_sampling as stepped_expected_sampling
 from moranrec.expectations import lde_transform as sparse_lde_transform
-from moranrec.expectations import mobius_matrix as sparse_mobius_matrix
 from moranrec.expectations import sampling_stack
-from moranrec.forward import DEFAULT_POPULATION_CAP, ForwardModel, replacement_distribution
+from moranrec.forward import DEFAULT_POPULATION_CAP, ForwardModel
+from moranrec.operators import mobius_matrix as sparse_mobius_matrix
+from moranrec.partitions import coarsenings_with_mobius
 from moranrec.markov import (
     assert_sorted_times,
     count_population_states,
@@ -62,6 +74,119 @@ from moranrec.partitions import site_set
 
 # Brute-force tuple enumeration is N!/(N-m)! work; keep it for tests only.
 DEFAULT_ORACLE_CAP = 12
+
+
+def _marginal_sum(support: list[tuple[Partition, float]], u: tuple[int, ...],
+                  b: Partition) -> float:
+    """Sum of weights over full-set partitions restricting to ``b`` on ``u``."""
+    total = 0.0
+    for a, w in support:
+        if restrict(a, u) == b:
+            total += w
+    return total
+
+
+def marginal_recomb_prob(recomb: RecombinationDistribution, u, b: Partition) -> float:
+    """Probability that a reproduction partitions the sites of ``u`` as ``b``.
+
+    Crossovers inside material trapped between the sites of ``u`` still
+    separate the flanking blocks, which the restriction sum picks up
+    automatically.
+    """
+    u = site_set(u)
+    if b not in ordered_partitions_le2(u):
+        raise NotOrderedPartitionError(f"{b} is not in the ordered partitions of {u}")
+    return _marginal_sum(recomb.support(), u, b)
+
+
+def marginal_split_rate(rates: DiffusionRates, u, b: Partition) -> float:
+    """Diffusion-limit analogue of :func:`marginal_recomb_prob` for true splits."""
+    u = site_set(u)
+    opts = ordered_partitions_le2(u)
+    if b not in opts[1:]:
+        raise NotOrderedPartitionError(f"{b} is not a two-part ordered partition of {u}")
+    return _marginal_sum(rates.support(), u, b)
+
+
+def recombinator_bar(a: Partition, m: Measure) -> Measure:
+    """Site-ordered tensor product of the block marginals of ``m``.
+
+    For the empty partition acting on a 0-site measure this is the measure
+    itself (a scalar).  The norm of the result is ``norm(m) ** len(a)``.
+    """
+    if not a.blocks:
+        if m.sites:
+            raise ValueError("empty partition needs a 0-site measure")
+        return m
+    if a.ground != m.sites:
+        raise ValueError(f"partition ground {a.ground} does not match sites {m.sites}")
+    if len(a) == 1:
+        return m
+    return tensor_site_ordered([marginalize(m, blk) for blk in a.blocks])
+
+
+def recombinator(a: Partition, m: Measure) -> Measure:
+    """Normalized recombinator: a probability measure for nonzero ``m``."""
+    norm = m.norm
+    if norm <= 0:
+        raise ZeroMeasureError("cannot normalize the zero measure")
+    bar = recombinator_bar(a, m)
+    k = len(a) if a.blocks else 0
+    return bar.with_weights(bar.weights / norm ** k)
+
+
+def sampling_bar(a: Partition, z: Measure) -> Measure:
+    """Mobius-inverted recombinator: counts site-spliced samples drawn
+    without replacement when ``z`` is a counting measure.
+
+    Computed as the signed sum of ``recombinator_bar`` over all coarsenings
+    of ``a``; exact on integer input.
+    """
+    if not a.blocks:
+        return recombinator_bar(a, z)
+    total = None
+    for b, mu in coarsenings_with_mobius(a):
+        w = mu * recombinator_bar(b, z).weights
+        total = w if total is None else total + w
+    return Measure(z.sites, z.cards, total)
+
+
+def lde_operator(a: Partition, m: Measure) -> Measure:
+    """Correlation operator: Mobius inversion of normalized recombinators
+    from below.  Returns a signed measure.
+
+    For ``a`` the one-block partition of ``u`` this is the multilocus
+    linkage disequilibrium of the sites in ``u``.
+    """
+    if m.norm <= 0:
+        raise ZeroMeasureError("cannot normalize the zero measure")
+    total = None
+    for b in refinements(a):
+        w = mobius(b, a) * recombinator(b, m).weights
+        total = w if total is None else total + w
+    return Measure(m.sites, m.cards, total, signed=True)
+
+
+def replacement_distribution(model: ForwardModel, counts: np.ndarray) -> np.ndarray:
+    """Type distribution of a newborn given the current counts.
+
+    Mixture over the recombination distribution of the normalized
+    block-marginal products; a probability vector.  ``counts`` may stack
+    count vectors along leading axes; each gets its own distribution.
+    """
+    cards = model.space.cards
+    lead = counts.shape[:-1]
+    N = counts.sum(axis=-1, keepdims=True)
+    q = (model.recomb.r_whole / N) * counts.astype(float)
+    grid = counts.reshape(lead + cards)
+    first, ndim = len(lead), len(lead) + len(cards)
+    for i, ri in enumerate(model.recomb.crossover, start=first + 1):
+        if ri == 0.0:
+            continue
+        head = grid.sum(axis=tuple(range(i, ndim))).reshape(lead + (-1, 1))
+        tail = grid.sum(axis=tuple(range(first, i))).reshape(lead + (1, -1))
+        q += (ri / N**2) * (head * tail).reshape(q.shape)
+    return q
 
 
 def mobius_matrix(partitions: list[Partition]) -> np.ndarray:

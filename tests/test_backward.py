@@ -15,7 +15,6 @@ from moranrec import (
     generator_theta_det,
     generator_theta_diff,
     is_ordered,
-    marginal_recomb_prob,
     ordered_partitions_le2,
     parse_partition,
     refines,
@@ -29,7 +28,7 @@ from moranrec.backward import (
     partition_trajectory_to_csv,
 )
 
-from oracles import theta_rate
+from oracles import marginal_recomb_prob, theta_rate
 from util import (
     THREE_SITE_ORDER,
     permuted_generator,

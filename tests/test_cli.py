@@ -1,9 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from moranrec import measure_from_csv, parse_partition, refines
+from moranrec import backward, measure_from_csv, parse_partition, refines
 from moranrec.backward import partition_events_from_csv
 from moranrec import cli
 from moranrec.cli import main
@@ -125,6 +126,18 @@ class TestConfigValidation:
         ("lde", {"lde_sites": [True, 2]}),
         ("lde", {"lde_sites": 5}),
         ("lde", {"lde_sites": None}),
+        ("simulate-forward", {"crossover_probs": [[0.1]]}),
+        ("simulate-forward", {"crossover_probs": [None]}),
+        ("simulate-forward", {"crossover_probs": [True]}),
+        ("simulate-forward", {"rho": [[0.1]]}),
+        ("simulate-forward", {"rho": [None]}),
+        ("simulate-forward", {"rho": [True]}),
+        ("simulate-forward", {"out": 5}),
+        ("simulate-forward", {"out": None}),
+        ("simulate-forward", {"initial_counts": None, "initial_population_file": 5}),
+        ("simulate-forward", {"initial_counts": None, "initial_population_file": "."}),
+        ("simulate-forward", {"initial_counts": None,
+                              "initial_population_file": "config.json"}),
     ])
     def test_typed_fields(self, tmp_path, capsys, command, field):
         path = write_config(tmp_path, **field)
@@ -242,6 +255,17 @@ class TestSimulateBackwardCommand:
         assert main(["simulate-backward", "--config", str(path)]) == 0
         text = (tmp_path / "out" / "backward_rep0000.csv").read_text()
         assert partition_events_from_csv(text) == []
+
+    def test_event_budget_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(backward, "MAX_EVENTS", 50)
+        path = write_config(tmp_path, sites=3, crossover_probs=[0.3, 0.3],
+                            initial_counts=None, initial_partition="1,2,3",
+                            t_end=1e300, replicates=1)
+        start = time.perf_counter()
+        assert main(["simulate-backward", "--config", str(path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "size cap exceeded" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "backward_rep0000.csv").exists()
 
     def test_diffusion_variant_pure_events(self, tmp_path):
         path = write_config(tmp_path, sites=3, crossover_probs=[0.0, 0.0],

@@ -136,6 +136,14 @@ def test_batched_replacement_rows_equal_single_calls(cards, probs):
     assert np.array_equal(replacement_distribution(m, as_floats)[0], single)
 
 
+@pytest.mark.parametrize("cards, probs", CASES)
+def test_replacement_law_equals_head_tail_oracle_bitwise(cards, probs):
+    m = model(cards, probs, 5)
+    states = np.array(enumerate_population_states(m.space.total_states, 5))
+    assert np.array_equal(replacement_distribution(m, states),
+                          oracles.replacement_distribution(m, states))
+
+
 @pytest.mark.parametrize("cards, N", [((2, 2), 2), ((2, 3), 4), ((3, 2), 5), ((2, 2, 2), 3)])
 def test_sampling_table_matches_recombinator_bar_contraction(cards, N):
     space = SiteSpace(cards)

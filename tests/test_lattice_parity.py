@@ -1,5 +1,7 @@
-"""The sparse Mobius/zeta kernel against the pairwise-scan oracles."""
+"""The block-product kernel and the sparse Mobius/zeta pair against the
+loop and pairwise-scan oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 import oracles
 from moranrec import (
     BackwardModel,
+    DiffusionRates,
+    Measure,
     PopulationState,
     SampleTooLargeError,
     SiteSpace,
@@ -20,12 +24,15 @@ from moranrec import (
     lde_transform,
     lde_transform_diffusion,
     marginalize,
+    ordered_partitions_le2,
     recombinator_bar,
     sampling,
+    sampling_bar,
     sampling_table,
 )
-from moranrec.expectations import mobius_matrix, sampling_stack, zeta_matrix
+from moranrec.expectations import sampling_stack
 from moranrec.markov import count_population_states
+from moranrec.operators import mobius_matrix, zeta_matrix
 
 from util import binary_space, random_population, random_recomb
 
@@ -67,8 +74,57 @@ def test_sampling_table_matches_oracle_contraction(n, N):
     norm = np.array([math.factorial(N - len(p)) / math.factorial(N) for p in parts])
     for zi, s in enumerate(table.pop_states):
         z = PopulationState.from_counts(space, s).measure
-        rbar = np.array([recombinator_bar(p, z).weights for p in parts])
+        rbar = np.array([oracles.recombinator_bar(p, z).weights for p in parts])
         assert np.abs(table.values[zi] - (M @ rbar) * norm[:, None]).max() <= 1e-12
+
+
+# non-contiguous site labels, so that a block is never a range of axes
+LABELS = [(1,), (3,), (2, 4), (2, 4, 7), (1, 3, 4, 6), (2, 3, 5, 7, 9)]
+
+
+def small_measure(sites, seed: int, counts: bool) -> Measure:
+    """Random measure with alphabet sizes 1..3 on ``sites``: integer counts
+    (some zero) or positive reals."""
+    rng = np.random.default_rng(seed)
+    cards = tuple(rng.integers(1, 4, len(sites)).tolist())
+    K = math.prod(cards)
+    weights = rng.integers(0, 6, K) if counts else rng.uniform(0.25, 2.0, K)
+    return Measure(sites, cards, weights.astype(float))
+
+
+@pytest.mark.parametrize("sites", LABELS)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_recombinator_and_sampling_bar_equal_loop_oracles_bitwise(sites, seed):
+    z = small_measure(sites, seed, counts=True)
+    for a in enumerate_partitions(sites):
+        assert np.array_equal(recombinator_bar(a, z).weights,
+                              oracles.recombinator_bar(a, z).weights)
+        assert np.array_equal(sampling_bar(a, z).weights, oracles.sampling_bar(a, z).weights)
+
+
+@pytest.mark.parametrize("sites", LABELS)
+@pytest.mark.parametrize("counts", [True, False])
+def test_lde_operator_matches_loop_oracle(sites, counts):
+    m = small_measure(sites, 7, counts)
+    for a in enumerate_partitions(sites):
+        got = lde_operator(a, m)
+        assert got.signed
+        assert np.abs(got.weights - oracles.lde_operator(a, m).weights).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_marginal_laws_match_restriction_sums(n):
+    recomb = random_recomb(n, 60 + n)
+    rates = DiffusionRates(n, tuple(np.random.default_rng(n).uniform(0, 3, n - 1)))
+    for k in range(1, n + 1):
+        for u in itertools.combinations(range(1, n + 1), k):
+            sub, sub_rates = recomb.marginal(u), rates.marginal(u)
+            splits = ordered_partitions_le2(u)
+            probs = (sub.r_whole, *sub.crossover)
+            for b, p in zip(splits, probs):
+                assert abs(p - oracles.marginal_recomb_prob(recomb, u, b)) <= 1e-15
+            for b, rho in zip(splits[1:], sub_rates.rho, strict=True):
+                assert rho == oracles.marginal_split_rate(rates, u, b)
 
 
 @pytest.mark.parametrize("n,N", CASES)

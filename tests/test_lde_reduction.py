@@ -23,7 +23,6 @@ from moranrec import (
     SizeCapError,
     SiteSpace,
     lde_trajectory,
-    marginal_recomb_prob,
     marginalize,
     ordered_partitions_le2,
 )
@@ -60,7 +59,7 @@ def test_marginal_recombination_matches_restriction_sum():
             assert marginal.n == k
             for b in ordered_partitions_le2(u):
                 assert abs(marginal.prob(relabel(b, u))
-                           - marginal_recomb_prob(recomb, u, b)) <= 1e-15
+                           - oracles.marginal_recomb_prob(recomb, u, b)) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

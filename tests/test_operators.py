@@ -19,7 +19,6 @@ from moranrec import (
     enumerate_partitions,
     finest,
     lde_operator,
-    marginal_recomb_prob,
     marginalize,
     parse_partition,
     recombinator,
@@ -85,32 +84,34 @@ class TestRecombinationDistribution:
 
 
 class TestMarginalRecombProb:
+    """``RecombinationDistribution.marginal(u)``, relabelled to sites ``1..|u|``."""
+
     def test_single_site_is_one(self):
         r = random_recomb(4, seed=0)
-        u = (2,)
-        assert marginal_recomb_prob(r, u, coarsest(u)) == pytest.approx(1.0)
+        assert r.marginal((2,)).prob(coarsest([1])) == pytest.approx(1.0)
 
     def test_trapped_material_sums_three_cuts(self):
         r = RecombinationDistribution(5, (0.1, 0.05, 0.2, 0.15))
-        got = marginal_recomb_prob(r, [1, 4, 5], P("1|4,5"))
+        got = r.marginal([1, 4, 5]).prob(P("1|2,3"))
         assert got == pytest.approx(0.1 + 0.05 + 0.2)
 
     def test_full_set_is_identity(self):
         r = RecombinationDistribution(4, (0.1, 0.2, 0.3))
-        assert marginal_recomb_prob(r, [1, 2, 3, 4], P("1,2|3,4")) == pytest.approx(0.2)
+        assert r.marginal([1, 2, 3, 4]).prob(P("1,2|3,4")) == pytest.approx(0.2)
 
     def test_marginals_sum_to_one(self):
         from moranrec import ordered_partitions_le2
 
         r = random_recomb(5, seed=3)
         for u in [(1, 3), (2, 4, 5), (1, 2, 3, 4, 5), (3,)]:
-            total = sum(marginal_recomb_prob(r, u, b) for b in ordered_partitions_le2(u))
+            sub = r.marginal(u)
+            total = sum(sub.prob(b) for b in ordered_partitions_le2(sub.sites))
             assert total == pytest.approx(1.0)
 
     def test_rejects_unordered(self):
         r = random_recomb(3, seed=4)
         with pytest.raises(NotOrderedPartitionError):
-            marginal_recomb_prob(r, [1, 2, 3], P("1,3|2"))
+            r.marginal([1, 2, 3]).prob(P("1,3|2"))
 
 
 class TestRecombinator:
