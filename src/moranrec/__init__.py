@@ -17,7 +17,6 @@ from .backward import (
     generator_theta_det,
     generator_theta_diff,
     simulate_backward,
-    transition_rates,
 )
 from .errors import (
     ConfigError,
@@ -74,7 +73,6 @@ from .measures import (
     measure_from_csv,
     measure_to_csv,
     sub_delta,
-    tensor_site_ordered,
 )
 from .operators import (
     DiffusionRates,

@@ -13,14 +13,14 @@ population.  Three variants share one interface:
   blocks coalesces at rate 2, and nothing else.
 
 Simulation follows the generative narrative (pick a block, split it, let
-each fragment pick a parent); the generator matrices are built from the
-same transition rates and serve as the exact reference.
+each fragment pick a parent); the generator matrices weight the
+split/merge incidence of the partition lattice with the same rates and
+serve as the exact reference.
 """
 
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +36,7 @@ from .partitions import (
     Partition,
     enumerate_partitions,
     format_partition,
+    lattice,
     ordered_partitions_le2,
     parse_partition,
 )
@@ -79,16 +80,6 @@ class BackwardModel:
         return tuple(range(1, self.n + 1))
 
 
-def _falling_weight(N: int, m: int, b_size: int) -> float:
-    """(N-(m-1))! / (N-b_size)! as a product; zero once ``b_size`` exceeds ``N``."""
-    w = 1.0
-    for i in range(N - b_size + 1, N - m + 2):
-        if i <= 0:
-            return 0.0
-        w *= i
-    return w
-
-
 @lru_cache(maxsize=4096)
 def _split_choices(model: BackwardModel, block: tuple[int, ...]) -> tuple[tuple[Partition, float], ...]:
     """(split, probability) over the at-most-two-part partitions of ``block``."""
@@ -101,78 +92,9 @@ def _merge_into(blocks: list[tuple[int, ...]], target: int,
     blocks[target] = tuple(sorted(blocks[target] + fragment))
 
 
-def transition_rates(model: BackwardModel, a: Partition) -> dict[Partition, float]:
-    """All nonzero off-diagonal rates out of ``a`` for the model variant.
-
-    Built constructively from the event narrative: every way the fragments
-    of a split can stay alone or land on another block contributes the
-    rate of the resulting partition.
-    """
-    if model.variant == "finite":
-        return _transition_rates_finite(model, a)
-    if model.variant == "deterministic":
-        return _transition_rates_det(model, a)
-    return _transition_rates_diff(model, a)
-
-
-def _transition_rates_finite(model: BackwardModel, a: Partition) -> dict[Partition, float]:
-    N = model.N
-    m = len(a)
-    out: dict[Partition, float] = {}
-    if m > N:
-        return out  # states with more blocks than individuals are not reachable
-    for j in range(m):
-        block = a.blocks[j]
-        others = [blk for k, blk in enumerate(a.blocks) if k != j]
-        for jj, r in _split_choices(model, block):
-            if r == 0.0:
-                continue
-            if len(jj) == 1:
-                # unchanged block: it may still land on another block
-                for k in range(m - 1):
-                    blocks = list(others)
-                    _merge_into(blocks, k, block)
-                    b = Partition(tuple(blocks))
-                    w = r / N * _falling_weight(N, m, len(b))
-                    if w:
-                        out[b] = out.get(b, 0.0) + w
-                continue
-            f1, f2 = jj.blocks
-            targets = [None] + list(range(m - 1))
-            for t1 in targets:
-                for t2 in targets:
-                    blocks = list(others)
-                    if t1 is None:
-                        blocks.append(f1)
-                    else:
-                        _merge_into(blocks, t1, f1)
-                    if t2 is None:
-                        blocks.append(f2)
-                    else:
-                        _merge_into(blocks, t2, f2)
-                    b = Partition(tuple(blocks))
-                    if b == a:
-                        continue
-                    w = r / N**2 * _falling_weight(N, m, len(b))
-                    if w:
-                        out[b] = out.get(b, 0.0) + w
-    return out
-
-
-def _transition_rates_det(model: BackwardModel, a: Partition) -> dict[Partition, float]:
-    out: dict[Partition, float] = {}
-    for j in range(len(a)):
-        block = a.blocks[j]
-        others = tuple(blk for k, blk in enumerate(a.blocks) if k != j)
-        for jj, r in _split_choices(model, block):
-            if len(jj) == 1 or r == 0.0:
-                continue
-            b = Partition(others + jj.blocks)
-            out[b] = out.get(b, 0.0) + r
-    return out
-
-
 def _transition_rates_diff(model: BackwardModel, a: Partition) -> dict[Partition, float]:
+    """Nonzero diffusion rates out of ``a``: each block splits at the rates of
+    its cuts, and each unordered pair of blocks merges at 2."""
     out: dict[Partition, float] = {}
     m = len(a)
     for j in range(m):
@@ -192,19 +114,42 @@ def _transition_rates_diff(model: BackwardModel, a: Partition) -> dict[Partition
     return out
 
 
-def _generator_from_rates(model: BackwardModel, cap: int) -> GeneratorMatrix:
-    states = enumerate_partitions(model.sites, cap=cap)
-    index = {p: i for i, p in enumerate(states)}
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for ai, a in enumerate(states):
-        rates = transition_rates(model, a)
-        rows += [ai] * (len(rates) + 1)
-        cols += [index[b] for b in rates] + [ai]
-        vals += [*rates.values(), -math.fsum(rates.values())]
-    B = len(states)
-    return GeneratorMatrix(tuple(states), sparse.coo_array((vals, (rows, cols)), shape=(B, B)))
+def _theta(model: BackwardModel, cap: int) -> GeneratorMatrix:
+    """Generator of the model's variant over all partitions of the sites.
+
+    One weighting of the lattice's split/merge incidence per variant.  A
+    block stays whole with probability one minus the crossover mass
+    between its outer sites, and is cut between consecutive sites with
+    the mass of the gaps between them.  Finite: every move, times the
+    ``(N-(m-1))!/(N-|b|)!`` parent choices that give ``b``, over ``N``
+    (whole) or ``N**2`` (cut) parents drawn.  Deterministic: only cuts
+    whose fragments both land on fresh parents.  Diffusion: those cuts at
+    the summed rates, and every whole block landing on another at 1, so
+    each unordered pair of blocks merges at 2.
+    """
+    labels = tuple(enumerate_partitions(model.sites, cap))
+    L = lattice(model.n)
+    inc = L.incidence
+    split, m, nb = inc["split"], inc["m"], inc["nb"]
+    per_gap = model.rho.rho if model.variant == "diffusion" else model.recomb.crossover
+    cum = np.concatenate(([0.0], np.cumsum(per_gap)))
+    gap = cum[inc["hi"]] - cum[inc["lo"]]
+    fresh = split & (nb == m + 1)
+    if model.variant == "finite":
+        N = model.N
+        falling = np.select([nb == m + 1, nb == m], [(N - m + 1.0) * (N - m), N - m + 1.0], 1.0)
+        rate = np.where(split, gap / N**2, np.maximum(1.0 - gap, 0.0) / N) * falling
+        keep = m <= N  # states with more blocks than individuals are not reachable
+    elif model.variant == "deterministic":
+        rate, keep = gap, fresh
+    else:
+        rate, keep = np.where(split, gap, 1.0), fresh | ~split
+    a, b, rate = inc["a"][keep], inc["b"][keep], rate[keep]
+    B = len(L.keys)
+    diag = np.arange(B)
+    rows, cols = np.concatenate((a, diag)), np.concatenate((b, diag))
+    vals = np.concatenate((rate, -np.bincount(a, rate, minlength=B)))
+    return GeneratorMatrix(labels, sparse.coo_array((vals, (rows, cols)), shape=(B, B)))
 
 
 def generator_theta(model: BackwardModel, cap: int = DEFAULT_SITE_CAP) -> GeneratorMatrix:
@@ -215,23 +160,21 @@ def generator_theta(model: BackwardModel, cap: int = DEFAULT_SITE_CAP) -> Genera
     """
     if model.variant != "finite":
         raise ValueError("generator_theta needs the finite variant")
-    return _generator_from_rates(model, cap)
+    return _theta(model, cap)
 
 
 def generator_theta_det(model: BackwardModel, cap: int = DEFAULT_SITE_CAP) -> GeneratorMatrix:
     """Infinite-population (fixed crossover probabilities) generator: pure splitting."""
     if model.variant == "diffusion":
         raise ValueError("deterministic generator needs crossover probabilities")
-    return _generator_from_rates(
-        BackwardModel(model.n, model.N, model.recomb, "deterministic"), cap)
+    return _theta(BackwardModel(model.n, model.N, model.recomb, "deterministic"), cap)
 
 
 def generator_theta_diff(model: BackwardModel, cap: int = DEFAULT_SITE_CAP) -> GeneratorMatrix:
     """Diffusion-limit generator: marginal split rates plus pairwise coalescence at 2."""
     if model.rho is None:
         raise ValueError("diffusion generator needs DiffusionRates")
-    return _generator_from_rates(
-        BackwardModel(model.n, model.N, model.recomb, "diffusion", model.rho), cap)
+    return _theta(BackwardModel(model.n, model.N, model.recomb, "diffusion", model.rho), cap)
 
 
 @dataclass(frozen=True)
@@ -333,7 +276,7 @@ def simulate_backward(model: BackwardModel, sigma0: Partition, t_end: float,
     events: list[tuple[float, Partition]] = []
     while True:
         if model.variant == "diffusion":
-            rates = transition_rates(model, cur)
+            rates = _transition_rates_diff(model, cur)
             total = sum(rates.values())
         else:
             total = _exit_rate(model, cur)

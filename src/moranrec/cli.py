@@ -39,7 +39,8 @@ of a subset evolve as a Moran model of their own), so only the number of
 Exit codes: 0 success, 2 config validation failure, 3 size cap exceeded
 (including a ``simulate-backward`` replicate that would record more than
 ``backward.MAX_EVENTS`` = 100,000 events before ``t_end``: the finite and
-diffusion chains never absorb), 4 duality-check defect above tolerance,
+diffusion chains never absorb; such a run leaves no ``run.json`` and no
+replicate CSV behind), 4 duality-check defect above tolerance,
 5 output check failed (``expectations`` found a non-finite value or a
 block that is not a probability vector, or ``lde`` a non-finite value; no
 CSV is written).
@@ -386,14 +387,20 @@ def cmd_simulate_forward(cfg: RunConfig) -> int:
 
 def cmd_simulate_backward(cfg: RunConfig) -> int:
     model = BackwardModel(cfg.space.n, cfg.N, cfg.recomb, cfg.variant, cfg.rho)
-    _write_manifest(cfg, "simulate-backward")
     stamp = _stamp(cfg)
-    for rep in range(cfg.replicates):
-        rec = simulate_backward(model, cfg.initial_partition, cfg.t_end, cfg.seed,
-                                replicate=rep)
-        _write(cfg, f"backward_rep{rep:04d}.csv",
-               partition_trajectory_to_csv(rec, f"{stamp} replicate={rep} "
-                                                f"variant={cfg.variant}"))
+    written: list[Path] = []  # removed again if a replicate exceeds the event budget
+    try:
+        for rep in range(cfg.replicates):
+            rec = simulate_backward(model, cfg.initial_partition, cfg.t_end, cfg.seed,
+                                    replicate=rep)
+            written.append(_write(cfg, f"backward_rep{rep:04d}.csv",
+                                  partition_trajectory_to_csv(rec, f"{stamp} replicate={rep} "
+                                                                   f"variant={cfg.variant}")))
+    except SizeCapError:
+        for path in written:
+            path.unlink()
+        raise
+    _write_manifest(cfg, "simulate-backward")
     print(f"simulate-backward[{cfg.variant}]: {cfg.replicates} replicates -> {cfg.out}")
     return 0
 
@@ -530,7 +537,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SizeCapError as exc:
-        print(f"size cap exceeded: {exc} (reduce sites, alphabet or N)", file=sys.stderr)
+        print(f"size cap exceeded: {exc}", file=sys.stderr)
         return 3
     except OutputCheckError as exc:
         print(f"output check failed, nothing written: {exc}", file=sys.stderr)

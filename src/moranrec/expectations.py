@@ -108,7 +108,8 @@ def sampling_table(space: SiteSpace, N: int,
             f"sampling measures need N >= n, got N={N}, n={n}")
     K = space.total_states
     if count_population_states(K, N) > cap:
-        raise SizeCapError("population state space exceeds the cap")
+        raise SizeCapError("population state space exceeds the cap; "
+                           "reduce sites, alphabet or N")
     partitions = enumerate_partitions(space.sites, cap=site_cap)
     M = mobius_matrix(partitions)
     states = enumerate_population_states(K, N)

@@ -100,7 +100,8 @@ def generator_lambda(model: ForwardModel, cap: int = DEFAULT_POPULATION_CAP) -> 
     K = model.space.total_states
     n_states = count_population_states(K, model.N)
     if n_states > cap:
-        raise SizeCapError(f"{n_states} population states exceeds the cap of {cap}")
+        raise SizeCapError(f"{n_states} population states exceeds the cap of {cap}; "
+                           "reduce sites, alphabet or N")
     labels = enumerate_population_states(K, model.N)
     states = np.array(labels, dtype=np.int64)
     # one row of rates[(z, y), x] = q_z(x) * z(y) per type y present in z;

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import (
     NegativeWeightError,
     NotSubsetError,
-    OverlapError,
     SizeCapError,
 )
 from .partitions import site_set
@@ -47,7 +46,8 @@ class SiteSpace:
             raise ValueError("alphabet sizes must be at least 1")
         if self.total_states > self.cap:
             raise SizeCapError(
-                f"{self.total_states} states exceeds the dense-storage cap of {self.cap}"
+                f"{self.total_states} states exceeds the dense-storage cap of {self.cap}; "
+                "reduce sites or alphabet"
             )
 
     @property
@@ -170,40 +170,6 @@ def marginalize(m: Measure, sites: Iterable[int]) -> Measure:
     drop = tuple(i for i, s in enumerate(m.sites) if s not in v)
     grid = m.as_grid().sum(axis=drop)
     return Measure(v, tuple(m.cards[i] for i in keep), grid.ravel(), m.signed)
-
-
-def tensor_site_ordered(factors: Sequence[Measure]) -> Measure:
-    """Product measure of factors on pairwise disjoint site sets.
-
-    Coordinates of the result are interleaved back into global site order,
-    regardless of the order the factors are given in.  Factors on the empty
-    site set act as scalar multipliers; an empty factor list gives mass 1.
-    """
-    scale = 1.0
-    proper: list[Measure] = []
-    seen: set[int] = set()
-    signed = False
-    for f in factors:
-        signed = signed or f.signed
-        if not f.sites:
-            scale *= float(f.weights[0])
-            continue
-        if seen & set(f.sites):
-            raise OverlapError("tensor factors must live on disjoint site sets")
-        seen |= set(f.sites)
-        proper.append(f)
-    if not proper:
-        return Measure((), (), np.array([scale]), signed)
-    grid = proper[0].as_grid()
-    for f in proper[1:]:
-        grid = np.multiply.outer(grid, f.as_grid())
-    concat_sites = [s for f in proper for s in f.sites]
-    concat_cards = [c for f in proper for c in f.cards]
-    order = np.argsort(concat_sites, kind="stable")
-    grid = np.transpose(grid, axes=order)
-    sites = tuple(concat_sites[i] for i in order)
-    cards = tuple(concat_cards[i] for i in order)
-    return Measure(sites, cards, scale * grid.ravel(), signed)
 
 
 @dataclass(frozen=True)

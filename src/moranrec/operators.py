@@ -17,9 +17,11 @@ indexed by a partition ``a`` of ``u``:
 
 Each is one row of the lattice algebra on measures kept here: the kernel
 :func:`block_products` forms the block-marginal products of a stack of
-weight grids for a list of partitions, and :func:`mobius_matrix` /
-:func:`zeta_matrix` carry every Mobius sum.  The marginal crossover law on
-a subset of sites is :meth:`RecombinationDistribution.marginal`.
+weight grids for a list of partitions, and every Mobius value is read
+from the cached lattice of :func:`moranrec.partitions.lattice`, one row
+of it for the one-row operators and :func:`mobius_matrix` /
+:func:`zeta_matrix` for a list of partitions.  The marginal crossover law
+on a subset of sites is :meth:`RecombinationDistribution.marginal`.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from .measures import Measure
 from .partitions import (
     Partition,
     coarsenings,
-    coarsenings_with_mobius,
     coarsest,
+    lattice,
+    lattice_rows,
     ordered_partitions_le2,
     refinements,
     site_set,
@@ -227,21 +230,14 @@ def _block_products(a: Partition, m: Measure, partitions: list[Partition]) -> np
 def mobius_matrix(partitions: list[Partition]) -> sparse.csr_array:
     """Sparse ``M[a, b] = mobius(a, b)`` when ``a`` refines ``b``, else 0.
 
-    Built from the coarsenings of each partition; those missing from
-    ``partitions`` are skipped.  When the list is closed under coarsening,
-    :func:`zeta_matrix` of the result is its inverse.
+    The rows and columns of ``partitions`` (all of one ground set) in the
+    Mobius matrix of their lattice.  When the list is closed under
+    coarsening, :func:`zeta_matrix` of the result is its inverse.
     """
-    index = {p: i for i, p in enumerate(partitions)}
-    rows, cols, vals = [], [], []
-    for i, a in enumerate(partitions):
-        for b, mu in coarsenings_with_mobius(a):
-            j = index.get(b)
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-                vals.append(mu)
-    B = len(partitions)
-    return sparse.csr_array((np.array(vals, dtype=float), (rows, cols)), shape=(B, B))
+    L, idx = lattice_rows(partitions)
+    if idx == list(range(len(L.keys))):
+        return L.mobius.copy()  # the whole lattice in its order: no sparse indexing
+    return L.mobius[np.ix_(idx, idx)]
 
 
 def zeta_matrix(M: sparse.csr_array) -> sparse.csr_array:
@@ -273,11 +269,12 @@ def sampling_bar(a: Partition, z: Measure) -> Measure:
     """Mobius-inverted recombinator: counts site-spliced samples drawn
     without replacement when ``z`` is a counting measure.
 
-    The row of ``a`` in the Mobius matrix of its coarsenings applied to
-    their block-marginal products; exact on integer input.
+    The Mobius values ``mobius(a, b)`` over the coarsenings ``b`` of ``a``
+    (the lattice of the blocks of ``a``) applied to their block-marginal
+    products; exact on integer input.
     """
-    up = coarsenings(a)  # a itself is the last coarsening
-    return Measure(z.sites, z.cards, (mobius_matrix(up) @ _block_products(a, z, up))[-1])
+    mu = lattice(len(a)).mu_finest
+    return Measure(z.sites, z.cards, mu @ _block_products(a, z, coarsenings(a)))
 
 
 def sampling(a: Partition, z: Measure) -> Measure:
@@ -300,15 +297,18 @@ def lde_operator(a: Partition, m: Measure) -> Measure:
     """Correlation operator: Mobius inversion of normalized recombinators
     from below.  Returns a signed measure.
 
-    The row of ``a`` in the transposed Mobius matrix of its refinements
-    applied to their normalized block-marginal products.  For ``a`` the
-    one-block partition of ``u`` this is the multilocus linkage
-    disequilibrium of the sites in ``u``.
+    The Mobius values ``mobius(b, a)`` over the refinements ``b`` of ``a``
+    (one block lattice per block of ``a``) applied to their normalized
+    block-marginal products.  For ``a`` the one-block partition of ``u``
+    this is the multilocus linkage disequilibrium of the sites in ``u``.
     """
     norm = m.norm
     if norm <= 0:
         raise ZeroMeasureError("cannot normalize the zero measure")
-    down = refinements(a)  # a itself is the first refinement
+    down = refinements(a)
+    mu = np.ones(())
+    for blk in a.blocks:
+        mu = np.multiply.outer(mu, lattice(len(blk)).mu_coarsest)
     power = np.array([norm ** len(b) for b in down])
     rows = _block_products(a, m, down) / power[:, None]
-    return Measure(m.sites, m.cards, (mobius_matrix(down).T @ rows)[0], signed=True)
+    return Measure(m.sites, m.cards, mu.ravel() @ rows, signed=True)

@@ -7,6 +7,12 @@ reproducible order; generator matrices over the partition lattice index
 their rows and columns by the order of :func:`enumerate_partitions`
 (restricted-growth strings, lexicographic).
 
+The lattice of partitions of ``k`` sites is enumerated once, in
+:class:`Lattice` (cached per ``k`` by :func:`lattice`), and every
+enumeration here relabels it: the partitions of a site set, the
+coarsenings of a partition (the partitions of its blocks) and its
+refinements (one partition per block).
+
 Mobius values are exact integers so that inversion round-trips exactly.
 """
 
@@ -14,8 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import product as _cartesian
 from typing import Iterable, Iterator
+
+import numpy as np
+from scipy import sparse
 
 from .errors import (
     EmptyBlockError,
@@ -77,12 +87,6 @@ class Partition:
     def __str__(self) -> str:
         return format_partition(self)
 
-    def block_of(self, site: int) -> Block:
-        for b in self.blocks:
-            if site in b:
-                return b
-        raise KeyError(f"site {site} not in ground set")
-
     def drop_block(self, j: int) -> "Partition":
         """Partition of the remaining ground after removing block ``j``."""
         return Partition(self.blocks[:j] + self.blocks[j + 1:])
@@ -105,13 +109,6 @@ def coarsest(sites: Iterable[int]) -> Partition:
     """Single-block partition of ``sites``."""
     s = site_set(sites)
     return Partition((s,)) if s else EMPTY
-
-
-def disjoint_union(a: Partition, b: Partition) -> Partition:
-    """Join partitions of disjoint ground sets into one partition."""
-    if set(a.ground) & set(b.ground):
-        raise OverlapError("ground sets overlap")
-    return Partition(a.blocks + b.blocks)
 
 
 def _check_same_ground(a: Partition, b: Partition) -> None:
@@ -181,6 +178,10 @@ def restrict(a: Partition, sites: Iterable[int]) -> Partition:
     return Partition(tuple(out))
 
 
+# the Mobius value of ``c`` blocks merged into one: (-1)**(c-1) (c-1)!
+_MU = [1] + [(-1) ** (c - 1) * math.factorial(c - 1) for c in range(1, 32)]
+
+
 def mobius(a: Partition, b: Partition) -> int:
     """Mobius value of the comparable pair ``a`` refines ``b`` (exact integer).
 
@@ -191,44 +192,139 @@ def mobius(a: Partition, b: Partition) -> int:
         return 1
     if not refines(a, b):
         raise NotComparableError("first partition does not refine the second")
-    owner = {}
-    for j, bb in enumerate(b.blocks):
-        for x in bb:
-            owner[x] = j
+    owner = {x: j for j, bb in enumerate(b.blocks) for x in bb}
     counts = [0] * len(b.blocks)
     for ab in a.blocks:
         counts[owner[ab[0]]] += 1
-    val = 1
-    for k in counts:
-        val *= (-1) ** (k - 1) * math.factorial(k - 1)
-    return val
+    return math.prod(_MU[k] for k in counts)
 
 
-def _rgs_strings(k: int) -> Iterator[tuple[int, ...]]:
-    """Restricted-growth strings of length ``k`` in lexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    acc = [0]
+def _rgs_masks(k: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Partitions of positions ``0..k-1`` in lexicographic restricted-growth
+    order: each as its restricted-growth string and as block bitmasks
+    ordered by their lowest position (the lists are reused)."""
+    labels = [0] * k
+    blocks = [1] if k else []
 
-    def rec(i: int, mx: int) -> Iterator[tuple[int, ...]]:
-        if i == k:
-            yield tuple(acc)
+    def rec(i: int) -> Iterator[tuple[list[int], list[int]]]:
+        if i >= k:
+            yield labels, blocks
             return
-        for v in range(mx + 2):
-            acc.append(v)
-            yield from rec(i + 1, max(mx, v))
-            acc.pop()
+        bit = 1 << i
+        for g in range(len(blocks)):
+            labels[i] = g
+            blocks[g] |= bit
+            yield from rec(i + 1)
+            blocks[g] ^= bit
+        labels[i] = len(blocks)
+        blocks.append(bit)
+        yield from rec(i + 1)
+        blocks.pop()
 
-    yield from rec(1, 0)
+    yield from rec(1)
 
 
-def _partition_from_rgs(elems: tuple[int, ...], rgs: tuple[int, ...]) -> Partition:
-    nblocks = max(rgs) + 1 if rgs else 0
-    blocks: list[list[int]] = [[] for _ in range(nblocks)]
-    for x, g in zip(elems, rgs):
-        blocks[g].append(x)
-    return Partition(tuple(tuple(b) for b in blocks))
+def _positions(mask: int) -> list[int]:
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
+
+
+class Lattice:
+    """The partitions of positions ``0..k-1``, enumerated and indexed once.
+
+    ``keys[i]`` is partition ``i`` as the sorted tuple of its block
+    bitmasks and ``blocks[i]`` as ascending position tuples ordered by
+    their lowest position; ``i`` follows the restricted-growth order of
+    :func:`enumerate_partitions`.  ``sizes`` holds the block counts, ``rgs``
+    the restricted-growth strings, ``mu_finest[i]`` is ``mobius(finest, i)``
+    and ``mu_coarsest[i]`` is ``mobius(i, coarsest)``.  The Mobius matrix
+    and the split/merge incidence of the partitioning process are built on
+    first use.
+    """
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        rgs, masks = [], []
+        for labels, blocks in _rgs_masks(k):
+            rgs.append(list(labels))
+            masks.append(list(blocks))
+        self.keys = tuple(tuple(sorted(p)) for p in masks)
+        self.index = {key: i for i, key in enumerate(self.keys)}
+        self.blocks = tuple(tuple(tuple(_positions(b)) for b in p) for p in masks)
+        self.sizes = np.array([len(p) for p in masks])
+        self.rgs = np.array(rgs, dtype=np.intp).reshape(len(rgs), k)
+        self.mu_finest = np.array(
+            [math.prod(_MU[len(b)] for b in p) for p in self.blocks], dtype=float)
+        self.mu_coarsest = np.array([_MU[m] for m in self.sizes], dtype=float)
+
+    def relabel(self, parts: Iterable[Iterable[int]]) -> list[Partition]:
+        """Every partition, with position ``p`` read as the sites ``parts[p]``."""
+        parts = [tuple(x) for x in parts]
+        return [Partition(tuple(tuple(x for q in b for x in parts[q]) for b in p))
+                for p in self.blocks]
+
+    @cached_property
+    def mobius(self) -> sparse.csr_array:
+        """``M[a, b] = mobius(a, b)`` when ``a`` refines ``b``, else 0.
+
+        The coarsenings of ``a`` are the partitions of its blocks: the
+        restricted-growth string of each is that of a partition ``g`` of
+        the ``|a|`` positions read at the block labels of ``a``, and
+        ``mobius(a, b)`` is ``mobius(finest, g)`` in that lattice.
+        """
+        radix = self.k ** np.arange(self.k - 1, -1, -1)
+        code = self.rgs @ radix  # ascending in lattice order
+        rows, cols, vals = [], [], []
+        for m in np.unique(self.sizes).tolist():
+            up = self if m == self.k else lattice(m)
+            a = np.flatnonzero(self.sizes == m)
+            coarse = up.rgs[:, self.rgs[a]]  # (coarsening, a, position)
+            rows.append(np.broadcast_to(a, coarse.shape[:2]).ravel())
+            cols.append(np.searchsorted(code, coarse @ radix).ravel())
+            vals.append(np.repeat(up.mu_finest, len(a)))
+        B = len(self.keys)
+        return sparse.csr_array(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(B, B))
+
+    @cached_property
+    def incidence(self) -> dict[str, np.ndarray]:
+        """Every block-level move of the partitioning process, one per entry.
+
+        Entry ``e`` takes partition ``a[e]`` to ``b[e]``.  A block of ``a``
+        either stays whole (``split[e]`` false) and lands on another block,
+        or is cut between its consecutive positions ``lo[e]`` and ``hi[e]``
+        (``split[e]`` true) and each part lands on another block or on a
+        fresh parent.  A whole block spans ``lo[e]..hi[e]``.  ``m[e]`` and
+        ``nb[e]`` are the block counts of ``a`` and ``b``.
+        """
+        moves = []
+        for i, key in enumerate(self.keys):
+            m = len(key)
+            for j, blk in enumerate(key):
+                rest = [*key[:j], *key[j + 1:], 0, 0]  # slots m - 1, m: fresh parents
+                pos = _positions(blk)
+                for t in range(m - 1):
+                    b = rest.copy()
+                    b[t] |= blk
+                    moves.append((i, self.index[tuple(sorted(b)[2:])], 0, pos[0], pos[-1]))
+                for p, q in zip(pos, pos[1:]):
+                    head = blk & ((2 << p) - 1)
+                    for t1 in range(m):
+                        for t2 in (*range(m - 1), m):
+                            b = rest.copy()
+                            b[t1] |= head
+                            b[t2] |= blk ^ head
+                            empty = (t1 < m - 1) + (t2 < m - 1)
+                            moves.append((i, self.index[tuple(sorted(b)[empty:])], 1, p, q))
+        a, b, split, lo, hi = np.array(moves, dtype=np.intp).reshape(-1, 5).T
+        split = split.astype(bool)
+        return {"a": a, "b": b, "split": split, "lo": lo, "hi": hi,
+                "m": self.sizes[a], "nb": self.sizes[b]}
+
+
+@lru_cache(maxsize=16)  # far above the site cap of the exact engines
+def lattice(k: int) -> Lattice:
+    """The :class:`Lattice` of ``k`` positions, built once per ``k``."""
+    return Lattice(k)
 
 
 def enumerate_partitions(sites: Iterable[int], cap: int = DEFAULT_SITE_CAP) -> list[Partition]:
@@ -240,53 +336,36 @@ def enumerate_partitions(sites: Iterable[int], cap: int = DEFAULT_SITE_CAP) -> l
     """
     w = site_set(sites)
     if len(w) > cap:
-        raise SizeCapError(f"{len(w)} sites exceeds the cap of {cap} (Bell numbers explode)")
-    if not w:
-        return [EMPTY]
-    return [_partition_from_rgs(w, rgs) for rgs in _rgs_strings(len(w))]
+        raise SizeCapError(f"{len(w)} sites exceeds the cap of {cap} (Bell numbers explode); "
+                           "reduce the sites")
+    return lattice(len(w)).relabel((s,) for s in w)
+
+
+def lattice_rows(partitions: list[Partition]) -> tuple[Lattice, list[int]]:
+    """The lattice of the common ground set of ``partitions`` and their rows in it."""
+    ground = partitions[0].ground if partitions else ()
+    L = lattice(len(ground))
+    bit = {s: 1 << i for i, s in enumerate(ground)}
+    try:
+        return L, [L.index[tuple(sorted(sum(bit[s] for s in b) for b in p.blocks))]
+                   for p in partitions]
+    except KeyError:
+        raise GroundMismatchError("partitions must share one ground set") from None
 
 
 def coarsenings(a: Partition) -> list[Partition]:
-    """All partitions coarser than or equal to ``a`` (its blocks merged)."""
-    return [p for p, _ in coarsenings_with_mobius(a)]
-
-
-def coarsenings_with_mobius(a: Partition) -> list[tuple[Partition, int]]:
-    """Pairs ``(b, mobius(a, b))`` over all coarsenings ``b`` of ``a``.
-
-    Enumerated by grouping the blocks of ``a``; the Mobius value falls out
-    of the group sizes, so no containment tests are needed.
-    """
-    if not a.blocks:
-        return [(EMPTY, 1)]
-    m = len(a.blocks)
-    out = []
-    for rgs in _rgs_strings(m):
-        ngroups = max(rgs) + 1
-        merged: list[list[int]] = [[] for _ in range(ngroups)]
-        sizes = [0] * ngroups
-        for blk_idx, g in enumerate(rgs):
-            merged[g].extend(a.blocks[blk_idx])
-            sizes[g] += 1
-        mu = 1
-        for k in sizes:
-            mu *= (-1) ** (k - 1) * math.factorial(k - 1)
-        out.append((Partition(tuple(tuple(b) for b in merged)), mu))
-    return out
+    """All partitions coarser than or equal to ``a``, ``a`` last: the lattice of
+    its blocks, whose ``mu_finest`` holds ``mobius(a, b)``."""
+    return lattice(len(a)).relabel(a.blocks)
 
 
 def refinements(a: Partition) -> list[Partition]:
-    """All partitions finer than or equal to ``a`` (each block re-partitioned)."""
-    if not a.blocks:
-        return [EMPTY]
+    """All partitions finer than or equal to ``a``, ``a`` first: the product of
+    the lattices of its blocks (the last varying fastest), so ``mobius(b, a)``
+    is the outer product of their ``mu_coarsest``."""
     per_block = [enumerate_partitions(b) for b in a.blocks]
-    out = []
-    for combo in _cartesian(*per_block):
-        blocks: tuple[Block, ...] = ()
-        for p in combo:
-            blocks = blocks + p.blocks
-        out.append(Partition(blocks))
-    return out
+    return [Partition(tuple(blk for p in combo for blk in p.blocks))
+            for combo in _cartesian(*per_block)]
 
 
 def ordered_partitions_le2(sites: Iterable[int]) -> list[Partition]:

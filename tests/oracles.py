@@ -1,7 +1,11 @@
 """Reference implementations kept for parity tests.
 
 These are the pairwise-scan versions of the lattice computations that the
-package now does with one sparse Mobius/zeta pair, the per-time matrix
+package now reads from one cached partition lattice (the Mobius matrix,
+the dict-of-rates generators of the partitioning process,
+``transition_rates`` with its finite and deterministic rate functions and
+``generator_from_rates``, and the coarsenings with their Mobius values
+from restricted-growth strings of the blocks), the per-time matrix
 exponential and the one-string CSV writer that the package replaced with
 grid stepping and a block-by-block writer, the per-state loops over
 population states (the dense population generator and the duality table
@@ -11,7 +15,7 @@ population states that the package replaced with a successor loop, the
 full-lattice LDE trajectory that the package replaced with a solve on the
 lattice of the subset, the per-measure loops that the package replaced
 with one block-marginal product kernel and one-row Mobius products
-(``recombinator_bar`` from marginals and tensor products, the
+(``recombinator_bar`` from marginals and ``tensor_site_ordered``, the
 ``sampling_bar`` and ``lde_operator`` sums, the head/tail replacement
 law), the restriction sums that the package replaced with the gap sums of
 ``RecombinationDistribution.marginal`` (``marginal_recomb_prob``,
@@ -24,17 +28,21 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
+from typing import Iterator, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
 
 from moranrec import (
     BackwardModel,
+    EMPTY,
     DiffusionRates,
     ExpectationTrajectory,
     LdeTrajectory,
     Measure,
     NotOrderedPartitionError,
+    OverlapError,
     Partition,
     PopulationState,
     RecombinationDistribution,
@@ -55,25 +63,214 @@ from moranrec import (
     refines,
     restrict,
     sampling,
-    tensor_site_ordered,
 )
-from moranrec.backward import _falling_weight
+from moranrec.backward import _merge_into, _split_choices, _transition_rates_diff
 from moranrec.expectations import expected_sampling as stepped_expected_sampling
 from moranrec.expectations import lde_transform as sparse_lde_transform
 from moranrec.expectations import sampling_stack
 from moranrec.forward import DEFAULT_POPULATION_CAP, ForwardModel
-from moranrec.operators import mobius_matrix as sparse_mobius_matrix
-from moranrec.partitions import coarsenings_with_mobius
 from moranrec.markov import (
+    GeneratorMatrix,
     assert_sorted_times,
     count_population_states,
     enumerate_population_states,
 )
+from moranrec.operators import mobius_matrix as sparse_mobius_matrix
 from moranrec.measures import csv_table, parse_type_token, type_token
 from moranrec.partitions import site_set
 
 # Brute-force tuple enumeration is N!/(N-m)! work; keep it for tests only.
 DEFAULT_ORACLE_CAP = 12
+
+
+def tensor_site_ordered(factors: Sequence[Measure]) -> Measure:
+    """Product measure of factors on pairwise disjoint site sets.
+
+    Coordinates of the result are interleaved back into global site order,
+    regardless of the order the factors are given in.  Factors on the empty
+    site set act as scalar multipliers; an empty factor list gives mass 1.
+    """
+    scale = 1.0
+    proper: list[Measure] = []
+    seen: set[int] = set()
+    signed = False
+    for f in factors:
+        signed = signed or f.signed
+        if not f.sites:
+            scale *= float(f.weights[0])
+            continue
+        if seen & set(f.sites):
+            raise OverlapError("tensor factors must live on disjoint site sets")
+        seen |= set(f.sites)
+        proper.append(f)
+    if not proper:
+        return Measure((), (), np.array([scale]), signed)
+    grid = proper[0].as_grid()
+    for f in proper[1:]:
+        grid = np.multiply.outer(grid, f.as_grid())
+    concat_sites = [s for f in proper for s in f.sites]
+    concat_cards = [c for f in proper for c in f.cards]
+    order = np.argsort(concat_sites, kind="stable")
+    grid = np.transpose(grid, axes=order)
+    sites = tuple(concat_sites[i] for i in order)
+    cards = tuple(concat_cards[i] for i in order)
+    return Measure(sites, cards, scale * grid.ravel(), signed)
+
+
+def _rgs_strings(k: int) -> Iterator[tuple[int, ...]]:
+    """Restricted-growth strings of length ``k`` in lexicographic order."""
+    if k == 0:
+        yield ()
+        return
+    acc = [0]
+
+    def rec(i: int, mx: int) -> Iterator[tuple[int, ...]]:
+        if i == k:
+            yield tuple(acc)
+            return
+        for v in range(mx + 2):
+            acc.append(v)
+            yield from rec(i + 1, max(mx, v))
+            acc.pop()
+
+    yield from rec(1, 0)
+
+
+def _partition_from_rgs(elems: tuple[int, ...], rgs: tuple[int, ...]) -> Partition:
+    nblocks = max(rgs) + 1 if rgs else 0
+    blocks: list[list[int]] = [[] for _ in range(nblocks)]
+    for x, g in zip(elems, rgs):
+        blocks[g].append(x)
+    return Partition(tuple(tuple(b) for b in blocks))
+
+
+def rgs_partitions(sites) -> list[Partition]:
+    """All partitions of ``sites``, one per restricted-growth string, in
+    lexicographic order."""
+    w = site_set(sites)
+    return [_partition_from_rgs(w, rgs) for rgs in _rgs_strings(len(w))]
+
+
+def coarsenings_with_mobius(a: Partition) -> list[tuple[Partition, int]]:
+    """Pairs ``(b, mobius(a, b))`` over all coarsenings ``b`` of ``a``.
+
+    Enumerated by grouping the blocks of ``a``; the Mobius value falls out
+    of the group sizes, so no containment tests are needed.
+    """
+    if not a.blocks:
+        return [(EMPTY, 1)]
+    m = len(a.blocks)
+    out = []
+    for rgs in _rgs_strings(m):
+        ngroups = max(rgs) + 1
+        merged: list[list[int]] = [[] for _ in range(ngroups)]
+        sizes = [0] * ngroups
+        for blk_idx, g in enumerate(rgs):
+            merged[g].extend(a.blocks[blk_idx])
+            sizes[g] += 1
+        mu = 1
+        for k in sizes:
+            mu *= (-1) ** (k - 1) * math.factorial(k - 1)
+        out.append((Partition(tuple(tuple(b) for b in merged)), mu))
+    return out
+
+
+def _falling_weight(N: int, m: int, b_size: int) -> float:
+    """(N-(m-1))! / (N-b_size)! as a product; zero once ``b_size`` exceeds ``N``."""
+    w = 1.0
+    for i in range(N - b_size + 1, N - m + 2):
+        if i <= 0:
+            return 0.0
+        w *= i
+    return w
+
+
+def transition_rates(model: BackwardModel, a: Partition) -> dict[Partition, float]:
+    """All nonzero off-diagonal rates out of ``a`` for the model variant.
+
+    Built constructively from the event narrative: every way the fragments
+    of a split can stay alone or land on another block contributes the
+    rate of the resulting partition.
+    """
+    if model.variant == "finite":
+        return _transition_rates_finite(model, a)
+    if model.variant == "deterministic":
+        return _transition_rates_det(model, a)
+    return _transition_rates_diff(model, a)
+
+
+def _transition_rates_finite(model: BackwardModel, a: Partition) -> dict[Partition, float]:
+    N = model.N
+    m = len(a)
+    out: dict[Partition, float] = {}
+    if m > N:
+        return out  # states with more blocks than individuals are not reachable
+    for j in range(m):
+        block = a.blocks[j]
+        others = [blk for k, blk in enumerate(a.blocks) if k != j]
+        for jj, r in _split_choices(model, block):
+            if r == 0.0:
+                continue
+            if len(jj) == 1:
+                # unchanged block: it may still land on another block
+                for k in range(m - 1):
+                    blocks = list(others)
+                    _merge_into(blocks, k, block)
+                    b = Partition(tuple(blocks))
+                    w = r / N * _falling_weight(N, m, len(b))
+                    if w:
+                        out[b] = out.get(b, 0.0) + w
+                continue
+            f1, f2 = jj.blocks
+            targets = [None] + list(range(m - 1))
+            for t1 in targets:
+                for t2 in targets:
+                    blocks = list(others)
+                    if t1 is None:
+                        blocks.append(f1)
+                    else:
+                        _merge_into(blocks, t1, f1)
+                    if t2 is None:
+                        blocks.append(f2)
+                    else:
+                        _merge_into(blocks, t2, f2)
+                    b = Partition(tuple(blocks))
+                    if b == a:
+                        continue
+                    w = r / N**2 * _falling_weight(N, m, len(b))
+                    if w:
+                        out[b] = out.get(b, 0.0) + w
+    return out
+
+
+def _transition_rates_det(model: BackwardModel, a: Partition) -> dict[Partition, float]:
+    out: dict[Partition, float] = {}
+    for j in range(len(a)):
+        block = a.blocks[j]
+        others = tuple(blk for k, blk in enumerate(a.blocks) if k != j)
+        for jj, r in _split_choices(model, block):
+            if len(jj) == 1 or r == 0.0:
+                continue
+            b = Partition(others + jj.blocks)
+            out[b] = out.get(b, 0.0) + r
+    return out
+
+
+def generator_from_rates(model: BackwardModel) -> GeneratorMatrix:
+    """Generator from one ``transition_rates`` dict per partition; the
+    diagonal is minus the ``fsum`` of the row's rates."""
+    states = rgs_partitions(model.sites)
+    index = {p: i for i, p in enumerate(states)}
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    for ai, a in enumerate(states):
+        rates = transition_rates(model, a)
+        rows += [ai] * (len(rates) + 1)
+        cols += [index[b] for b in rates] + [ai]
+        vals += [*rates.values(), -math.fsum(rates.values())]
+    B = len(states)
+    return GeneratorMatrix(tuple(states), sparse.coo_array((vals, (rows, cols)), shape=(B, B)))
 
 
 def _marginal_sum(support: list[tuple[Partition, float]], u: tuple[int, ...],

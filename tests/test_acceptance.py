@@ -40,11 +40,10 @@ from moranrec import (
     sampling_bar,
     simulate_backward,
     simulate_forward,
-    tensor_site_ordered,
 )
 from moranrec.markov import enumerate_population_states
 
-from oracles import sampling_oracle
+from oracles import sampling_oracle, tensor_site_ordered
 from util import (
     THREE_SITE_ORDER,
     binary_space,

@@ -20,15 +20,10 @@ from moranrec import (
     refines,
     restrict,
     simulate_backward,
-    transition_rates,
 )
-from moranrec.backward import (
-    _falling_weight,
-    partition_events_from_csv,
-    partition_trajectory_to_csv,
-)
+from moranrec.backward import partition_events_from_csv, partition_trajectory_to_csv
 
-from oracles import marginal_recomb_prob, theta_rate
+from oracles import _falling_weight, marginal_recomb_prob, theta_rate, transition_rates
 from util import (
     THREE_SITE_ORDER,
     permuted_generator,
@@ -347,14 +342,20 @@ class TestSimulateBackward:
 
 class TestTransitionRatesHelper:
     def test_matches_generator_row(self):
-        model = BackwardModel(3, 6, RecombinationDistribution(3, (0.2, 0.25)))
-        gen = generator_theta(model)
-        for a in gen.labels:
-            rates = transition_rates(model, a)
-            for b in gen.labels:
-                if a == b:
-                    continue
-                assert rates.get(b, 0.0) == pytest.approx(gen.rate(a, b), abs=1e-15)
+        # the dict-of-rates oracle against the lattice generator, row by row
+        r = RecombinationDistribution(3, (0.2, 0.25))
+        rho = DiffusionRates(3, (0.8, 1.3))
+        for variant, generator in (("finite", generator_theta),
+                                   ("deterministic", generator_theta_det),
+                                   ("diffusion", generator_theta_diff)):
+            model = BackwardModel(3, 6, r, variant, rho)
+            gen = generator(model)
+            for a in gen.labels:
+                rates = transition_rates(model, a)
+                for b in gen.labels:
+                    if a == b:
+                        continue
+                    assert rates.get(b, 0.0) == pytest.approx(gen.rate(a, b), abs=1e-15)
 
 
 class TestPartitionCsv:

@@ -267,6 +267,29 @@ class TestSimulateBackwardCommand:
         assert "size cap exceeded" in capsys.readouterr().err
         assert not (tmp_path / "out" / "backward_rep0000.csv").exists()
 
+    def test_event_budget_leaves_no_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(backward, "MAX_EVENTS", 50)
+        path = write_config(tmp_path, sites=3, crossover_probs=[0.3, 0.3],
+                            initial_counts=None, initial_partition="1,2,3",
+                            t_end=1e300, replicates=3)
+        assert main(["simulate-backward", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "t_end" in err and "reduce sites" not in err
+        assert not (tmp_path / "out" / "run.json").exists()
+        assert not list((tmp_path / "out").glob("backward_rep*.csv"))
+
+    def test_event_budget_removes_earlier_replicates(self, tmp_path, monkeypatch):
+        def budget_hit_on_second(model, sigma0, t_end, seed, *, replicate):
+            if replicate == 1:
+                raise backward.SizeCapError("more than 1 events before t_end=1; lower t_end")
+            return backward.simulate_backward(model, sigma0, t_end, seed, replicate=replicate)
+
+        monkeypatch.setattr(cli, "simulate_backward", budget_hit_on_second)
+        path = write_config(tmp_path, initial_counts=None, replicates=3)
+        assert main(["simulate-backward", "--config", str(path)]) == 3
+        assert not (tmp_path / "out" / "run.json").exists()
+        assert not list((tmp_path / "out").glob("backward_rep*.csv"))
+
     def test_diffusion_variant_pure_events(self, tmp_path):
         path = write_config(tmp_path, sites=3, crossover_probs=[0.0, 0.0],
                             rho=[1.5, 2.5], variant="diffusion",

@@ -15,11 +15,11 @@ from moranrec import (
     measure_from_counts,
     rate_lambda,
     simulate_forward,
-    tensor_site_ordered,
 )
 from moranrec.forward import trajectory_events_from_csv, trajectory_to_csv
 from moranrec.markov import enumerate_population_states
 
+from oracles import tensor_site_ordered
 from util import binary_space, random_measure
 
 SP2 = binary_space(2)
@@ -245,22 +245,32 @@ class TestDeterministicOde:
         assert np.all(out.weights > 0)
 
     def test_law_of_large_numbers(self):
-        # the empirical mean path approaches the ODE path as N grows
+        # the exact mean path approaches the ODE path as N grows, and the
+        # empirical mean path matches the exact one at each N
+        from moranrec import BackwardModel, expected_sampling
+
         r = RecombinationDistribution(2, (0.4,))
         freq = np.array([0.4, 0.2, 0.1, 0.3])
         t = 1.0
         omega = integrate_deterministic(r, measure_from_counts(SP2, freq), t, dt=1e-3)
-        dists = []
+        dists, exact_dists = [], []
         for N in (20, 200):
             m = ForwardModel(SP2, N, r)
             z0 = PopulationState.from_counts(SP2, (freq * N).astype(int))
+            # the sampling measure of the one-block partition is the type frequency
+            exact = expected_sampling(BackwardModel(2, N, r), z0, coarsest([1, 2]), [t])
+            target = exact.series(coarsest([1, 2]))[0]
+            exact_dists.append(np.abs(target - omega.weights).max())
             reps = 300
-            mean = np.zeros(4)
+            h = np.empty((reps, 4))
             for rep in range(reps):
                 rec = simulate_forward(m, z0, t, seed=99, replicate=rep)
-                mean += rec.state_at(t) / N
-            dists.append(np.abs(mean / reps - omega.weights).max())
-        assert dists[1] < dists[0]
+                h[rep] = rec.state_at(t) / N
+            mean = h.mean(axis=0)
+            se = h.std(axis=0, ddof=1) / np.sqrt(reps)
+            assert np.all(np.abs(mean - target) <= 4 * se)
+            dists.append(np.abs(mean - omega.weights).max())
+        assert exact_dists[1] < exact_dists[0]
         assert dists[1] < 0.02
 
 

@@ -1,5 +1,5 @@
-"""The block-product kernel and the sparse Mobius/zeta pair against the
-loop and pairwise-scan oracles."""
+"""The cached partition lattice, the block-product kernel and the sparse
+Mobius/zeta pair against the dict-of-rates, loop and pairwise-scan oracles."""
 
 import itertools
 import math
@@ -11,19 +11,25 @@ import oracles
 from moranrec import (
     BackwardModel,
     DiffusionRates,
+    GroundMismatchError,
     Measure,
     PopulationState,
+    RecombinationDistribution,
     SampleTooLargeError,
     SiteSpace,
     coarsest,
     enumerate_partitions,
     expected_sampling,
+    generator_theta,
+    generator_theta_det,
+    generator_theta_diff,
     lde_conjugation_3site,
     lde_operator,
     lde_trajectory,
     lde_transform,
     lde_transform_diffusion,
     marginalize,
+    measure_from_counts,
     ordered_partitions_le2,
     recombinator_bar,
     sampling,
@@ -33,6 +39,7 @@ from moranrec import (
 from moranrec.expectations import sampling_stack
 from moranrec.markov import count_population_states
 from moranrec.operators import mobius_matrix, zeta_matrix
+from moranrec.partitions import lattice
 
 from util import binary_space, random_population, random_recomb
 
@@ -48,13 +55,66 @@ def table_space(n: int, N: int, limit: int = 60) -> SiteSpace:
     raise AssertionError("no small space")
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(0, 7))
 def test_mobius_matrix_equals_oracle_and_zeta_inverts_it(n):
     parts = enumerate_partitions(range(1, n + 1))
     M = mobius_matrix(parts)
     assert np.array_equal(M.toarray(), oracles.mobius_matrix(parts))
     Z = zeta_matrix(M).toarray()
     assert np.array_equal(Z @ M.toarray(), np.eye(len(parts)))
+    for i, a in enumerate(parts):  # each row holds the coarsenings of its partition
+        row = M[[i]].toarray()[0]
+        assert {(parts[j], row[j]) for j in np.flatnonzero(row)} == set(
+            oracles.coarsenings_with_mobius(a))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("N", (1, 2, 3, 9, 20))
+def test_theta_of_every_variant_matches_dict_oracle(n, N):
+    recomb = random_recomb(n, 7 * n + N)
+    rho = DiffusionRates(n, tuple(np.random.default_rng(n + N).uniform(0, 3, n - 1)))
+    for variant, generator in (("finite", generator_theta),
+                               ("deterministic", generator_theta_det),
+                               ("diffusion", generator_theta_diff)):
+        model = BackwardModel(n, N, recomb, variant, rho)
+        got, old = generator(model), oracles.generator_from_rates(model)
+        assert got.labels == old.labels
+        assert np.abs(got.matrix.toarray() - old.matrix.toarray()).max() <= 1e-14
+
+
+def test_theta_with_a_zero_and_a_full_crossover_matches_dict_oracle():
+    for crossover in ((0.0, 1.0, 0.0), (0.3, 0.0, 0.7), (0.0, 0.0, 0.0)):
+        model = BackwardModel(4, 5, RecombinationDistribution(4, crossover))
+        for generator, variant in ((generator_theta, "finite"),
+                                   (generator_theta_det, "deterministic")):
+            old = oracles.generator_from_rates(BackwardModel(4, 5, model.recomb, variant))
+            assert np.abs(generator(model).matrix.toarray()
+                          - old.matrix.toarray()).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_enumeration_order_and_labels_unchanged(n):
+    assert enumerate_partitions(range(1, n + 1)) == oracles.rgs_partitions(range(1, n + 1))
+    sites = tuple(3 * s + 1 for s in range(n))
+    assert enumerate_partitions(sites) == oracles.rgs_partitions(sites)
+
+
+def test_mobius_matrix_needs_one_ground_set():
+    with pytest.raises(GroundMismatchError):
+        mobius_matrix([coarsest([1, 2]), coarsest([1, 3])])
+
+
+def test_lattice_cache_is_bounded():
+    maxsize = lattice.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize < 100
+
+
+def test_one_row_sampling_builds_only_the_lattice_it_reads():
+    lattice.cache_clear()
+    z = measure_from_counts(SiteSpace((2,) * 8), np.arange(256) % 3)
+    sampling(coarsest(range(1, 9)), z)
+    info = lattice.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)  # lattice(1), not lattice(8)
 
 
 @pytest.mark.parametrize("n,N", CASES)

@@ -19,10 +19,10 @@ from moranrec import (
     measure_from_csv,
     measure_to_csv,
     sub_delta,
-    tensor_site_ordered,
 )
 from moranrec.measures import type_token, parse_type_token, zero_site_measure
 
+from oracles import tensor_site_ordered
 from util import binary_space, random_measure
 
 

@@ -27,10 +27,9 @@ from moranrec import (
     restrict,
     sampling,
     sampling_bar,
-    tensor_site_ordered,
 )
 
-from oracles import lde_from_sampling, sampling_oracle
+from oracles import lde_from_sampling, sampling_oracle, tensor_site_ordered
 from util import binary_space, random_measure, random_population, random_recomb
 
 P = parse_partition

@@ -28,8 +28,7 @@ from moranrec import (
     refines,
     restrict,
 )
-from moranrec.partitions import coarsenings_with_mobius
-
+from oracles import coarsenings_with_mobius
 from util import brute_partitions, mobius_recursive
 
 
