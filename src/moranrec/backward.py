@@ -32,7 +32,6 @@ from .markov import GeneratorMatrix
 from .measures import csv_table
 from .operators import DiffusionRates, RecombinationDistribution
 from .partitions import (
-    DEFAULT_SITE_CAP,
     Partition,
     enumerate_partitions,
     format_partition,
@@ -114,7 +113,7 @@ def _transition_rates_diff(model: BackwardModel, a: Partition) -> dict[Partition
     return out
 
 
-def _theta(model: BackwardModel, cap: int) -> GeneratorMatrix:
+def _theta(model: BackwardModel) -> GeneratorMatrix:
     """Generator of the model's variant over all partitions of the sites.
 
     One weighting of the lattice's split/merge incidence per variant.  A
@@ -127,7 +126,7 @@ def _theta(model: BackwardModel, cap: int) -> GeneratorMatrix:
     the summed rates, and every whole block landing on another at 1, so
     each unordered pair of blocks merges at 2.
     """
-    labels = tuple(enumerate_partitions(model.sites, cap))
+    labels = tuple(enumerate_partitions(model.sites))
     L = lattice(model.n)
     inc = L.incidence
     split, m, nb = inc["split"], inc["m"], inc["nb"]
@@ -152,7 +151,7 @@ def _theta(model: BackwardModel, cap: int) -> GeneratorMatrix:
     return GeneratorMatrix(labels, sparse.coo_array((vals, (rows, cols)), shape=(B, B)))
 
 
-def generator_theta(model: BackwardModel, cap: int = DEFAULT_SITE_CAP) -> GeneratorMatrix:
+def generator_theta(model: BackwardModel) -> GeneratorMatrix:
     """Exact finite-population generator over all partitions of the sites.
 
     Rows with more blocks than individuals are zero; they are unreachable
@@ -160,21 +159,21 @@ def generator_theta(model: BackwardModel, cap: int = DEFAULT_SITE_CAP) -> Genera
     """
     if model.variant != "finite":
         raise ValueError("generator_theta needs the finite variant")
-    return _theta(model, cap)
+    return _theta(model)
 
 
-def generator_theta_det(model: BackwardModel, cap: int = DEFAULT_SITE_CAP) -> GeneratorMatrix:
+def generator_theta_det(model: BackwardModel) -> GeneratorMatrix:
     """Infinite-population (fixed crossover probabilities) generator: pure splitting."""
     if model.variant == "diffusion":
         raise ValueError("deterministic generator needs crossover probabilities")
-    return _theta(BackwardModel(model.n, model.N, model.recomb, "deterministic"), cap)
+    return _theta(BackwardModel(model.n, model.N, model.recomb, "deterministic"))
 
 
-def generator_theta_diff(model: BackwardModel, cap: int = DEFAULT_SITE_CAP) -> GeneratorMatrix:
+def generator_theta_diff(model: BackwardModel) -> GeneratorMatrix:
     """Diffusion-limit generator: marginal split rates plus pairwise coalescence at 2."""
     if model.rho is None:
         raise ValueError("diffusion generator needs DiffusionRates")
-    return _theta(BackwardModel(model.n, model.N, model.recomb, "diffusion", model.rho), cap)
+    return _theta(BackwardModel(model.n, model.N, model.recomb, "diffusion", model.rho))
 
 
 @dataclass(frozen=True)

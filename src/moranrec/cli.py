@@ -36,6 +36,12 @@ and ``rho`` must be numbers (not booleans), and ``out`` and
 of a subset evolve as a Moran model of their own), so only the number of
 ``lde_sites`` is capped at 8; ``sites`` is bounded by the dense type cap.
 
+Size caps are module constants: 8 sites for the partition lattice
+(``partitions.DEFAULT_SITE_CAP``, which also bounds the blocks of an
+``initial_partition`` that ``simulate-forward`` samples with), 2^20 dense
+types (``measures.DEFAULT_STATE_CAP``) and 20,000 population states
+(``forward.DEFAULT_POPULATION_CAP``).
+
 Exit codes: 0 success, 2 config validation failure, 3 size cap exceeded
 (including a ``simulate-backward`` replicate that would record more than
 ``backward.MAX_EVENTS`` = 100,000 events before ``t_end``: the finite and
@@ -351,9 +357,10 @@ def _check_output(values: np.ndarray, probability: bool) -> None:
 def cmd_simulate_forward(cfg: RunConfig) -> int:
     z0 = _need_initial(cfg)
     model = ForwardModel(cfg.space, cfg.N, cfg.recomb)
+    a0 = cfg.initial_partition
+    h0 = sampling(a0, z0.measure).weights  # before any output: a cap error writes nothing
     _write_manifest(cfg, "simulate-forward")
     stamp = _stamp(cfg)
-    a0 = cfg.initial_partition
     grid = cfg.grid
     mean = np.zeros((grid.size, cfg.space.total_states))
     msq = np.zeros_like(mean)
@@ -368,7 +375,6 @@ def cmd_simulate_forward(cfg: RunConfig) -> int:
             msq[gi] += h * h
     lines = [f"# {stamp}", "time,type,mean_h,stderr"]
     if cfg.replicates == 0:
-        h0 = sampling(a0, z0.measure).weights
         for xi in range(h0.size):
             lines.append(f"0,{type_token(cfg.space.cards, xi)},{h0[xi]:.17g},0")
     else:

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import eig, expm, inv
 
 from .backward import BackwardModel, generator_theta, generator_theta_diff
@@ -32,45 +31,41 @@ from .markov import (
     enumerate_population_states,
 )
 from .measures import Measure, PopulationState, SiteSpace, marginalize
-from .operators import block_products, mobius_matrix, sampling, zeta_matrix
+from .operators import block_products, sampling
 from .partitions import (
-    DEFAULT_SITE_CAP,
+    Lattice,
     Partition,
     coarsest,
     enumerate_partitions,
     finest,
+    lattice,
     parse_partition,
     site_set,
 )
 
 
-def _sampling_rows(M: sparse.csr_array, N: int, partitions: list[Partition],
-                   sites: tuple[int, ...], grid: np.ndarray) -> np.ndarray:
+def _sampling_rows(grid: np.ndarray, sites: tuple[int, ...], N: int) -> np.ndarray:
     """Sampling measures ``(M @ Rbar) / (N)_|a|`` of a stack of counting measures.
 
     ``grid[z]`` holds the counts of measure ``z`` on ``sites``, one axis
-    per site, and ``Rbar`` is their :func:`block_products`.  The result is
-    indexed (partition, measure, type).
+    per site, ``M`` is the Mobius matrix of their lattice and ``Rbar`` the
+    :func:`block_products` of every partition.  Only the rows of the
+    partitions with at most ``N`` blocks are kept (their coarsenings have
+    no more blocks).  The result is indexed (partition, measure, type).
     """
-    rbar = block_products(grid, sites, partitions)
-    scale = np.array([1 / math.perm(N, len(p)) for p in partitions])
-    B = len(partitions)
-    return (M @ rbar.reshape(B, -1)).reshape(rbar.shape) * scale[:, None, None]
+    L = lattice(len(sites))
+    rbar = block_products(grid, sites, enumerate_partitions(sites))
+    keep = L.sizes <= N
+    scale = np.array([1 / math.perm(N, k) for k in L.sizes[keep]])
+    B = len(L.keys)
+    rows = (L.mobius @ rbar.reshape(B, -1))[keep]
+    return rows.reshape((-1,) + rbar.shape[1:]) * scale[:, None, None]
 
 
-def sampling_stack(z: PopulationState, partitions: list[Partition]) -> np.ndarray:
-    """Matrix of normalized sampling measures of ``z``, one row per partition.
-
-    Every partition must cover the sites of ``z`` and have at most ``z.N``
-    blocks.
-    """
-    sites = z.measure.sites
-    if any(p.ground != sites for p in partitions):
-        raise ValueError(f"every partition must cover the sites {sites}")
-    if any(len(p) > z.N for p in partitions):
-        raise SampleTooLargeError(f"cannot draw more than {z.N} distinct individuals")
-    return _sampling_rows(mobius_matrix(partitions), z.N, partitions, sites,
-                          z.measure.as_grid()[None])[:, 0]
+def sampling_stack(z: PopulationState) -> np.ndarray:
+    """Matrix of normalized sampling measures of ``z``, one row per partition
+    of its sites with at most ``z.N`` blocks, in lattice order."""
+    return _sampling_rows(z.measure.as_grid()[None], z.measure.sites, z.N)[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,41 +81,32 @@ class SamplingTable:
     cards: tuple[int, ...]
     values: np.ndarray
 
-    def measure(self, z: tuple[int, ...], a: Partition) -> Measure:
-        zi = self.pop_states.index(z)
-        ai = self.partitions.index(a)
-        sites = tuple(range(1, len(self.cards) + 1))
-        return Measure(sites, self.cards, self.values[zi, ai])
 
-
-def sampling_table(space: SiteSpace, N: int,
-                   cap: int = DEFAULT_POPULATION_CAP,
-                   site_cap: int = DEFAULT_SITE_CAP) -> SamplingTable:
+def sampling_table(space: SiteSpace, N: int) -> SamplingTable:
     """Build the full duality table over populations of size ``N``.
 
-    The block-marginal products of every state are contracted against one
-    Mobius matrix in a single sparse product; the falling-factorial
-    normalization needs ``N`` at least the number of sites.
+    The block-marginal products of every state are contracted against the
+    Mobius matrix of the lattice in a single sparse product; the
+    falling-factorial normalization needs ``N`` at least the number of
+    sites.  At most ``DEFAULT_POPULATION_CAP`` population states and
+    ``DEFAULT_SITE_CAP`` sites.
     """
     n = space.n
     if n > N:
         raise SampleTooLargeError(
             f"sampling measures need N >= n, got N={N}, n={n}")
     K = space.total_states
-    if count_population_states(K, N) > cap:
+    if count_population_states(K, N) > DEFAULT_POPULATION_CAP:
         raise SizeCapError("population state space exceeds the cap; "
                            "reduce sites, alphabet or N")
-    partitions = enumerate_partitions(space.sites, cap=site_cap)
-    M = mobius_matrix(partitions)
+    partitions = enumerate_partitions(space.sites)
     states = enumerate_population_states(K, N)
     grid = np.array(states, dtype=float).reshape((len(states),) + space.cards)
-    values = np.ascontiguousarray(
-        _sampling_rows(M, N, partitions, space.sites, grid).transpose(1, 0, 2))
+    values = np.ascontiguousarray(_sampling_rows(grid, space.sites, N).transpose(1, 0, 2))
     return SamplingTable(tuple(states), tuple(partitions), space.cards, values)
 
 
-def check_generator_duality(forward: ForwardModel, backward: BackwardModel,
-                            cap: int = DEFAULT_POPULATION_CAP) -> float:
+def check_generator_duality(forward: ForwardModel, backward: BackwardModel) -> float:
     """Maximum absolute defect of the generator intertwining identity.
 
     Builds the population generator, the partitioning generator and the
@@ -132,9 +118,9 @@ def check_generator_duality(forward: ForwardModel, backward: BackwardModel,
     if (forward.N != backward.N or forward.space.n != backward.n
             or forward.recomb != backward.recomb):
         raise ValueError("forward and backward models must share N, n and r")
-    lam = generator_lambda(forward, cap=cap)
+    lam = generator_lambda(forward)
     theta = generator_theta(backward)
-    table = sampling_table(forward.space, forward.N, cap=cap)
+    table = sampling_table(forward.space, forward.N)
     if tuple(lam.labels) != table.pop_states or tuple(theta.labels) != table.partitions:
         raise RuntimeError("state enumeration mismatch")
     Z, B, K = table.values.shape
@@ -154,10 +140,6 @@ class ExpectationTrajectory:
 
     def series(self, a: Partition) -> np.ndarray:
         return self.values[:, self.partitions.index(a), :]
-
-    def measure_at(self, t_index: int, a: Partition) -> Measure:
-        sites = tuple(range(1, len(self.cards) + 1))
-        return Measure(sites, self.cards, self.values[t_index, self.partitions.index(a)])
 
 
 def expected_sampling(backward: BackwardModel, z0: PopulationState, a0: Partition,
@@ -180,10 +162,10 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState, a0: Partitio
     if len(a0) > backward.N:
         raise SampleTooLargeError("initial partition has more blocks than individuals")
     theta = generator_theta(backward)
-    keep = [i for i, p in enumerate(theta.labels) if len(p) <= backward.N]
+    keep = np.flatnonzero(lattice(backward.n).sizes <= backward.N)
     partitions = [theta.labels[i] for i in keep]
-    G = theta.matrix[np.ix_(keep, keep)].toarray()
-    y = sampling_stack(z0, partitions)
+    G = theta.matrix.toarray()[np.ix_(keep, keep)]
+    y = sampling_stack(z0)
     values = np.empty((t.size, len(partitions), y.shape[1]))
     step, E, prev = None, None, 0.0
     for i, ti in enumerate(t):
@@ -197,35 +179,33 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState, a0: Partitio
     return ExpectationTrajectory(t, tuple(partitions), z0.measure.cards, values)
 
 
-def _lde_factors(partitions: list[Partition], N: int):
-    """Mobius matrix, zeta matrix, ``N**|b|`` and ``(N)_|b|`` over ``partitions``."""
-    M = mobius_matrix(partitions)
-    sizes = np.array([len(p) for p in partitions])
-    power = np.power(float(N), sizes)
-    falling = np.array([math.perm(N, k) for k in sizes], dtype=float)
-    return M, zeta_matrix(M), power, falling
+def _lde_scales(L: Lattice, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """``N**|b|`` and ``(N)_|b|`` over the partitions of ``L``."""
+    return np.power(float(N), L.sizes), np.array([math.perm(N, k) for k in L.sizes], dtype=float)
 
 
-def lde_transform(partitions: list[Partition], N: int) -> np.ndarray:
+def lde_transform(k: int, N: int) -> np.ndarray:
     """Matrix turning a stack of sampling expectations into LDE expectations.
 
+    Over the partitions of ``k`` sites, rows and columns in lattice order:
     ``T[a, c] = sum over common refinements b of a and c of
     (N)_|c| / N**|b| * mobius(b, a)``, that is
     ``T = M^T diag(N**-|b|) Z diag((N)_|c|)`` with ``M`` the Mobius and
     ``Z`` the zeta matrix.  Columns with ``|c| > N`` are zero.
     """
-    M, Z, power, falling = _lde_factors(partitions, N)
-    return (M.T @ (Z.toarray() / power[:, None])) * falling[None, :]
+    L = lattice(k)
+    power, falling = _lde_scales(L, N)
+    return (L.mobius.T @ (L.zeta.toarray() / power[:, None])) * falling[None, :]
 
 
-def lde_transform_diffusion(partitions: list[Partition]) -> tuple[np.ndarray, np.ndarray]:
+def lde_transform_diffusion(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Large-N limit of :func:`lde_transform` and its exact inverse.
 
     The limit is the Mobius matrix from below; its inverse is the
     refinement indicator (inversion from below).
     """
-    M = mobius_matrix(partitions)
-    return M.T.toarray(), zeta_matrix(M).T.toarray()
+    L = lattice(k)
+    return L.mobius.T.toarray(), L.zeta.T.toarray()
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,10 +220,6 @@ class LdeTrajectory:
 
     def series(self, a: Partition) -> np.ndarray:
         return self.values[:, self.partitions.index(a), :]
-
-    def measure_at(self, t_index: int, a: Partition) -> Measure:
-        return Measure(self.sites, self.cards,
-                       self.values[t_index, self.partitions.index(a)], signed=True)
 
 
 def lde_trajectory(backward: BackwardModel, z0: PopulationState, u,
@@ -262,15 +238,13 @@ def lde_trajectory(backward: BackwardModel, z0: PopulationState, u,
         raise ValueError(f"population covers sites {z0.measure.sites}, model 1..{backward.n}")
     u = site_set(u)
     sub = BackwardModel(len(u), backward.N, backward.recomb.marginal(u))
-    partitions = enumerate_partitions(sub.sites)
     zu = marginalize(z0.measure, u)
     traj = expected_sampling(sub, PopulationState(Measure(sub.sites, zu.cards, zu.weights), z0.N),
                              coarsest(sub.sites), times)
     # columns with more than N blocks are zero and absent from the trajectory
-    T = lde_transform(partitions, sub.N)[:, [len(p) <= sub.N for p in partitions]]
-    labels = tuple(Partition(tuple(tuple(u[s - 1] for s in blk) for blk in p.blocks))
-                   for p in partitions)
-    return LdeTrajectory(traj.times, u, zu.cards, labels, T @ traj.values)
+    T = lde_transform(sub.n, sub.N)[:, lattice(sub.n).sizes <= sub.N]
+    return LdeTrajectory(traj.times, u, zu.cards, tuple(enumerate_partitions(u)),
+                         T @ traj.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,17 +289,20 @@ def lde_conjugation_3site(backward: BackwardModel) -> LdeTransform:
         gen = generator_theta_diff(backward)
     else:
         gen = generator_theta(backward)
-    perm = [gen.index(p) for p in order]
-    theta = gen.matrix[np.ix_(perm, perm)].toarray()
     if backward.variant == "diffusion":
-        T, Tinv = lde_transform_diffusion(list(order))
+        T, Tinv = lde_transform_diffusion(3)
     else:
         if backward.N < 3:
             raise SampleTooLargeError("the finite 3-site transform needs N >= 3")
-        T = lde_transform(list(order), backward.N)
+        T = lde_transform(3, backward.N)
         # inverse of each factor of T, with Z^-1 = M
-        M, Z, power, falling = _lde_factors(list(order), backward.N)
-        Tinv = (M.toarray() / falling[:, None] * power[None, :]) @ Z.T.toarray()
+        L = lattice(3)
+        power, falling = _lde_scales(L, backward.N)
+        Tinv = (L.mobius.toarray() / falling[:, None] * power[None, :]) @ L.zeta.T.toarray()
+    # from lattice order to the display order
+    idx = [gen.index(p) for p in order]
+    perm = np.ix_(idx, idx)
+    theta, T, Tinv = gen.matrix.toarray()[perm], T[perm], Tinv[perm]
     A = T @ theta @ Tinv
     D = np.diag(np.diag(A))
     evals, V = eig(A)

@@ -85,7 +85,7 @@ def rate_lambda(model: ForwardModel, z: PopulationState, y: int, x: int) -> floa
     return float(q[x] * z.counts[y])
 
 
-def generator_lambda(model: ForwardModel, cap: int = DEFAULT_POPULATION_CAP) -> GeneratorMatrix:
+def generator_lambda(model: ForwardModel) -> GeneratorMatrix:
     """Exact generator over every population of size ``N``.
 
     Rows are indexed by count vectors in the order of
@@ -99,9 +99,9 @@ def generator_lambda(model: ForwardModel, cap: int = DEFAULT_POPULATION_CAP) -> 
     """
     K = model.space.total_states
     n_states = count_population_states(K, model.N)
-    if n_states > cap:
-        raise SizeCapError(f"{n_states} population states exceeds the cap of {cap}; "
-                           "reduce sites, alphabet or N")
+    if n_states > DEFAULT_POPULATION_CAP:
+        raise SizeCapError(f"{n_states} population states exceeds the cap of "
+                           f"{DEFAULT_POPULATION_CAP}; reduce sites, alphabet or N")
     labels = enumerate_population_states(K, model.N)
     states = np.array(labels, dtype=np.int64)
     # one row of rates[(z, y), x] = q_z(x) * z(y) per type y present in z;

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -35,7 +35,6 @@ class SiteSpace:
     """Alphabet sizes per site; site ``i`` has ``cards[i-1]`` letters."""
 
     cards: tuple[int, ...]
-    cap: int = DEFAULT_STATE_CAP
 
     def __post_init__(self) -> None:
         cards = tuple(int(c) for c in self.cards)
@@ -44,10 +43,10 @@ class SiteSpace:
             raise ValueError("a site space needs at least one site")
         if any(c < 1 for c in cards):
             raise ValueError("alphabet sizes must be at least 1")
-        if self.total_states > self.cap:
+        if self.total_states > DEFAULT_STATE_CAP:
             raise SizeCapError(
-                f"{self.total_states} states exceeds the dense-storage cap of {self.cap}; "
-                "reduce sites or alphabet"
+                f"{self.total_states} states exceeds the dense-storage cap of "
+                f"{DEFAULT_STATE_CAP}; reduce sites or alphabet"
             )
 
     @property
@@ -95,16 +94,12 @@ def decode_type(cards: Sequence[int], idx: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Measure:
-    """Dense measure on the types over ``sites``.
-
-    ``signed`` flags measures that may legitimately carry negative weights
-    (correlation / LDE outputs); norm-positivity checks are skipped for them.
-    """
+    """Dense measure on the types over ``sites``; weights may be negative
+    (correlation / LDE outputs)."""
 
     sites: tuple[int, ...]
     cards: tuple[int, ...]
     weights: np.ndarray
-    signed: bool = field(default=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sites", site_set(self.sites))
@@ -132,9 +127,8 @@ class Measure:
     def as_grid(self) -> np.ndarray:
         return self.weights.reshape(self.cards) if self.cards else self.weights
 
-    def with_weights(self, weights: np.ndarray, signed: bool | None = None) -> "Measure":
-        return Measure(self.sites, self.cards, weights,
-                       self.signed if signed is None else signed)
+    def with_weights(self, weights: np.ndarray) -> "Measure":
+        return Measure(self.sites, self.cards, weights)
 
     def allclose(self, other: "Measure", atol: float = 0.0, rtol: float = 0.0) -> bool:
         return (self.sites == other.sites
@@ -169,7 +163,7 @@ def marginalize(m: Measure, sites: Iterable[int]) -> Measure:
     keep = [i for i, s in enumerate(m.sites) if s in v]
     drop = tuple(i for i, s in enumerate(m.sites) if s not in v)
     grid = m.as_grid().sum(axis=drop)
-    return Measure(v, tuple(m.cards[i] for i in keep), grid.ravel(), m.signed)
+    return Measure(v, tuple(m.cards[i] for i in keep), grid.ravel())
 
 
 @dataclass(frozen=True)
@@ -252,10 +246,9 @@ def csv_table(text: str, header: Sequence[str]) -> tuple[list[str], Iterator[lis
     return first, rows
 
 
-def measure_from_csv(text: str, sites: Sequence[int], cards: Sequence[int],
-                     signed: bool = False) -> Measure:
+def measure_from_csv(text: str, sites: Sequence[int], cards: Sequence[int]) -> Measure:
     """Parse the output of :func:`measure_to_csv`; comment lines start with '#'."""
     weights = np.zeros(int(np.prod(cards)) if len(cards) else 1)
     for token, value in csv_table(text, ("type", "weight"))[1]:
         weights[parse_type_token(cards, token)] = float(value)
-    return Measure(tuple(sites), tuple(cards), weights, signed)
+    return Measure(tuple(sites), tuple(cards), weights)

@@ -15,13 +15,15 @@ indexed by a partition ``a`` of ``u``:
   recombinators; the all-in-one-block case is the multilocus linkage
   disequilibrium of the sites in ``u``.
 
-Each is one row of the lattice algebra on measures kept here: the kernel
+Each is one row of the lattice algebra on measures: the kernel
 :func:`block_products` forms the block-marginal products of a stack of
 weight grids for a list of partitions, and every Mobius value is read
-from the cached lattice of :func:`moranrec.partitions.lattice`, one row
-of it for the one-row operators and :func:`mobius_matrix` /
-:func:`zeta_matrix` for a list of partitions.  The marginal crossover law
-on a subset of sites is :meth:`RecombinationDistribution.marginal`.
+from the cached lattice of :func:`moranrec.partitions.lattice` (the
+whole Mobius and zeta matrices of the exact pipeline live there too).
+That lattice refuses more than 8 positions, so ``sampling_bar`` takes at
+most 8 blocks and ``lde_operator`` blocks of at most 8 sites.  The
+marginal crossover law on a subset of sites is
+:meth:`RecombinationDistribution.marginal`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     NotOrderedPartitionError,
@@ -45,7 +46,6 @@ from .partitions import (
     coarsenings,
     coarsest,
     lattice,
-    lattice_rows,
     ordered_partitions_le2,
     refinements,
     site_set,
@@ -227,24 +227,6 @@ def _block_products(a: Partition, m: Measure, partitions: list[Partition]) -> np
     return block_products(m.as_grid(), m.sites, partitions).reshape(len(partitions), -1)
 
 
-def mobius_matrix(partitions: list[Partition]) -> sparse.csr_array:
-    """Sparse ``M[a, b] = mobius(a, b)`` when ``a`` refines ``b``, else 0.
-
-    The rows and columns of ``partitions`` (all of one ground set) in the
-    Mobius matrix of their lattice.  When the list is closed under
-    coarsening, :func:`zeta_matrix` of the result is its inverse.
-    """
-    L, idx = lattice_rows(partitions)
-    if idx == list(range(len(L.keys))):
-        return L.mobius.copy()  # the whole lattice in its order: no sparse indexing
-    return L.mobius[np.ix_(idx, idx)]
-
-
-def zeta_matrix(M: sparse.csr_array) -> sparse.csr_array:
-    """Refinement indicator ``Z[a, b] = 1`` when ``a`` refines ``b``; ``Z = M^-1``."""
-    return (M != 0).astype(float)
-
-
 def recombinator_bar(a: Partition, m: Measure) -> Measure:
     """Site-ordered tensor product of the block marginals of ``m``.
 
@@ -295,7 +277,7 @@ def sampling(a: Partition, z: Measure) -> Measure:
 
 def lde_operator(a: Partition, m: Measure) -> Measure:
     """Correlation operator: Mobius inversion of normalized recombinators
-    from below.  Returns a signed measure.
+    from below.  The weights may be negative.
 
     The Mobius values ``mobius(b, a)`` over the refinements ``b`` of ``a``
     (one block lattice per block of ``a``) applied to their normalized
@@ -311,4 +293,4 @@ def lde_operator(a: Partition, m: Measure) -> Measure:
         mu = np.multiply.outer(mu, lattice(len(blk)).mu_coarsest)
     power = np.array([norm ** len(b) for b in down])
     rows = _block_products(a, m, down) / power[:, None]
-    return Measure(m.sites, m.cards, mu.ravel() @ rows, signed=True)
+    return Measure(m.sites, m.cards, mu.ravel() @ rows)

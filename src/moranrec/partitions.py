@@ -8,10 +8,12 @@ their rows and columns by the order of :func:`enumerate_partitions`
 (restricted-growth strings, lexicographic).
 
 The lattice of partitions of ``k`` sites is enumerated once, in
-:class:`Lattice` (cached per ``k`` by :func:`lattice`), and every
-enumeration here relabels it: the partitions of a site set, the
-coarsenings of a partition (the partitions of its blocks) and its
-refinements (one partition per block).
+:class:`Lattice` (cached per ``k`` by :func:`lattice`, which refuses more
+than ``DEFAULT_SITE_CAP`` positions), and every enumeration here
+relabels it: the partitions of a site set, the coarsenings of a
+partition (the partitions of its blocks) and its refinements (one
+partition per block).  Its Mobius and zeta matrices carry every Mobius
+sum of the exact pipeline.
 
 Mobius values are exact integers so that inversion round-trips exactly.
 """
@@ -236,9 +238,9 @@ class Lattice:
     their lowest position; ``i`` follows the restricted-growth order of
     :func:`enumerate_partitions`.  ``sizes`` holds the block counts, ``rgs``
     the restricted-growth strings, ``mu_finest[i]`` is ``mobius(finest, i)``
-    and ``mu_coarsest[i]`` is ``mobius(i, coarsest)``.  The Mobius matrix
-    and the split/merge incidence of the partitioning process are built on
-    first use.
+    and ``mu_coarsest[i]`` is ``mobius(i, coarsest)``.  The Mobius and
+    zeta matrices and the split/merge incidence of the partitioning
+    process are built on first use.
     """
 
     def __init__(self, k: int) -> None:
@@ -286,6 +288,11 @@ class Lattice:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(B, B))
 
     @cached_property
+    def zeta(self) -> sparse.csr_array:
+        """Refinement indicator ``Z[a, b] = 1`` when ``a`` refines ``b``; ``Z = M^-1``."""
+        return (self.mobius != 0).astype(float)
+
+    @cached_property
     def incidence(self) -> dict[str, np.ndarray]:
         """Every block-level move of the partitioning process, one per entry.
 
@@ -321,13 +328,21 @@ class Lattice:
                 "m": self.sizes[a], "nb": self.sizes[b]}
 
 
-@lru_cache(maxsize=16)  # far above the site cap of the exact engines
+_lattices = lru_cache(maxsize=16)(Lattice)  # far above the site cap
+
+
 def lattice(k: int) -> Lattice:
-    """The :class:`Lattice` of ``k`` positions, built once per ``k``."""
-    return Lattice(k)
+    """The :class:`Lattice` of ``k`` positions, built once per ``k``.
+
+    Refuses ``k`` above ``DEFAULT_SITE_CAP`` before anything is built.
+    """
+    if k > DEFAULT_SITE_CAP:
+        raise SizeCapError(f"{k} sites exceeds the cap of {DEFAULT_SITE_CAP} "
+                           "(Bell numbers explode); reduce the sites")
+    return _lattices(k)
 
 
-def enumerate_partitions(sites: Iterable[int], cap: int = DEFAULT_SITE_CAP) -> list[Partition]:
+def enumerate_partitions(sites: Iterable[int]) -> list[Partition]:
     """All partitions of ``sites`` in restricted-growth-string order.
 
     The first entry is the coarsest partition, the last the finest.  This
@@ -335,22 +350,7 @@ def enumerate_partitions(sites: Iterable[int], cap: int = DEFAULT_SITE_CAP) -> l
     partition lattice.
     """
     w = site_set(sites)
-    if len(w) > cap:
-        raise SizeCapError(f"{len(w)} sites exceeds the cap of {cap} (Bell numbers explode); "
-                           "reduce the sites")
     return lattice(len(w)).relabel((s,) for s in w)
-
-
-def lattice_rows(partitions: list[Partition]) -> tuple[Lattice, list[int]]:
-    """The lattice of the common ground set of ``partitions`` and their rows in it."""
-    ground = partitions[0].ground if partitions else ()
-    L = lattice(len(ground))
-    bit = {s: 1 << i for i, s in enumerate(ground)}
-    try:
-        return L, [L.index[tuple(sorted(sum(bit[s] for s in b) for b in p.blocks))]
-                   for p in partitions]
-    except KeyError:
-        raise GroundMismatchError("partitions must share one ground set") from None
 
 
 def coarsenings(a: Partition) -> list[Partition]:

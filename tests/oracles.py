@@ -66,7 +66,7 @@ from moranrec import (
 )
 from moranrec.backward import _merge_into, _split_choices, _transition_rates_diff
 from moranrec.expectations import expected_sampling as stepped_expected_sampling
-from moranrec.expectations import lde_transform as sparse_lde_transform
+from moranrec.expectations import lde_transform as lattice_lde_transform
 from moranrec.expectations import sampling_stack
 from moranrec.forward import DEFAULT_POPULATION_CAP, ForwardModel
 from moranrec.markov import (
@@ -75,7 +75,6 @@ from moranrec.markov import (
     count_population_states,
     enumerate_population_states,
 )
-from moranrec.operators import mobius_matrix as sparse_mobius_matrix
 from moranrec.measures import csv_table, parse_type_token, type_token
 from moranrec.partitions import site_set
 
@@ -93,9 +92,7 @@ def tensor_site_ordered(factors: Sequence[Measure]) -> Measure:
     scale = 1.0
     proper: list[Measure] = []
     seen: set[int] = set()
-    signed = False
     for f in factors:
-        signed = signed or f.signed
         if not f.sites:
             scale *= float(f.weights[0])
             continue
@@ -104,7 +101,7 @@ def tensor_site_ordered(factors: Sequence[Measure]) -> Measure:
         seen |= set(f.sites)
         proper.append(f)
     if not proper:
-        return Measure((), (), np.array([scale]), signed)
+        return Measure((), (), np.array([scale]))
     grid = proper[0].as_grid()
     for f in proper[1:]:
         grid = np.multiply.outer(grid, f.as_grid())
@@ -114,7 +111,7 @@ def tensor_site_ordered(factors: Sequence[Measure]) -> Measure:
     grid = np.transpose(grid, axes=order)
     sites = tuple(concat_sites[i] for i in order)
     cards = tuple(concat_cards[i] for i in order)
-    return Measure(sites, cards, scale * grid.ravel(), signed)
+    return Measure(sites, cards, scale * grid.ravel())
 
 
 def _rgs_strings(k: int) -> Iterator[tuple[int, ...]]:
@@ -350,7 +347,7 @@ def sampling_bar(a: Partition, z: Measure) -> Measure:
 
 def lde_operator(a: Partition, m: Measure) -> Measure:
     """Correlation operator: Mobius inversion of normalized recombinators
-    from below.  Returns a signed measure.
+    from below.  The weights may be negative.
 
     For ``a`` the one-block partition of ``u`` this is the multilocus
     linkage disequilibrium of the sites in ``u``.
@@ -361,7 +358,7 @@ def lde_operator(a: Partition, m: Measure) -> Measure:
     for b in refinements(a):
         w = mobius(b, a) * recombinator(b, m).weights
         total = w if total is None else total + w
-    return Measure(m.sites, m.cards, total, signed=True)
+    return Measure(m.sites, m.cards, total)
 
 
 def replacement_distribution(model: ForwardModel, counts: np.ndarray) -> np.ndarray:
@@ -493,7 +490,7 @@ def lde_from_sampling(u, z) -> Measure:
         w = mobius(a, one) * sampling(a, marg).weights
         total = w if total is None else total + w
     scale = math.perm(N, k) / N ** k
-    return Measure(marg.sites, marg.cards, scale * total, signed=True)
+    return Measure(marg.sites, marg.cards, scale * total)
 
 
 def expected_sampling(backward: BackwardModel, z0: PopulationState, a0: Partition,
@@ -508,7 +505,7 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState, a0: Partitio
     keep = [i for i, p in enumerate(theta.labels) if len(p) <= backward.N]
     partitions = [theta.labels[i] for i in keep]
     G = theta.matrix.toarray()[np.ix_(keep, keep)]
-    H0 = sampling_stack(z0, partitions)
+    H0 = sampling_stack(z0)
     values = np.empty((t.size, len(partitions), H0.shape[1]))
     for i, ti in enumerate(t):
         values[i] = expm(G * ti) @ H0
@@ -611,7 +608,7 @@ def generator_lambda(model: ForwardModel,
 def sampling_table_values(space, N: int) -> np.ndarray:
     """Duality table ``(z, partition, type)`` from one ``recombinator_bar`` per entry."""
     partitions = enumerate_partitions(space.sites)
-    M = sparse_mobius_matrix(partitions)
+    M = mobius_matrix(partitions)
     zs = [Measure(space.sites, space.cards, np.array(s, dtype=float))
           for s in enumerate_population_states(space.total_states, N)]
     rbar = np.array([[recombinator_bar(p, z).weights for z in zs] for p in partitions])
@@ -634,7 +631,7 @@ def lde_trajectory(backward: BackwardModel, z0: PopulationState, u,
     traj = stepped_expected_sampling(backward, z0, coarsest(backward.sites), times)
     partitions_S = enumerate_partitions(backward.sites)
     index_S = {p: i for i, p in enumerate(partitions_S)}
-    T = sparse_lde_transform(partitions_S, backward.N)
+    T = lattice_lde_transform(backward.n, backward.N)
     sub_partitions = enumerate_partitions(u)
     rest = tuple((s,) for s in backward.sites if s not in u)
     space = SiteSpace(z0.measure.cards)
@@ -650,6 +647,6 @@ def lde_trajectory(backward: BackwardModel, z0: PopulationState, u,
     for ti in range(traj.times.size):
         L_full = pad_rows @ traj.values[ti]  # signed measures on the full space
         for pi in range(len(sub_partitions)):
-            m = Measure(sites_S, space.cards, L_full[pi], signed=True)
+            m = Measure(sites_S, space.cards, L_full[pi])
             values[ti, pi] = marginalize(m, u).weights
     return LdeTrajectory(traj.times, u, cards_u, tuple(sub_partitions), values)

@@ -71,6 +71,17 @@ class TestConfigValidation:
         path.write_text(json.dumps(raw))
         assert main(["duality-check", "--config", str(path)]) == 3
 
+    def test_forward_partition_over_site_cap_exits_3(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, sites=9, population_size=10, crossover_probs=[0.05] * 8,
+            initial_counts=[10] + [0] * 511,
+            initial_partition="|".join(str(s) for s in range(1, 10)))
+        start = time.perf_counter()
+        assert main(["simulate-forward", "--config", str(path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "size cap exceeded" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run.json").exists()
+
     def test_non_finite_numbers_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path)
         text = path.read_text()

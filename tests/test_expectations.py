@@ -147,7 +147,7 @@ class TestExpectedSampling:
         bwd = BackwardModel(3, 5, r)
         z0 = random_population(binary_space(3), 5, seed=7)
         traj = expected_sampling(bwd, z0, coarsest([1, 2, 3]), [0.0])
-        direct = sampling_stack(z0, list(traj.partitions))
+        direct = sampling_stack(z0)
         assert np.allclose(traj.values[0], direct, atol=1e-14)
 
     def test_values_stay_probability_measures(self):
@@ -193,7 +193,7 @@ class TestExpectedSampling:
         times = [0.0, 1.0, 4.0, 10.0]
         traj = expected_sampling(bwd, z0, coarsest([1, 2, 3]), times)
         theta = generator_theta(bwd).matrix
-        h0 = sampling_stack(z0, list(traj.partitions))
+        h0 = sampling_stack(z0)
         rk4 = expectation_rk4(theta, h0, times, dt=1e-3)
         assert np.abs(rk4 - traj.values).max() < 1e-8
 

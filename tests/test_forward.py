@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from moranrec import forward
 from moranrec import (
     ForwardModel,
     InvalidInitialError,
@@ -81,9 +82,10 @@ class TestGeneratorLambda:
                     expected = 0.0
                 assert g.rate(s, t) == pytest.approx(expected)
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(forward, "DEFAULT_POPULATION_CAP", 10)
         with pytest.raises(SizeCapError):
-            generator_lambda(model2(3, 0.1), cap=10)
+            generator_lambda(model2(3, 0.1))
 
 
 class TestSimulateForward:

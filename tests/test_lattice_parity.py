@@ -1,25 +1,29 @@
-"""The cached partition lattice, the block-product kernel and the sparse
-Mobius/zeta pair against the dict-of-rates, loop and pairwise-scan oracles."""
+"""The cached partition lattice, the block-product kernel and the lattice's
+sparse Mobius/zeta pair against the dict-of-rates, loop and pairwise-scan
+oracles."""
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 import oracles
+from moranrec import partitions
 from moranrec import (
     BackwardModel,
     DiffusionRates,
-    GroundMismatchError,
     Measure,
     PopulationState,
     RecombinationDistribution,
     SampleTooLargeError,
     SiteSpace,
+    SizeCapError,
     coarsest,
     enumerate_partitions,
     expected_sampling,
+    finest,
     generator_theta,
     generator_theta_det,
     generator_theta_diff,
@@ -38,8 +42,7 @@ from moranrec import (
 )
 from moranrec.expectations import sampling_stack
 from moranrec.markov import count_population_states
-from moranrec.operators import mobius_matrix, zeta_matrix
-from moranrec.partitions import lattice
+from moranrec.partitions import _lattices, lattice
 
 from util import binary_space, random_population, random_recomb
 
@@ -58,9 +61,9 @@ def table_space(n: int, N: int, limit: int = 60) -> SiteSpace:
 @pytest.mark.parametrize("n", range(0, 7))
 def test_mobius_matrix_equals_oracle_and_zeta_inverts_it(n):
     parts = enumerate_partitions(range(1, n + 1))
-    M = mobius_matrix(parts)
+    M = lattice(n).mobius
     assert np.array_equal(M.toarray(), oracles.mobius_matrix(parts))
-    Z = zeta_matrix(M).toarray()
+    Z = lattice(n).zeta.toarray()
     assert np.array_equal(Z @ M.toarray(), np.eye(len(parts)))
     for i, a in enumerate(parts):  # each row holds the coarsenings of its partition
         row = M[[i]].toarray()[0]
@@ -99,22 +102,32 @@ def test_enumeration_order_and_labels_unchanged(n):
     assert enumerate_partitions(sites) == oracles.rgs_partitions(sites)
 
 
-def test_mobius_matrix_needs_one_ground_set():
-    with pytest.raises(GroundMismatchError):
-        mobius_matrix([coarsest([1, 2]), coarsest([1, 3])])
-
-
 def test_lattice_cache_is_bounded():
-    maxsize = lattice.cache_info().maxsize
+    maxsize = _lattices.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize < 100
 
 
 def test_one_row_sampling_builds_only_the_lattice_it_reads():
-    lattice.cache_clear()
+    _lattices.cache_clear()
     z = measure_from_counts(SiteSpace((2,) * 8), np.arange(256) % 3)
     sampling(coarsest(range(1, 9)), z)
-    info = lattice.cache_info()
+    info = _lattices.cache_info()
     assert (info.misses, info.currsize) == (1, 1)  # lattice(1), not lattice(8)
+
+
+def test_one_row_sampling_refuses_blocks_over_the_site_cap():
+    z = measure_from_counts(SiteSpace((2,) * 9), np.arange(512) % 3)
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError):
+        sampling(finest(range(1, 10)), z)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_site_cap_is_read_at_call_time(monkeypatch):
+    lattice(3)  # cached below the cap; the cap still applies to it
+    monkeypatch.setattr(partitions, "DEFAULT_SITE_CAP", 2)
+    with pytest.raises(SizeCapError):
+        enumerate_partitions([1, 2, 3])
 
 
 @pytest.mark.parametrize("n,N", CASES)
@@ -122,7 +135,7 @@ def test_sampling_stack_matches_per_partition_sampling(n, N):
     parts = enumerate_partitions(range(1, n + 1))
     z = random_population(binary_space(n), N, seed=10 * n + N)
     old = np.array([sampling(p, z.measure).weights for p in parts])
-    assert np.abs(sampling_stack(z, parts) - old).max() <= 1e-12
+    assert np.abs(sampling_stack(z) - old).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n,N", CASES)
@@ -168,7 +181,6 @@ def test_lde_operator_matches_loop_oracle(sites, counts):
     m = small_measure(sites, 7, counts)
     for a in enumerate_partitions(sites):
         got = lde_operator(a, m)
-        assert got.signed
         assert np.abs(got.weights - oracles.lde_operator(a, m).weights).max() <= 1e-12
 
 
@@ -191,14 +203,14 @@ def test_marginal_laws_match_restriction_sums(n):
 def test_lde_transform_matches_oracle(n, N):
     parts = enumerate_partitions(range(1, n + 1))
     old = oracles.lde_transform(parts, N)
-    assert np.abs(lde_transform(parts, N) - old).max() <= 1e-12 * np.abs(old).max()
+    assert np.abs(lde_transform(n, N) - old).max() <= 1e-12 * np.abs(old).max()
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_lde_transform_diffusion_matches_oracle(n):
     parts = enumerate_partitions(range(1, n + 1))
     M = oracles.mobius_matrix(parts)
-    T, Tinv = lde_transform_diffusion(parts)
+    T, Tinv = lde_transform_diffusion(n)
     assert np.abs(T - M.T).max() <= 1e-12
     assert np.abs(Tinv - (M != 0).T).max() <= 1e-12
 

@@ -41,7 +41,6 @@ class TestSiteSpace:
             SiteSpace((2, 0))
         with pytest.raises(SizeCapError):
             SiteSpace((2,) * 21)
-        SiteSpace((2,) * 21, cap=1 << 22)  # cap is configurable
 
 
 class TestMixedRadix:

@@ -303,7 +303,6 @@ class TestLde:
             manual = (grid[:, x2, :, x4].sum() / m.norm
                       - grid[:, x2, :, :].sum() * grid[:, :, :, x4].sum() / m.norm ** 2)
             assert got.weights[idx] == pytest.approx(manual, abs=1e-12)
-        assert got.signed
 
     def test_independent_product_has_zero_lde(self):
         m1 = Measure((1,), (2,), np.array([2.0, 3.0]))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moranrec import partitions
 from moranrec import (
     EMPTY,
     EmptyBlockError,
@@ -204,10 +205,11 @@ class TestEnumeration:
         assert len(got) == len(set(got))
         assert set(got) == brute_partitions(elems)
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
         with pytest.raises(SizeCapError):
             enumerate_partitions(range(1, 10))
-        assert len(enumerate_partitions(range(1, 10), cap=9)) == 21147
+        monkeypatch.setattr(partitions, "DEFAULT_SITE_CAP", 9)
+        assert len(enumerate_partitions(range(1, 10))) == 21147
 
     def test_coarsenings_of_coarsest(self):
         one = coarsest([1, 2, 3])
