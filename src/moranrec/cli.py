@@ -476,15 +476,16 @@ def cmd_fixation(cfg: RunConfig) -> int:
 
 def cmd_generators(cfg: RunConfig) -> int:
     """Extra: dump the partition generator(s) as dense CSV."""
+    model = BackwardModel(cfg.space.n, cfg.N, cfg.recomb, "finite", cfg.rho)
+    generators = {"theta_finite.csv": generator_theta(model),
+                  "theta_deterministic.csv": generator_theta_det(model)}
+    if cfg.rho is not None:
+        generators["theta_diffusion.csv"] = generator_theta_diff(model)
+    # every generator is built (and the site cap checked) before anything is written
     _write_manifest(cfg, "generators")
     stamp = _stamp(cfg)
-    model = BackwardModel(cfg.space.n, cfg.N, cfg.recomb, "finite", cfg.rho)
-    _write(cfg, "theta_finite.csv", generator_to_csv(generator_theta(model), stamp))
-    _write(cfg, "theta_deterministic.csv",
-           generator_to_csv(generator_theta_det(model), stamp))
-    if cfg.rho is not None:
-        _write(cfg, "theta_diffusion.csv",
-               generator_to_csv(generator_theta_diff(model), stamp))
+    for name, gen in generators.items():
+        _write(cfg, name, generator_to_csv(gen, stamp))
     print(f"generators -> {cfg.out}")
     return 0
 

@@ -135,6 +135,8 @@ def assert_sorted_times(times: Sequence[float]) -> np.ndarray:
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("time grid must be a nonempty 1-D sequence")
+    if not np.isfinite(t).all():
+        raise ValueError("time grid must be finite")
     if np.any(np.diff(t) < 0) or t[0] < 0:
         raise ValueError("time grid must be nondecreasing and nonnegative")
     return t

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .errors import (
 )
 from .measures import Measure
 from .partitions import (
+    Block,
     Partition,
     coarsenings,
     coarsest,
@@ -192,16 +194,18 @@ def load_recombination_file(text: str) -> tuple[RecombinationDistribution,
 
 
 def block_products(grid: np.ndarray, sites: tuple[int, ...],
-                   partitions: list[Partition]) -> np.ndarray:
+                   partitions: Sequence[Iterable[Block]]) -> np.ndarray:
     """Block-marginal products ``Rbar_a`` of a stack of weight grids.
 
     ``grid`` holds weights on ``sites``, one trailing axis per site, after
-    any number of leading axes.  ``Rbar_a`` is the broadcast product over
-    the blocks of ``a`` of the grid summed over the sites outside the
-    block.  Each block marginal is summed once and shared by every
-    partition that has the block.  The result is indexed (partition,
-    leading axes..., type).  On integer counts the sums and products are
-    exact.
+    any number of leading axes; each partition is an iterable of blocks of
+    those sites (a :class:`Partition`, or the position tuples of
+    ``Lattice.blocks`` with ``sites = range(k)``).  ``Rbar_a`` is the
+    broadcast product over the blocks of ``a`` of the grid summed over the
+    sites outside the block.  Each block marginal is summed once and shared
+    by every partition that has the block.  The result is indexed
+    (partition, leading axes..., type).  On integer counts the sums and
+    products are exact.
     """
     grid = np.asarray(grid, dtype=float)
     lead = grid.shape[:grid.ndim - len(sites)]
@@ -210,7 +214,7 @@ def block_products(grid: np.ndarray, sites: tuple[int, ...],
     out = np.empty((len(partitions),) + lead + (math.prod(grid.shape[len(lead):]),))
     for i, p in enumerate(partitions):
         product = grid  # the empty partition of a 0-site grid
-        for k, blk in enumerate(p.blocks):
+        for k, blk in enumerate(p):
             if blk not in marginals:
                 outside = tuple(axis[s] for s in sites if s not in blk)
                 marginals[blk] = grid.sum(axis=outside, keepdims=True)

@@ -302,30 +302,60 @@ class Lattice:
         (``split[e]`` true) and each part lands on another block or on a
         fresh parent.  A whole block spans ``lo[e]..hi[e]``.  ``m[e]`` and
         ``nb[e]`` are the block counts of ``a`` and ``b``.
+
+        Each move relabels the restricted-growth string of ``a``, one block
+        count at a time; ``b`` is found by the leader code of the result.
         """
-        moves = []
-        for i, key in enumerate(self.keys):
-            m = len(key)
-            for j, blk in enumerate(key):
-                rest = [*key[:j], *key[j + 1:], 0, 0]  # slots m - 1, m: fresh parents
-                pos = _positions(blk)
-                for t in range(m - 1):
-                    b = rest.copy()
-                    b[t] |= blk
-                    moves.append((i, self.index[tuple(sorted(b)[2:])], 0, pos[0], pos[-1]))
-                for p, q in zip(pos, pos[1:]):
-                    head = blk & ((2 << p) - 1)
-                    for t1 in range(m):
-                        for t2 in (*range(m - 1), m):
-                            b = rest.copy()
-                            b[t1] |= head
-                            b[t2] |= blk ^ head
-                            empty = (t1 < m - 1) + (t2 < m - 1)
-                            moves.append((i, self.index[tuple(sorted(b)[empty:])], 1, p, q))
-        a, b, split, lo, hi = np.array(moves, dtype=np.intp).reshape(-1, 5).T
-        split = split.astype(bool)
-        return {"a": a, "b": b, "split": split, "lo": lo, "hi": hi,
+        k, pos = self.k, np.arange(self.k)
+        cols = [[np.zeros(0, np.intp)] for _ in range(5)]  # a, code of b, split, lo, hi
+
+        def add(a, relabelled, split, lo, hi):
+            code = _leader_code(relabelled.reshape(-1, k))
+            for col, x in zip(cols, (a, code, np.full(a.size, split), lo, hi)):
+                col.append(np.ravel(x))
+
+        for m in range(1, k + 1):
+            a = np.flatnonzero(self.sizes == m)
+            R = self.rgs[a]
+            member = R[:, :, None] == np.arange(m)  # (a, position, block)
+            first = member.argmax(axis=1)
+            last = k - 1 - member[:, ::-1].argmax(axis=1)
+            # block j lands whole on block t
+            j, t = np.nonzero(~np.eye(m, dtype=bool))
+            add(np.repeat(a, len(j)), np.where(R[:, None] == j[:, None], t[:, None], R[:, None]),
+                0, first[:, j], last[:, j])
+            # block j is cut before its position q, after its position p: the
+            # head goes to block h, the tail to block g, and label j to a fresh parent
+            row, q = np.nonzero(first[np.arange(len(a))[:, None], R] != pos)
+            Rq, jq = R[row], R[row, q]
+            head = (Rq == jq[:, None]) & (pos < q[:, None])
+            tail = (Rq == jq[:, None]) & (pos >= q[:, None])
+            p = k - 1 - head[:, ::-1].argmax(axis=1)
+            h, g = np.divmod(np.arange(m * m), m)
+            g = np.where(g == jq[:, None], m, g)  # (cut, combination)
+            relabelled = np.where(tail[:, None], g[:, :, None], Rq[:, None])
+            add(np.repeat(a[row], m * m), np.where(head[:, None], h[:, None], relabelled),
+                1, np.repeat(p, m * m), np.repeat(q, m * m))
+        a, code, split, lo, hi = (np.concatenate(col) for col in cols)
+        b = np.searchsorted(_leader_code(self.rgs), code)  # codes ascend in lattice order
+        return {"a": a, "b": b, "split": split.astype(bool), "lo": lo, "hi": hi,
                 "m": self.sizes[a], "nb": self.sizes[b]}
+
+
+def _leader_code(labels: np.ndarray) -> np.ndarray:
+    """Base-``k`` code of the leader vector of each row of ``labels``.
+
+    ``labels`` holds one block label per position (any labels in
+    ``0..k``); the leader of a position is the first position of its
+    block, so the code depends only on the partition.  Codes of
+    restricted-growth strings ascend in their lexicographic order.
+    """
+    E, k = labels.shape
+    flat = labels + (k + 1) * np.arange(E)[:, None]  # into ``first`` as (row, label)
+    first = np.empty(E * (k + 1), dtype=np.intp)
+    for q in range(k - 1, -1, -1):
+        first[flat[:, q]] = q
+    return first[flat] @ (k ** np.arange(k - 1, -1, -1))
 
 
 _lattices = lru_cache(maxsize=16)(Lattice)  # far above the site cap

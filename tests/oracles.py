@@ -4,8 +4,9 @@ These are the pairwise-scan versions of the lattice computations that the
 package now reads from one cached partition lattice (the Mobius matrix,
 the dict-of-rates generators of the partitioning process,
 ``transition_rates`` with its finite and deterministic rate functions and
-``generator_from_rates``, and the coarsenings with their Mobius values
-from restricted-growth strings of the blocks), the per-time matrix
+``generator_from_rates``, the split/merge incidence one move at a time over
+block bitmasks, and the coarsenings with their Mobius values from
+restricted-growth strings of the blocks), the per-time matrix
 exponential and the one-string CSV writer that the package replaced with
 grid stepping and a block-by-block writer, the per-state loops over
 population states (the dense population generator and the duality table
@@ -76,7 +77,7 @@ from moranrec.markov import (
     enumerate_population_states,
 )
 from moranrec.measures import csv_table, parse_type_token, type_token
-from moranrec.partitions import site_set
+from moranrec.partitions import _positions, lattice, site_set
 
 # Brute-force tuple enumeration is N!/(N-m)! work; keep it for tests only.
 DEFAULT_ORACLE_CAP = 12
@@ -392,6 +393,32 @@ def mobius_matrix(partitions: list[Partition]) -> np.ndarray:
             if refines(a, b):
                 M[i, j] = mobius(a, b)
     return M
+
+
+def incidence(k: int) -> np.ndarray:
+    """Rows ``(a, b, split, lo, hi)`` of ``lattice(k).incidence``, one move at a
+    time over the block bitmasks of every partition."""
+    L = lattice(k)
+    moves = []
+    for i, key in enumerate(L.keys):
+        m = len(key)
+        for j, blk in enumerate(key):
+            rest = [*key[:j], *key[j + 1:], 0, 0]  # slots m - 1, m: fresh parents
+            pos = _positions(blk)
+            for t in range(m - 1):
+                b = rest.copy()
+                b[t] |= blk
+                moves.append((i, L.index[tuple(sorted(b)[2:])], 0, pos[0], pos[-1]))
+            for p, q in zip(pos, pos[1:]):
+                head = blk & ((2 << p) - 1)
+                for t1 in range(m):
+                    for t2 in (*range(m - 1), m):
+                        b = rest.copy()
+                        b[t1] |= head
+                        b[t2] |= blk ^ head
+                        empty = (t1 < m - 1) + (t2 < m - 1)
+                        moves.append((i, L.index[tuple(sorted(b)[empty:])], 1, p, q))
+    return np.array(moves, dtype=np.intp).reshape(-1, 5)
 
 
 def lde_transform(partitions: list[Partition], N: int) -> np.ndarray:

@@ -82,6 +82,14 @@ class TestConfigValidation:
         assert "size cap exceeded" in capsys.readouterr().err
         assert not (tmp_path / "out" / "run.json").exists()
 
+    def test_generators_over_site_cap_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        path = write_config(tmp_path, sites=9, population_size=10,
+                            crossover_probs=[0.05] * 8, initial_counts=[10] + [0] * 511,
+                            initial_partition=",".join(str(s) for s in range(1, 10)))
+        assert main(["generators", "--config", str(path)]) == 3
+        assert "size cap exceeded" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_numbers_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path)
         text = path.read_text()

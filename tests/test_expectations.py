@@ -247,6 +247,15 @@ class TestLdeTrajectory:
         with pytest.raises(ValueError):
             expected_sampling(bwd, z0, coarsest([1, 2]), [0.0])
 
+    @pytest.mark.parametrize("grid", [[0.0, np.nan], [np.nan], [0.0, np.inf]])
+    def test_non_finite_times_rejected(self, grid):
+        z0 = PopulationState.from_counts(SP2, [2, 1, 1, 1])
+        bwd = BackwardModel(2, 5, RecombinationDistribution(2, (0.2,)))
+        with pytest.raises(ValueError, match="finite"):
+            expected_sampling(bwd, z0, coarsest([1, 2]), grid)
+        with pytest.raises(ValueError, match="finite"):
+            lde_trajectory(bwd, z0, (1, 2), grid)
+
 
 class TestConjugation3Site:
     def test_requires_three_sites(self):

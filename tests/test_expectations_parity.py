@@ -19,6 +19,9 @@ from util import binary_space, random_population, random_recomb
 
 GRIDS = {
     "uniform": np.linspace(0, 2.5, 6),
+    "uniform-11": np.linspace(0, 2, 11),  # steps differ in the last bit
+    "uniform-101": np.linspace(0, 2.5, 101),  # steps differ by up to 1.4e-14 relative
+    "near-uniform": [0, 0.2, 0.4 + 1e-9],
     "irregular": [0, 0.1, 0.1, 0.35, 2, 10],
     "zero": [0.0],
     "single": [3.0],
@@ -38,7 +41,9 @@ def test_stepping_matches_per_time_expm(n, N):
         assert np.abs(got.values - ref.values).max() <= 1e-12, name
 
 
-def test_uniform_grid_needs_one_expm(monkeypatch):
+@pytest.mark.parametrize("name,expected", [("uniform-11", 1), ("uniform-101", 1),
+                                           ("near-uniform", 2), ("irregular", 4)])
+def test_uniform_grid_needs_one_expm(monkeypatch, name, expected):
     calls = []
     real = expectations_module.expm
 
@@ -49,8 +54,8 @@ def test_uniform_grid_needs_one_expm(monkeypatch):
     monkeypatch.setattr(expectations_module, "expm", counting)
     bwd = BackwardModel(4, 6, random_recomb(4, 3))
     z0 = random_population(binary_space(4), 6, seed=3)
-    expected_sampling(bwd, z0, coarsest([1, 2, 3, 4]), np.linspace(0, 2.5, 6))
-    assert len(calls) == 1
+    expected_sampling(bwd, z0, coarsest([1, 2, 3, 4]), GRIDS[name])
+    assert len(calls) == expected
 
 
 def assert_writer_matches_oracle(tmp_path, traj) -> None:

@@ -102,6 +102,18 @@ def test_enumeration_order_and_labels_unchanged(n):
     assert enumerate_partitions(sites) == oracles.rgs_partitions(sites)
 
 
+@pytest.mark.parametrize("k", range(0, 9))
+def test_incidence_equals_loop_oracle(k):
+    inc = lattice(k).incidence
+    got = np.stack([inc[c].astype(np.intp) for c in ("a", "b", "split", "lo", "hi")], axis=1)
+    ref = oracles.incidence(k)
+    assert got.shape == ref.shape
+    # the same moves as a multiset of rows, in any order
+    assert np.array_equal(got[np.lexsort(got.T)], ref[np.lexsort(ref.T)])
+    sizes = lattice(k).sizes
+    assert np.array_equal(inc["m"], sizes[inc["a"]]) and np.array_equal(inc["nb"], sizes[inc["b"]])
+
+
 def test_lattice_cache_is_bounded():
     maxsize = _lattices.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize < 100
