@@ -54,9 +54,8 @@ def _sampling_rows(grid: np.ndarray, N: int) -> np.ndarray:
     are kept (their coarsenings have no more blocks).  The result is
     indexed (partition, measure, type).
     """
-    k = grid.ndim - 1
-    L = lattice(k)
-    rbar = block_products(grid, tuple(range(k)), L.blocks)
+    L = lattice(grid.ndim - 1)
+    rbar = block_products(grid, tuple(range(L.k)), L.blocks)
     keep = L.sizes <= N
     scale = np.array([1 / math.perm(N, k) for k in L.sizes[keep]])
     B = len(L.keys)

@@ -251,9 +251,9 @@ class TestLdeTrajectory:
     def test_non_finite_times_rejected(self, grid):
         z0 = PopulationState.from_counts(SP2, [2, 1, 1, 1])
         bwd = BackwardModel(2, 5, RecombinationDistribution(2, (0.2,)))
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="time grid must be finite"):
             expected_sampling(bwd, z0, coarsest([1, 2]), grid)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="time grid must be finite"):
             lde_trajectory(bwd, z0, (1, 2), grid)
 
 

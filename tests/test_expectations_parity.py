@@ -41,7 +41,7 @@ def test_stepping_matches_per_time_expm(n, N):
         assert np.abs(got.values - ref.values).max() <= 1e-12, name
 
 
-@pytest.mark.parametrize("name,expected", [("uniform-11", 1), ("uniform-101", 1),
+@pytest.mark.parametrize("name,expected", [("uniform", 1), ("uniform-11", 1), ("uniform-101", 1),
                                            ("near-uniform", 2), ("irregular", 4)])
 def test_uniform_grid_needs_one_expm(monkeypatch, name, expected):
     calls = []
