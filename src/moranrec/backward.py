@@ -15,23 +15,31 @@ population.  Three variants share one interface:
 Simulation follows the generative narrative (pick a block, split it, let
 each fragment pick a parent); the generator matrices weight the
 split/merge incidence of the partition lattice with the same rates and
-serve as the exact reference.
+serve as the exact reference.  The simulator visits each state as its
+canonical tuple of blocks and reads everything a jump needs (exit rate,
+cumulative split probabilities, the other blocks) from a bounded cache
+of states, so an event costs its random draws and a few tuple
+operations.
 """
 
 from __future__ import annotations
 
 import io
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InvalidInitialError, SizeCapError
 from .markov import GeneratorMatrix
 from .measures import csv_table
 from .operators import DiffusionRates, RecombinationDistribution
 from .partitions import (
+    Block,
     Partition,
     enumerate_partitions,
     format_partition,
@@ -46,6 +54,10 @@ VARIANTS = ("finite", "deterministic", "diffusion")
 # diffusion chains never absorb, so a huge ``t_end`` would otherwise run
 # until memory is exhausted.
 MAX_EVENTS = 100_000
+
+# Simulation states held by the state cache: twice the 4140 partitions of
+# the largest lattice, so two models of 8 sites fit at once.
+STATE_CACHE_SIZE = 8192
 
 
 @dataclass(frozen=True)
@@ -124,8 +136,11 @@ def _theta(model: BackwardModel) -> GeneratorMatrix:
     (whole) or ``N**2`` (cut) parents drawn.  Deterministic: only cuts
     whose fragments both land on fresh parents.  Diffusion: those cuts at
     the summed rates, and every whole block landing on another at 1, so
-    each unordered pair of blocks merges at 2.
+    each unordered pair of blocks merges at 2.  The diagonal is minus the
+    ``math.fsum`` of each row's moves, so it does not depend on their order.
     """
+    from scipy import sparse
+
     labels = tuple(enumerate_partitions(model.sites))
     L = lattice(model.n)
     inc = L.incidence
@@ -145,9 +160,12 @@ def _theta(model: BackwardModel) -> GeneratorMatrix:
         rate, keep = np.where(split, gap, 1.0), fresh | ~split
     a, b, rate = inc["a"][keep], inc["b"][keep], rate[keep]
     B = len(L.keys)
+    by_row = rate[np.argsort(a, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(a, minlength=B)).tolist()
+    exit_rates = [math.fsum(by_row[i:j]) for i, j in zip([0] + ends, ends)]
     diag = np.arange(B)
     rows, cols = np.concatenate((a, diag)), np.concatenate((b, diag))
-    vals = np.concatenate((rate, -np.bincount(a, rate, minlength=B)))
+    vals = np.concatenate((rate, np.negative(exit_rates)))
     return GeneratorMatrix(labels, sparse.coo_array((vals, (rows, cols)), shape=(B, B)))
 
 
@@ -198,59 +216,84 @@ class PartitionTrajectory:
         return self.state_at(np.inf)
 
 
-def _exit_rate(model: BackwardModel, a: Partition) -> float:
-    """Total rate of the narrative events that change ``a``.
+class _State(NamedTuple):
+    """What the simulator needs of one state, built once per (model, blocks).
 
-    Every block meets an event at rate one.  The event is silent when the
-    block stays whole and lands on an empty parent, or splits and both
-    fragments land on the same empty parent.  In the deterministic limit
-    every parent is fresh, so only the first case is silent.
+    ``splits[j]`` holds the cumulative split probabilities of block ``j``
+    and the fragments of each split (the last repeated once, for a draw
+    past the final sum); ``rest[j]`` holds the other blocks, in order.  The
+    diffusion variant jumps by its transition rates instead: ``jumps``
+    holds their cumulative sums and the target states (the state itself
+    last).  Sums run left to right, as a running ``acc += p`` would.
     """
-    N = model.N
-    m = len(a)
-    s = 0.0
-    for block in a.blocks:
-        r_one = _split_choices(model, block)[0][1]
+
+    rate: float
+    partition: Partition
+    rest: tuple[tuple[Block, ...], ...]
+    splits: tuple[tuple[tuple[float, ...], tuple[tuple[Block, ...], ...]], ...]
+    jumps: tuple[tuple[float, ...], tuple[tuple[Block, ...], ...]] | None
+
+
+@lru_cache(maxsize=STATE_CACHE_SIZE)
+def _state(model: BackwardModel, blocks: tuple[Block, ...]) -> _State:
+    """The cached :class:`_State` of the canonical block tuple ``blocks``.
+
+    In the narrative variants every block meets an event at rate one.  The
+    event is silent when the block stays whole and lands on an empty
+    parent, or splits and both fragments land on the same empty parent; in
+    the deterministic limit every parent is fresh, so only the first case
+    is silent.  The exit rate is ``m`` minus the silent rates.
+    """
+    a = Partition(blocks)
+    if model.variant == "diffusion":
+        rates = _transition_rates_diff(model, a)
+        targets = tuple(b.blocks for b in rates) + (blocks,)
+        return _State(sum(rates.values()), a, (), (),
+                      (tuple(accumulate(rates.values())), targets))
+    N, m = model.N, len(blocks)
+    stay = (N - (m - 1)) / N  # finite: the chance that a parent is empty
+    silent = 0.0
+    splits = []
+    for block in blocks:
+        choices = _split_choices(model, block)
+        r_one = choices[0][1]
         if model.variant == "finite":
-            stay = (N - (m - 1)) / N
-            s += r_one * stay + (1.0 - r_one) * stay / N
+            silent += r_one * stay + (1.0 - r_one) * stay / N
         else:
-            s += r_one
-    return m - s
+            silent += r_one
+        fragments = tuple(jj.blocks for jj, _ in choices)
+        splits.append((tuple(accumulate(p for _, p in choices)), fragments + fragments[-1:]))
+    rest = tuple(blocks[:j] + blocks[j + 1:] for j in range(m))
+    return _State(m - silent, a, rest, tuple(splits), None)
 
 
-def _narrative_step(model: BackwardModel, a: Partition,
-                    rng: np.random.Generator) -> Partition:
+def _narrative_jump(cur: tuple[Block, ...], state: _State, N: int | None,
+                    rng: np.random.Generator) -> tuple[Block, ...]:
     """One block-level event: split a uniform block, then a parent per fragment.
 
-    Parents ``0..m-2`` carry the other blocks, the rest are empty.  The
-    finite variant draws each parent among the ``N`` individuals; the
-    deterministic variant gives every fragment a fresh one.
+    Parents ``0..m-2`` carry the other blocks, the rest are empty.  With a
+    population size ``N`` (the finite variant) each parent is drawn among
+    the ``N`` individuals; without one (the deterministic variant) every
+    fragment gets a fresh one.  Returns ``cur`` itself when the event is
+    silent.
     """
-    m = len(a)
+    m = len(cur)
     j = int(rng.integers(m))
-    choices = _split_choices(model, a.blocks[j])
-    u = rng.random()
-    acc = 0.0
-    jj = choices[-1][0]
-    for cand, p in choices:
-        acc += p
-        if u < acc:
-            jj = cand
-            break
-    if model.variant == "finite":
-        parents = [int(rng.integers(model.N)) for _ in jj.blocks]
+    cum, fragments = state.splits[j]
+    split = fragments[bisect_right(cum, rng.random())]
+    if N is None:
+        parents = list(range(m - 1, m - 1 + len(split)))
     else:
-        parents = list(range(m - 1, m - 1 + len(jj)))
-    if parents[0] >= m - 1 and len(set(parents)) == 1:
-        return a  # the whole block lands on one empty parent
-    blocks = [blk for k, blk in enumerate(a.blocks) if k != j]
-    for fragment, parent in zip(jj.blocks, parents):
+        parents = [int(rng.integers(N)) for _ in split]
+    if parents[0] >= m - 1 and parents[-1] == parents[0]:  # at most two fragments
+        return cur  # the whole block lands on one empty parent
+    blocks = list(state.rest[j])
+    for fragment, parent in zip(split, parents):
         if parent < m - 1:
             _merge_into(blocks, parent, fragment)
         else:
             blocks.append(fragment)
-    return Partition(tuple(blocks))
+    return tuple(sorted(blocks))  # blocks are disjoint: sorted by their first site
 
 
 def simulate_backward(model: BackwardModel, sigma0: Partition, t_end: float,
@@ -270,37 +313,30 @@ def simulate_backward(model: BackwardModel, sigma0: Partition, t_end: float,
     if model.variant == "finite" and len(sigma0) > model.N:
         raise InvalidInitialError("more blocks than individuals in the population")
     rng = np.random.default_rng([seed, replicate])
-    cur = sigma0
+    N = model.N if model.variant == "finite" else None
+    cur = sigma0.blocks
+    state = _state(model, cur)
     t = 0.0
     events: list[tuple[float, Partition]] = []
     while True:
-        if model.variant == "diffusion":
-            rates = _transition_rates_diff(model, cur)
-            total = sum(rates.values())
-        else:
-            total = _exit_rate(model, cur)
-        if total <= len(cur) * 1e-13:
+        if state.rate <= len(cur) * 1e-13:
             break  # absorbing: no state-changing event has positive rate
-        t += rng.exponential(1.0 / total)
+        t += rng.exponential(1.0 / state.rate)
         if t >= t_end:
             break
         if len(events) == MAX_EVENTS:
             raise SizeCapError(f"more than {MAX_EVENTS} events before t_end={t_end:g}; "
                                "lower t_end")
-        nxt = cur
-        if model.variant == "diffusion":
-            u = rng.random() * total
-            acc = 0.0
-            for b, rate in rates.items():
-                acc += rate
-                if u < acc:
-                    nxt = b
-                    break
+        if state.jumps is not None:
+            cum, targets = state.jumps
+            nxt = targets[bisect_right(cum, rng.random() * state.rate)]
         else:
+            nxt = cur
             while nxt == cur:
-                nxt = _narrative_step(model, cur, rng)
+                nxt = _narrative_jump(cur, state, N, rng)
         cur = nxt
-        events.append((t, cur))
+        state = _state(model, cur)
+        events.append((t, state.partition))
     return PartitionTrajectory(sigma0, tuple(events), seed, replicate, t_end)
 
 
@@ -311,8 +347,12 @@ def partition_trajectory_to_csv(rec: PartitionTrajectory,
     if header_comment:
         buf.write(f"# {header_comment}\n")
     buf.write("time,partition\n")
+    labels: dict[Partition, str] = {}  # each distinct state is formatted once
     for t, p in rec.events:
-        buf.write(f'{t:.17g},"{format_partition(p)}"\n')
+        label = labels.get(p)
+        if label is None:
+            label = labels[p] = format_partition(p)
+        buf.write(f'{t:.17g},"{label}"\n')
     return buf.getvalue()
 
 

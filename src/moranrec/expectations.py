@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig, expm, inv
 
 from .backward import BackwardModel, generator_theta, generator_theta_diff
 from .errors import SampleTooLargeError, ShapeError, SizeCapError
@@ -144,6 +143,14 @@ class ExpectationTrajectory:
 
 
 _EPS = np.finfo(float).eps
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm``; scipy is imported by the first exact call, not
+    by importing this package, so the simulators start without it."""
+    from scipy import linalg
+
+    return linalg.expm(A)
 
 
 def expected_sampling(backward: BackwardModel, z0: PopulationState, a0: Partition,
@@ -292,6 +299,8 @@ def lde_conjugation_3site(backward: BackwardModel) -> LdeTransform:
     eigenvector matrix has a closed form.  Eigen data is computed
     numerically in both cases.
     """
+    from scipy.linalg import eig, inv
+
     if backward.n != 3:
         raise ShapeError("this conjugation is specific to 3 sites")
     order = three_site_order()

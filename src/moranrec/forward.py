@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InvalidInitialError, SizeCapError
 from .markov import (
@@ -97,6 +96,8 @@ def generator_lambda(model: ForwardModel) -> GeneratorMatrix:
     working arrays hold ``O(states * K)`` numbers plus the nonzeros (at
     most the order of a dense matrix, as ``states >= K``).
     """
+    from scipy import sparse
+
     K = model.space.total_states
     n_states = count_population_states(K, model.N)
     if n_states > DEFAULT_POPULATION_CAP:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,6 +26,8 @@ class GeneratorMatrix:
     matrix: sparse.csr_array
 
     def __post_init__(self) -> None:
+        from scipy import sparse
+
         m = sparse.csr_array(self.matrix, dtype=float, copy=True)
         if m.shape != (len(self.labels), len(self.labels)):
             raise ValueError("matrix shape must match the number of labels")

@@ -24,10 +24,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as _cartesian
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     EmptyBlockError,
@@ -37,6 +36,9 @@ from .errors import (
     OverlapError,
     SizeCapError,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 Block = tuple[int, ...]
 
@@ -273,6 +275,8 @@ class Lattice:
         the ``|a|`` positions read at the block labels of ``a``, and
         ``mobius(a, b)`` is ``mobius(finest, g)`` in that lattice.
         """
+        from scipy import sparse
+
         radix = self.k ** np.arange(self.k - 1, -1, -1)
         code = self.rgs @ radix  # ascending in lattice order
         rows, cols, vals = [], [], []

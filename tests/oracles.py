@@ -20,8 +20,10 @@ with one block-marginal product kernel and one-row Mobius products
 ``sampling_bar`` and ``lde_operator`` sums, the head/tail replacement
 law), the restriction sums that the package replaced with the gap sums of
 ``RecombinationDistribution.marginal`` (``marginal_recomb_prob``,
-``marginal_split_rate``), and the brute-force paths (transition rates,
-sampling, RK4, LDE via sampling) that only tests call.
+``marginal_split_rate``), the partition-level narrative simulator that
+the package replaced with one run on cached block-tuple states, and the
+brute-force paths (transition rates, sampling, RK4, LDE via sampling)
+that only tests call.
 Tests compare the package against them.
 """
 
@@ -39,12 +41,14 @@ from moranrec import (
     BackwardModel,
     EMPTY,
     DiffusionRates,
+    InvalidInitialError,
     ExpectationTrajectory,
     LdeTrajectory,
     Measure,
     NotOrderedPartitionError,
     OverlapError,
     Partition,
+    PartitionTrajectory,
     PopulationState,
     RecombinationDistribution,
     SampleTooLargeError,
@@ -65,6 +69,7 @@ from moranrec import (
     restrict,
     sampling,
 )
+from moranrec import backward as backward_module
 from moranrec.backward import _merge_into, _split_choices, _transition_rates_diff
 from moranrec.expectations import expected_sampling as stepped_expected_sampling
 from moranrec.expectations import lde_transform as lattice_lde_transform
@@ -677,3 +682,101 @@ def lde_trajectory(backward: BackwardModel, z0: PopulationState, u,
             m = Measure(sites_S, space.cards, L_full[pi])
             values[ti, pi] = marginalize(m, u).weights
     return LdeTrajectory(traj.times, u, cards_u, tuple(sub_partitions), values)
+
+
+def _exit_rate(model: BackwardModel, a: Partition) -> float:
+    """Total rate of the narrative events that change ``a``.
+
+    Every block meets an event at rate one.  The event is silent when the
+    block stays whole and lands on an empty parent, or splits and both
+    fragments land on the same empty parent.  In the deterministic limit
+    every parent is fresh, so only the first case is silent.
+    """
+    N = model.N
+    m = len(a)
+    s = 0.0
+    for block in a.blocks:
+        r_one = _split_choices(model, block)[0][1]
+        if model.variant == "finite":
+            stay = (N - (m - 1)) / N
+            s += r_one * stay + (1.0 - r_one) * stay / N
+        else:
+            s += r_one
+    return m - s
+
+
+def _narrative_step(model: BackwardModel, a: Partition,
+                    rng: np.random.Generator) -> Partition:
+    """One block-level event: split a uniform block, then a parent per fragment.
+
+    Parents ``0..m-2`` carry the other blocks, the rest are empty.  The
+    finite variant draws each parent among the ``N`` individuals; the
+    deterministic variant gives every fragment a fresh one.
+    """
+    m = len(a)
+    j = int(rng.integers(m))
+    choices = _split_choices(model, a.blocks[j])
+    u = rng.random()
+    acc = 0.0
+    jj = choices[-1][0]
+    for cand, p in choices:
+        acc += p
+        if u < acc:
+            jj = cand
+            break
+    if model.variant == "finite":
+        parents = [int(rng.integers(model.N)) for _ in jj.blocks]
+    else:
+        parents = list(range(m - 1, m - 1 + len(jj)))
+    if parents[0] >= m - 1 and len(set(parents)) == 1:
+        return a  # the whole block lands on one empty parent
+    blocks = [blk for k, blk in enumerate(a.blocks) if k != j]
+    for fragment, parent in zip(jj.blocks, parents):
+        if parent < m - 1:
+            _merge_into(blocks, parent, fragment)
+        else:
+            blocks.append(fragment)
+    return Partition(tuple(blocks))
+
+
+def simulate_backward(model: BackwardModel, sigma0: Partition, t_end: float,
+                      seed: int, *, replicate: int = 0) -> PartitionTrajectory:
+    """The partitioning process stepped on ``Partition`` objects: the exit
+    rate and (diffusion) the transition rates recomputed at every event."""
+    if sigma0.ground != model.sites:
+        raise InvalidInitialError(f"initial partition must cover sites {model.sites}")
+    if model.variant == "finite" and len(sigma0) > model.N:
+        raise InvalidInitialError("more blocks than individuals in the population")
+    rng = np.random.default_rng([seed, replicate])
+    cur = sigma0
+    t = 0.0
+    events: list[tuple[float, Partition]] = []
+    while True:
+        if model.variant == "diffusion":
+            rates = _transition_rates_diff(model, cur)
+            total = sum(rates.values())
+        else:
+            total = _exit_rate(model, cur)
+        if total <= len(cur) * 1e-13:
+            break  # absorbing: no state-changing event has positive rate
+        t += rng.exponential(1.0 / total)
+        if t >= t_end:
+            break
+        if len(events) == backward_module.MAX_EVENTS:
+            raise SizeCapError(f"more than {backward_module.MAX_EVENTS} events before "
+                               f"t_end={t_end:g}; lower t_end")
+        nxt = cur
+        if model.variant == "diffusion":
+            u = rng.random() * total
+            acc = 0.0
+            for b, rate in rates.items():
+                acc += rate
+                if u < acc:
+                    nxt = b
+                    break
+        else:
+            while nxt == cur:
+                nxt = _narrative_step(model, cur, rng)
+        cur = nxt
+        events.append((t, cur))
+    return PartitionTrajectory(sigma0, tuple(events), seed, replicate, t_end)

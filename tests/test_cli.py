@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moranrec
 from moranrec import backward, measure_from_csv, parse_partition, refines
 from moranrec.backward import partition_events_from_csv
 from moranrec import cli
@@ -456,3 +461,33 @@ class TestGeneratorsCommand:
         for name in ("theta_finite.csv", "theta_deterministic.csv", "theta_diffusion.csv"):
             text = (out / name).read_text()
             assert '"1,2"' in text.splitlines()[1]
+
+
+# Runs in a fresh interpreter: the scipy modules loaded after importing the
+# CLI, after each simulate command, and after one exact command.
+_STARTUP_SCRIPT = """
+import json, sys
+import moranrec.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = {"import": scipy_modules()}
+for command, *flags in (["simulate-forward"], ["simulate-backward"],
+                        ["simulate-backward", "--variant", "diffusion"], ["expectations"]):
+    assert moranrec.cli.main([command, "--config", "config.json", *flags]) == 0, command
+    seen[" ".join([command, *flags])] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_simulators_start_without_scipy(tmp_path):
+    write_config(tmp_path, rho=[1.0], replicates=2, t_end=2.0)
+    env = dict(os.environ, PYTHONPATH=str(Path(moranrec.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout.splitlines()[-1])
+    assert seen.pop("import") == [] and "scipy.linalg" in seen.pop("expectations")
+    assert seen == {"simulate-forward": [], "simulate-backward": [],
+                    "simulate-backward --variant diffusion": []}

@@ -71,7 +71,7 @@ def test_mobius_matrix_equals_oracle_and_zeta_inverts_it(n):
             oracles.coarsenings_with_mobius(a))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 @pytest.mark.parametrize("N", (1, 2, 3, 9, 20))
 def test_theta_of_every_variant_matches_dict_oracle(n, N):
     recomb = random_recomb(n, 7 * n + N)
