@@ -21,12 +21,9 @@ from .backward import (
 from .errors import (
     ConfigError,
     EmptyBlockError,
-    GroundMismatchError,
     InvalidInitialError,
     MoranRecError,
     NegativeWeightError,
-    NotComparableError,
-    NotOrderedPartitionError,
     NotSubsetError,
     OutputCheckError,
     OverlapError,
@@ -41,7 +38,6 @@ from .expectations import (
     LdeTransform,
     SamplingTable,
     check_generator_duality,
-    diffusion_left_eigenvectors,
     expected_sampling,
     fixation_2site,
     lde_conjugation_3site,
@@ -57,7 +53,6 @@ from .forward import (
     deterministic_step,
     generator_lambda,
     integrate_deterministic,
-    rate_lambda,
     simulate_forward,
 )
 from .markov import GeneratorMatrix, enumerate_population_states
@@ -65,22 +60,17 @@ from .measures import (
     Measure,
     PopulationState,
     SiteSpace,
-    add_delta,
     decode_type,
     encode_type,
     marginalize,
     measure_from_counts,
     measure_from_csv,
     measure_to_csv,
-    sub_delta,
 )
 from .operators import (
     DiffusionRates,
     RecombinationDistribution,
-    dump_recombination_file,
     lde_operator,
-    load_recombination_file,
-    recombinator,
     recombinator_bar,
     sampling,
     sampling_bar,
@@ -88,19 +78,12 @@ from .operators import (
 from .partitions import (
     EMPTY,
     Partition,
-    canonicalize,
     coarsenings,
     coarsest,
     enumerate_partitions,
     finest,
     format_partition,
-    is_ordered,
-    join,
-    meet,
-    mobius,
     ordered_partitions_le2,
     parse_partition,
     refinements,
-    refines,
-    restrict,
 )

@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import InvalidInitialError, SizeCapError
 from .markov import GeneratorMatrix
-from .measures import csv_table
 from .operators import DiffusionRates, RecombinationDistribution
 from .partitions import (
     Block,
@@ -45,7 +44,6 @@ from .partitions import (
     format_partition,
     lattice,
     ordered_partitions_le2,
-    parse_partition,
 )
 
 VARIANTS = ("finite", "deterministic", "diffusion")
@@ -212,9 +210,6 @@ class PartitionTrajectory:
             cur = p
         return cur
 
-    def final_state(self) -> Partition:
-        return self.state_at(np.inf)
-
 
 class _State(NamedTuple):
     """What the simulator needs of one state, built once per (model, blocks).
@@ -356,12 +351,6 @@ def partition_trajectory_to_csv(rec: PartitionTrajectory,
     return buf.getvalue()
 
 
-def partition_events_from_csv(text: str) -> list[tuple[float, Partition]]:
-    """Parse the output of :func:`partition_trajectory_to_csv`."""
-    return [(float(t), parse_partition(p))
-            for t, p in csv_table(text, ("time", "partition"))[1]]
-
-
 def generator_to_csv(gen: GeneratorMatrix, header_comment: str | None = None) -> str:
     """Dense CSV with the partition order as header row."""
     buf = io.StringIO()
@@ -375,16 +364,3 @@ def generator_to_csv(gen: GeneratorMatrix, header_comment: str | None = None) ->
         row = ",".join(f"{v:.17g}" for v in values)
         buf.write(f'"{lab}",{row}\n')
     return buf.getvalue()
-
-
-def generator_from_csv(text: str) -> GeneratorMatrix:
-    """Parse the output of :func:`generator_to_csv` (partition labels)."""
-    rows = []
-    labels: list[Partition] = []
-    header, data = csv_table(text, ("state",))
-    for fields in data:
-        labels.append(parse_partition(fields[0]))
-        rows.append([float(v) for v in fields[1:]])
-    if [format_partition(p) for p in labels] != header[1:]:
-        raise ValueError("row labels do not match the header order")
-    return GeneratorMatrix(tuple(labels), np.array(rows))

@@ -26,8 +26,9 @@ Config schema (JSON object; unknown keys are rejected)::
     }
 
 Numbers must be finite: ``NaN``, ``Infinity`` and overflowing literals are
-rejected, in the config and in the ``--t-end``, ``--grid`` and ``--tol``
-flags; ``--tol`` must also be at least 0.
+rejected, in the config, in the weights of the population file and in the
+``--t-end``, ``--grid`` and ``--tol`` flags; ``--tol`` must also be at
+least 0.
 Integer fields must be JSON integers; the entries of ``crossover_probs``
 and ``rho`` must be numbers (not booleans), and ``out`` and
 ``initial_population_file`` strings.  ``expectations``, ``lde`` and

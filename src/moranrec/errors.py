@@ -13,24 +13,12 @@ class EmptyBlockError(MoranRecError):
     """A partition block is empty."""
 
 
-class GroundMismatchError(MoranRecError):
-    """Two partitions do not share the same ground set."""
-
-
 class NotSubsetError(MoranRecError):
     """A site set is not contained in the required ground set."""
 
 
-class NotComparableError(MoranRecError):
-    """The first partition does not refine the second."""
-
-
 class SizeCapError(MoranRecError):
     """A configured size cap would be exceeded."""
-
-
-class NotOrderedPartitionError(MoranRecError):
-    """The partition is not an ordered partition into at most two parts."""
 
 
 class ZeroMeasureError(MoranRecError):

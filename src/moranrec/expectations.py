@@ -338,24 +338,6 @@ def lde_conjugation_3site(backward: BackwardModel) -> LdeTransform:
     return LdeTransform(order, theta, T, Tinv, A, D, V, Vinv)
 
 
-def diffusion_left_eigenvectors(rho1: float, rho2: float) -> np.ndarray:
-    """Closed-form left eigenvector matrix of the diffusion 3-site conjugation.
-
-    Rows are left eigenvectors of ``conjugated`` for the eigenvalues on
-    its diagonal, normalized to unit diagonal.
-    """
-    s = rho1 + rho2
-    c = 4 * (rho1 * rho2 + (2 + s) * (6 + s)) / (
-        (2 + rho1) * (2 + rho2) * (2 + s) * (6 + s))
-    return np.array([
-        [1.0, 0, 0, 0, 0],
-        [2 / ((2 + rho2) * (4 + rho1)), 1 / (2 + rho2), 0, 0, 0],
-        [2 / ((2 + rho1) * (4 + rho2)), 0, 1 / (2 + rho1), 0, 0],
-        [1 / (2 * (2 + s)), 0, 0, 1 / (2 + s), 0],
-        [c, 2 / (2 + rho2), 2 / (2 + rho1), 2 / (2 + s), 1.0],
-    ])
-
-
 def fixation_2site(model: ForwardModel, z0: PopulationState) -> Measure:
     """Long-run absorption distribution for two sites.
 

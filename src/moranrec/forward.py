@@ -31,14 +31,7 @@ from .markov import (
     enumerate_population_states,
     rank_population_moves,
 )
-from .measures import (
-    Measure,
-    PopulationState,
-    SiteSpace,
-    csv_table,
-    parse_type_token,
-    type_token,
-)
+from .measures import Measure, PopulationState, SiteSpace, type_token
 from .operators import RecombinationDistribution, block_products
 
 DEFAULT_POPULATION_CAP = 20000
@@ -72,16 +65,6 @@ def replacement_distribution(model: ForwardModel, counts: np.ndarray) -> np.ndar
     products = block_products(counts.reshape(lead + model.space.cards), model.space.sites,
                               [a for a, _ in support])
     return sum((r / N**len(a)) * rbar for (a, r), rbar in zip(support, products))
-
-
-def rate_lambda(model: ForwardModel, z: PopulationState, y: int, x: int) -> float:
-    """Rate of replacing one individual of type ``y`` by one of type ``x``.
-
-    Includes the silent case ``x == y``; summing over ``x`` returns the
-    death rate ``z(y)``.
-    """
-    q = replacement_distribution(model, z.counts)
-    return float(q[x] * z.counts[y])
 
 
 def generator_lambda(model: ForwardModel) -> GeneratorMatrix:
@@ -140,9 +123,6 @@ class TrajectoryRecord:
             z[y] -= 1
             z[x] += 1
         return z
-
-    def final_counts(self) -> np.ndarray:
-        return self.state_at(np.inf)
 
 
 def simulate_forward(model: ForwardModel, z0: PopulationState, t_end: float,
@@ -239,9 +219,3 @@ def trajectory_to_csv(rec: TrajectoryRecord, cards: Sequence[int],
     for t, y, x in rec.events:
         buf.write(f"{t:.17g},{type_token(cards, y)},{type_token(cards, x)}\n")
     return buf.getvalue()
-
-
-def trajectory_events_from_csv(text: str, cards: Sequence[int]) -> list[tuple[float, int, int]]:
-    """Parse the output of :func:`trajectory_to_csv` back to index events."""
-    return [(float(t), parse_type_token(cards, y), parse_type_token(cards, x))
-            for t, y, x in csv_table(text, ("time", "dying_type", "new_type"))[1]]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -121,9 +122,6 @@ class Measure:
     def n_states(self) -> int:
         return self.weights.size
 
-    def value(self, letters: Sequence[int]) -> float:
-        return float(self.weights[encode_type(self.cards, letters)])
-
     def as_grid(self) -> np.ndarray:
         return self.weights.reshape(self.cards) if self.cards else self.weights
 
@@ -192,22 +190,6 @@ class PopulationState:
         return self.measure.weights
 
 
-def add_delta(p: PopulationState, x: int) -> Measure:
-    """Measure ``p + delta_x`` (norm increases by one)."""
-    w = p.measure.weights.copy()
-    w[x] += 1
-    return p.measure.with_weights(w)
-
-
-def sub_delta(p: PopulationState, y: int) -> Measure:
-    """Measure ``p - delta_y``; requires at least one individual of type ``y``."""
-    w = p.measure.weights.copy()
-    if w[y] < 1:
-        raise NegativeWeightError(f"no individual of type index {y} to remove")
-    w[y] -= 1
-    return p.measure.with_weights(w)
-
-
 def type_token(cards: Sequence[int], idx: int) -> str:
     """Digit-string rendering of a type, e.g. ``(1,0,1) -> "101"``."""
     if any(c > 10 for c in cards):
@@ -247,8 +229,14 @@ def csv_table(text: str, header: Sequence[str]) -> tuple[list[str], Iterator[lis
 
 
 def measure_from_csv(text: str, sites: Sequence[int], cards: Sequence[int]) -> Measure:
-    """Parse the output of :func:`measure_to_csv`; comment lines start with '#'."""
+    """Parse the output of :func:`measure_to_csv`; comment lines start with '#'.
+
+    A weight that is not a finite number raises ``ValueError``.
+    """
     weights = np.zeros(int(np.prod(cards)) if len(cards) else 1)
     for token, value in csv_table(text, ("type", "weight"))[1]:
-        weights[parse_type_token(cards, token)] = float(value)
+        weight = float(value)
+        if not math.isfinite(weight):
+            raise ValueError(f"weight of type {token!r} is not finite: {value!r}")
+        weights[parse_type_token(cards, token)] = weight
     return Measure(tuple(sites), tuple(cards), weights)

@@ -4,7 +4,7 @@ Three families of operators act on a measure over a site set ``u``, all
 indexed by a partition ``a`` of ``u``:
 
 * ``recombinator_bar(a, m)``: the product of the block marginals of ``m``
-  (site-ordered tensor).  Its normalization ``recombinator`` is the type
+  (site-ordered tensor).  Divided by ``norm(m) ** |a|`` it is the type
   distribution obtained by drawing one individual per block *with*
   replacement and splicing the blocks together.
 * ``sampling_bar(a, z)``: the Mobius inversion of the recombinator over
@@ -28,19 +28,13 @@ marginal crossover law on a subset of sites is
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    NotOrderedPartitionError,
-    NotSubsetError,
-    SampleTooLargeError,
-    ZeroMeasureError,
-)
+from .errors import NotSubsetError, SampleTooLargeError, ZeroMeasureError
 from .measures import Measure
 from .partitions import (
     Block,
@@ -103,16 +97,6 @@ class RecombinationDistribution:
             out.append((p, r))
         return out
 
-    def prob(self, a: Partition) -> float:
-        """Probability of an ordered partition of the full site set."""
-        opts = ordered_partitions_le2(self.sites)
-        if a == opts[0]:
-            return self.r_whole
-        for p, r in zip(opts[1:], self.crossover):
-            if a == p:
-                return r
-        raise NotOrderedPartitionError(f"{a} is not an ordered partition of 1..{self.n}")
-
     def marginal(self, u) -> "RecombinationDistribution":
         """The law of the cuts among the sites of ``u``, relabelled ``1..|u|``.
 
@@ -123,16 +107,6 @@ class RecombinationDistribution:
         """
         u = site_set(u)
         return RecombinationDistribution(len(u), _gap_sums(self.crossover, u))
-
-    def rescaled_without_replacement(self, N: int) -> "RecombinationDistribution":
-        """Equivalent distribution when parents are drawn without replacement.
-
-        Drawing the same parent twice collapses to a plain copy, so the
-        with-replacement process matches the without-replacement one after
-        scaling every crossover probability by ``(N-1)/N``.
-        """
-        f = (N - 1) / N
-        return RecombinationDistribution(self.n, tuple(f * c for c in self.crossover))
 
 
 @dataclass(frozen=True)
@@ -161,36 +135,6 @@ class DiffusionRates:
         see :meth:`RecombinationDistribution.marginal`."""
         u = site_set(u)
         return DiffusionRates(len(u), _gap_sums(self.rho, u))
-
-
-def dump_recombination_file(recomb: RecombinationDistribution,
-                            rho: DiffusionRates | None = None) -> str:
-    """Serialize crossover probabilities (and optional rates) as JSON text."""
-    payload: dict = {"crossover_probs": list(recomb.crossover)}
-    if rho is not None:
-        payload["rho"] = list(rho.rho)
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def load_recombination_file(text: str) -> tuple[RecombinationDistribution,
-                                                DiffusionRates | None]:
-    """Parse the JSON produced by :func:`dump_recombination_file`.
-
-    ``crossover_probs[i]`` is the probability of a cut after site ``i+1``;
-    the simplex constraint is enforced on load.
-    """
-    payload = json.loads(text)
-    if not isinstance(payload, dict) or "crossover_probs" not in payload:
-        raise ValueError("expected an object with a 'crossover_probs' key")
-    probs = payload["crossover_probs"]
-    n = len(probs) + 1
-    recomb = RecombinationDistribution(n, tuple(float(p) for p in probs))
-    rho = None
-    if payload.get("rho") is not None:
-        if len(payload["rho"]) != n - 1:
-            raise ValueError(f"'rho' must list {n - 1} rates")
-        rho = DiffusionRates(n, tuple(float(p) for p in payload["rho"]))
-    return recomb, rho
 
 
 def block_products(grid: np.ndarray, sites: tuple[int, ...],
@@ -240,15 +184,6 @@ def recombinator_bar(a: Partition, m: Measure) -> Measure:
     if len(a) == 1 and a.ground == m.sites:
         return m
     return m.with_weights(_block_products(a, m, [a])[0])
-
-
-def recombinator(a: Partition, m: Measure) -> Measure:
-    """Normalized recombinator: a probability measure for nonzero ``m``."""
-    norm = m.norm
-    if norm <= 0:
-        raise ZeroMeasureError("cannot normalize the zero measure")
-    bar = recombinator_bar(a, m)
-    return bar.with_weights(bar.weights / norm ** len(a))
 
 
 def sampling_bar(a: Partition, z: Measure) -> Measure:

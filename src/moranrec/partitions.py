@@ -12,10 +12,10 @@ The lattice of partitions of ``k`` sites is enumerated once, in
 than ``DEFAULT_SITE_CAP`` positions), and every enumeration here
 relabels it: the partitions of a site set, the coarsenings of a
 partition (the partitions of its blocks) and its refinements (one
-partition per block).  Its Mobius and zeta matrices carry every Mobius
-sum of the exact pipeline.
-
-Mobius values are exact integers so that inversion round-trips exactly.
+partition per block).  It is the package's only partition algebra: its
+Mobius and zeta matrices carry every Mobius sum of the exact pipeline,
+and their entries are exact integers so that inversion round-trips
+exactly.
 """
 
 from __future__ import annotations
@@ -28,14 +28,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from .errors import (
-    EmptyBlockError,
-    GroundMismatchError,
-    NotComparableError,
-    NotSubsetError,
-    OverlapError,
-    SizeCapError,
-)
+from .errors import EmptyBlockError, OverlapError, SizeCapError
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -91,17 +84,8 @@ class Partition:
     def __str__(self) -> str:
         return format_partition(self)
 
-    def drop_block(self, j: int) -> "Partition":
-        """Partition of the remaining ground after removing block ``j``."""
-        return Partition(self.blocks[:j] + self.blocks[j + 1:])
-
 
 EMPTY = Partition(())
-
-
-def canonicalize(blocks: Iterable[Iterable[int]]) -> Partition:
-    """Build a canonical partition from unordered blocks."""
-    return Partition(tuple(tuple(b) for b in blocks))
 
 
 def finest(sites: Iterable[int]) -> Partition:
@@ -115,92 +99,8 @@ def coarsest(sites: Iterable[int]) -> Partition:
     return Partition((s,)) if s else EMPTY
 
 
-def _check_same_ground(a: Partition, b: Partition) -> None:
-    if a.ground != b.ground:
-        raise GroundMismatchError(f"ground sets differ: {a.ground} vs {b.ground}")
-
-
-def refines(a: Partition, b: Partition) -> bool:
-    """True iff every block of ``a`` is contained in some block of ``b``."""
-    _check_same_ground(a, b)
-    owner = {}
-    for j, bb in enumerate(b.blocks):
-        for x in bb:
-            owner[x] = j
-    return all(len({owner[x] for x in ab}) == 1 for ab in a.blocks)
-
-
-def meet(a: Partition, b: Partition) -> Partition:
-    """Greatest lower bound: nonempty pairwise block intersections."""
-    _check_same_ground(a, b)
-    out = []
-    for ab in a.blocks:
-        sa = set(ab)
-        for bb in b.blocks:
-            inter = sa & set(bb)
-            if inter:
-                out.append(tuple(sorted(inter)))
-    return Partition(tuple(out))
-
-
-def join(a: Partition, b: Partition) -> Partition:
-    """Least upper bound: transitive closure of block overlap."""
-    _check_same_ground(a, b)
-    parent: dict[int, int] = {x: x for x in a.ground}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
-
-    for blk in a.blocks + b.blocks:
-        for x in blk[1:]:
-            union(blk[0], x)
-    groups: dict[int, list[int]] = {}
-    for x in a.ground:
-        groups.setdefault(find(x), []).append(x)
-    return Partition(tuple(tuple(g) for g in groups.values()))
-
-
-def restrict(a: Partition, sites: Iterable[int]) -> Partition:
-    """Partition of ``sites`` induced by intersecting the blocks of ``a``.
-
-    Restriction to the empty set yields ``EMPTY``.
-    """
-    u = site_set(sites)
-    if not set(u) <= set(a.ground):
-        raise NotSubsetError(f"{u} is not a subset of the ground set {a.ground}")
-    out = []
-    for b in a.blocks:
-        nb = tuple(x for x in b if x in u)
-        if nb:
-            out.append(nb)
-    return Partition(tuple(out))
-
-
 # the Mobius value of ``c`` blocks merged into one: (-1)**(c-1) (c-1)!
 _MU = [1] + [(-1) ** (c - 1) * math.factorial(c - 1) for c in range(1, 32)]
-
-
-def mobius(a: Partition, b: Partition) -> int:
-    """Mobius value of the comparable pair ``a`` refines ``b`` (exact integer).
-
-    Product over the blocks of ``b`` of ``(-1)**(k-1) * (k-1)!`` where ``k``
-    counts the blocks of ``a`` inside that block.
-    """
-    if a is EMPTY and b is EMPTY or (not a.blocks and not b.blocks):
-        return 1
-    if not refines(a, b):
-        raise NotComparableError("first partition does not refine the second")
-    owner = {x: j for j, bb in enumerate(b.blocks) for x in bb}
-    counts = [0] * len(b.blocks)
-    for ab in a.blocks:
-        counts[owner[ab[0]]] += 1
-    return math.prod(_MU[k] for k in counts)
 
 
 def _rgs_masks(k: int) -> Iterator[tuple[list[int], list[int]]]:
@@ -415,20 +315,6 @@ def ordered_partitions_le2(sites: Iterable[int]) -> list[Partition]:
     for k in range(1, len(u)):
         out.append(Partition((u[:k], u[k:])))
     return out
-
-
-def is_ordered(a: Partition, within: Iterable[int] | None = None) -> bool:
-    """True iff every block of ``a`` is a contiguous run of ``within``.
-
-    ``within`` defaults to the ground set of ``a``.
-    """
-    w = site_set(within) if within is not None else a.ground
-    pos = {x: i for i, x in enumerate(w)}
-    for b in a.blocks:
-        idx = sorted(pos[x] for x in b)
-        if idx[-1] - idx[0] != len(idx) - 1:
-            return False
-    return True
 
 
 def format_partition(a: Partition) -> str:

@@ -23,7 +23,11 @@ law), the restriction sums that the package replaced with the gap sums of
 ``marginal_split_rate``), the partition-level narrative simulator that
 the package replaced with one run on cached block-tuple states, and the
 brute-force paths (transition rates, sampling, RK4, LDE via sampling)
-that only tests call.
+that only tests call.  The pairwise partition algebra (``refines``,
+``meet``, ``join``, ``restrict``, ``drop_block`` and the pairwise
+``mobius``) is the reference for the lattice's Mobius and zeta matrices,
+and ``diffusion_left_eigenvectors`` the closed form of the diffusion
+3-site eigenvectors.
 Tests compare the package against them.
 """
 
@@ -45,7 +49,6 @@ from moranrec import (
     ExpectationTrajectory,
     LdeTrajectory,
     Measure,
-    NotOrderedPartitionError,
     OverlapError,
     Partition,
     PartitionTrajectory,
@@ -62,11 +65,8 @@ from moranrec import (
     format_partition,
     generator_theta,
     marginalize,
-    mobius,
     ordered_partitions_le2,
     refinements,
-    refines,
-    restrict,
     sampling,
 )
 from moranrec import backward as backward_module
@@ -118,6 +118,95 @@ def tensor_site_ordered(factors: Sequence[Measure]) -> Measure:
     sites = tuple(concat_sites[i] for i in order)
     cards = tuple(concat_cards[i] for i in order)
     return Measure(sites, cards, scale * grid.ravel())
+
+
+def _check_same_ground(a: Partition, b: Partition) -> None:
+    if a.ground != b.ground:
+        raise ValueError(f"ground sets differ: {a.ground} vs {b.ground}")
+
+
+def refines(a: Partition, b: Partition) -> bool:
+    """True iff every block of ``a`` is contained in some block of ``b``."""
+    _check_same_ground(a, b)
+    owner = {}
+    for j, bb in enumerate(b.blocks):
+        for x in bb:
+            owner[x] = j
+    return all(len({owner[x] for x in ab}) == 1 for ab in a.blocks)
+
+
+def meet(a: Partition, b: Partition) -> Partition:
+    """Greatest lower bound: nonempty pairwise block intersections."""
+    _check_same_ground(a, b)
+    out = []
+    for ab in a.blocks:
+        sa = set(ab)
+        for bb in b.blocks:
+            inter = sa & set(bb)
+            if inter:
+                out.append(tuple(sorted(inter)))
+    return Partition(tuple(out))
+
+
+def join(a: Partition, b: Partition) -> Partition:
+    """Least upper bound: transitive closure of block overlap."""
+    _check_same_ground(a, b)
+    parent: dict[int, int] = {x: x for x in a.ground}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        parent[find(x)] = find(y)
+
+    for blk in a.blocks + b.blocks:
+        for x in blk[1:]:
+            union(blk[0], x)
+    groups: dict[int, list[int]] = {}
+    for x in a.ground:
+        groups.setdefault(find(x), []).append(x)
+    return Partition(tuple(tuple(g) for g in groups.values()))
+
+
+def restrict(a: Partition, sites) -> Partition:
+    """Partition of ``sites`` induced by intersecting the blocks of ``a``.
+
+    Restriction to the empty set yields ``EMPTY``.
+    """
+    u = site_set(sites)
+    if not set(u) <= set(a.ground):
+        raise ValueError(f"{u} is not a subset of the ground set {a.ground}")
+    out = []
+    for b in a.blocks:
+        nb = tuple(x for x in b if x in u)
+        if nb:
+            out.append(nb)
+    return Partition(tuple(out))
+
+
+def drop_block(a: Partition, j: int) -> Partition:
+    """Partition of the remaining ground after removing block ``j`` of ``a``."""
+    return Partition(a.blocks[:j] + a.blocks[j + 1:])
+
+
+def mobius(a: Partition, b: Partition) -> int:
+    """Mobius value of the comparable pair ``a`` refines ``b`` (exact integer).
+
+    Product over the blocks of ``b`` of ``(-1)**(k-1) * (k-1)!`` where ``k``
+    counts the blocks of ``a`` inside that block.
+    """
+    if not a.blocks and not b.blocks:
+        return 1
+    if not refines(a, b):
+        raise ValueError("first partition does not refine the second")
+    owner = {x: j for j, bb in enumerate(b.blocks) for x in bb}
+    counts = [0] * len(b.blocks)
+    for ab in a.blocks:
+        counts[owner[ab[0]]] += 1
+    return math.prod((-1) ** (k - 1) * math.factorial(k - 1) for k in counts)
 
 
 def _rgs_strings(k: int) -> Iterator[tuple[int, ...]]:
@@ -295,7 +384,7 @@ def marginal_recomb_prob(recomb: RecombinationDistribution, u, b: Partition) -> 
     """
     u = site_set(u)
     if b not in ordered_partitions_le2(u):
-        raise NotOrderedPartitionError(f"{b} is not in the ordered partitions of {u}")
+        raise ValueError(f"{b} is not in the ordered partitions of {u}")
     return _marginal_sum(recomb.support(), u, b)
 
 
@@ -304,7 +393,7 @@ def marginal_split_rate(rates: DiffusionRates, u, b: Partition) -> float:
     u = site_set(u)
     opts = ordered_partitions_le2(u)
     if b not in opts[1:]:
-        raise NotOrderedPartitionError(f"{b} is not a two-part ordered partition of {u}")
+        raise ValueError(f"{b} is not a two-part ordered partition of {u}")
     return _marginal_sum(rates.support(), u, b)
 
 
@@ -457,7 +546,7 @@ def theta_rate(model: BackwardModel, j: int, jj: Partition, a: Partition,
     """
     m = len(a)
     block = a.blocks[j]
-    rest = a.drop_block(j)
+    rest = drop_block(a, j)
     if restrict(b, rest.ground) != rest:
         return 0.0
     if not refines(jj, restrict(b, block)):
@@ -523,6 +612,24 @@ def lde_from_sampling(u, z) -> Measure:
         total = w if total is None else total + w
     scale = math.perm(N, k) / N ** k
     return Measure(marg.sites, marg.cards, scale * total)
+
+
+def diffusion_left_eigenvectors(rho1: float, rho2: float) -> np.ndarray:
+    """Closed-form left eigenvector matrix of the diffusion 3-site conjugation.
+
+    Rows are left eigenvectors of ``conjugated`` for the eigenvalues on
+    its diagonal, normalized to unit diagonal.
+    """
+    s = rho1 + rho2
+    c = 4 * (rho1 * rho2 + (2 + s) * (6 + s)) / (
+        (2 + rho1) * (2 + rho2) * (2 + s) * (6 + s))
+    return np.array([
+        [1.0, 0, 0, 0, 0],
+        [2 / ((2 + rho2) * (4 + rho1)), 1 / (2 + rho2), 0, 0, 0],
+        [2 / ((2 + rho1) * (4 + rho2)), 0, 1 / (2 + rho1), 0, 0],
+        [1 / (2 * (2 + s)), 0, 0, 1 / (2 + s), 0],
+        [c, 2 / (2 + rho2), 2 / (2 + rho1), 2 / (2 + s), 1.0],
+    ])
 
 
 def expected_sampling(backward: BackwardModel, z0: PopulationState, a0: Partition,

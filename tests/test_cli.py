@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 import moranrec
-from moranrec import backward, measure_from_csv, parse_partition, refines
-from moranrec.backward import partition_events_from_csv
+from moranrec import backward, measure_from_csv, parse_partition
 from moranrec import cli
 from moranrec.cli import main
-from moranrec.forward import trajectory_events_from_csv
 
-from oracles import expectations_from_csv
+from oracles import expectations_from_csv, refines
+from util import partition_events_from_csv, trajectory_events_from_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -166,6 +165,14 @@ class TestConfigValidation:
     def test_typed_fields(self, tmp_path, capsys, command, field):
         path = write_config(tmp_path, **field)
         assert main([command, "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("weight", ["inf", "-inf", "1e400", "nan"])
+    def test_non_finite_population_weight(self, tmp_path, capsys, weight):
+        (tmp_path / "pop.csv").write_text(f"type,weight\n00,{weight}\n01,2\n10,1\n11,3\n")
+        path = write_config(tmp_path, initial_counts=None, initial_population_file="pop.csv")
+        assert main(["expectations", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

@@ -11,7 +11,6 @@ from moranrec import (
     ShapeError,
     check_generator_duality,
     coarsest,
-    diffusion_left_eigenvectors,
     expected_sampling,
     finest,
     fixation_2site,
@@ -29,7 +28,7 @@ from moranrec import (
 )
 from moranrec.expectations import sampling_stack
 
-from oracles import expectation_rk4
+from oracles import diffusion_left_eigenvectors, expectation_rk4
 from util import binary_space, random_population, random_recomb
 
 P = parse_partition

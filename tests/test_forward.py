@@ -14,20 +14,24 @@ from moranrec import (
     generator_lambda,
     integrate_deterministic,
     measure_from_counts,
-    rate_lambda,
     simulate_forward,
 )
-from moranrec.forward import trajectory_events_from_csv, trajectory_to_csv
+from moranrec.forward import replacement_distribution, trajectory_to_csv
 from moranrec.markov import enumerate_population_states
 
 from oracles import tensor_site_ordered
-from util import binary_space, random_measure
+from util import binary_space, random_measure, trajectory_events_from_csv
 
 SP2 = binary_space(2)
 
 
 def model2(N: int, r: float) -> ForwardModel:
     return ForwardModel(SP2, N, RecombinationDistribution(2, (r,)))
+
+
+def rate_lambda(m: ForwardModel, z: PopulationState, y: int, x: int) -> float:
+    """Rate of replacing one individual of type ``y`` by one of type ``x``."""
+    return replacement_distribution(m, z.counts)[x] * z.counts[y]
 
 
 class TestRateLambda:
@@ -94,7 +98,7 @@ class TestSimulateForward:
         z0 = PopulationState.from_counts(SP2, [0, 0, 6, 0])
         rec = simulate_forward(m, z0, 50.0, seed=1)
         assert rec.events == ()
-        assert np.array_equal(rec.final_counts(), z0.counts)
+        assert np.array_equal(rec.state_at(np.inf), z0.counts)
 
     def test_no_recombination_monomorphic_type_survives(self):
         m = model2(4, 0.0)
@@ -181,7 +185,7 @@ class TestSimulateForward:
         m = model2(5, 0.3)
         z0 = PopulationState.from_counts(SP2, [2, 1, 1, 1])
         rec = simulate_forward(m, z0, np.inf, seed=5)
-        assert rec.final_counts().max() == 5
+        assert rec.state_at(np.inf).max() == 5
 
     def test_neutral_fixation_frequencies(self):
         # no recombination: fixation probability equals initial frequency
@@ -191,7 +195,7 @@ class TestSimulateForward:
         wins = np.zeros(4)
         for rep in range(reps):
             rec = simulate_forward(m, z0, np.inf, seed=77, replicate=rep)
-            wins[int(np.argmax(rec.final_counts()))] += 1
+            wins[int(np.argmax(rec.state_at(np.inf)))] += 1
         freq = wins / reps
         expected = z0.counts / 6
         se = np.sqrt(expected * (1 - expected) / reps)

@@ -64,6 +64,7 @@ def test_mobius_matrix_equals_oracle_and_zeta_inverts_it(n):
     M = lattice(n).mobius
     assert np.array_equal(M.toarray(), oracles.mobius_matrix(parts))
     Z = lattice(n).zeta.toarray()
+    assert np.array_equal(Z, [[oracles.refines(a, b) for b in parts] for a in parts])
     assert np.array_equal(Z @ M.toarray(), np.eye(len(parts)))
     for i, a in enumerate(parts):  # each row holds the coarsenings of its partition
         row = M[[i]].toarray()[0]

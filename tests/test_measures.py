@@ -11,14 +11,12 @@ from moranrec import (
     PopulationState,
     SiteSpace,
     SizeCapError,
-    add_delta,
     decode_type,
     encode_type,
     marginalize,
     measure_from_counts,
     measure_from_csv,
     measure_to_csv,
-    sub_delta,
 )
 from moranrec.measures import type_token, parse_type_token, zero_site_measure
 
@@ -156,20 +154,6 @@ class TestTensor:
 
 
 class TestPopulationState:
-    def test_deltas(self):
-        sp = binary_space(2)
-        z = PopulationState.from_counts(sp, [2, 0, 0, 1])
-        up = add_delta(z, 1)
-        assert np.array_equal(up.weights, [2, 1, 0, 1])
-        assert up.norm == 4
-        down = sub_delta(PopulationState(up, 4), 1)
-        assert np.array_equal(down.weights, z.counts)
-
-    def test_sub_delta_at_zero(self):
-        z = PopulationState.from_counts(binary_space(2), [2, 0, 0, 1])
-        with pytest.raises(NegativeWeightError):
-            sub_delta(z, 2)
-
     def test_validation(self):
         sp = binary_space(2)
         with pytest.raises(ValueError):

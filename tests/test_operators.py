@@ -7,7 +7,6 @@ import pytest
 from moranrec import (
     EMPTY,
     Measure,
-    NotOrderedPartitionError,
     Partition,
     PopulationState,
     RecombinationDistribution,
@@ -16,20 +15,26 @@ from moranrec import (
     SizeCapError,
     ZeroMeasureError,
     coarsest,
+    encode_type,
     enumerate_partitions,
     finest,
     lde_operator,
     marginalize,
     parse_partition,
-    recombinator,
     recombinator_bar,
-    refines,
-    restrict,
     sampling,
     sampling_bar,
 )
 
-from oracles import lde_from_sampling, sampling_oracle, tensor_site_ordered
+from oracles import (
+    lde_from_sampling,
+    meet,
+    recombinator,
+    refines,
+    restrict,
+    sampling_oracle,
+    tensor_site_ordered,
+)
 from util import binary_space, random_measure, random_population, random_recomb
 
 P = parse_partition
@@ -50,36 +55,11 @@ class TestRecombinationDistribution:
     def test_prob(self):
         r = RecombinationDistribution(3, (0.1, 0.25))
         assert r.r_whole == pytest.approx(0.65)
-        assert r.prob(P("1,2,3")) == pytest.approx(0.65)
-        assert r.prob(P("1|2,3")) == 0.1
-        assert r.prob(P("1,2|3")) == 0.25
-        with pytest.raises(NotOrderedPartitionError):
-            r.prob(P("1,3|2"))
-
-    def test_without_replacement_rescaling(self):
-        r = RecombinationDistribution(2, (0.4,))
-        scaled = r.rescaled_without_replacement(5)
-        assert scaled.crossover[0] == pytest.approx(0.32)
-        assert scaled.r_whole == pytest.approx(1 - 0.32)
-
-    def test_file_round_trip(self):
-        from moranrec import DiffusionRates, dump_recombination_file, load_recombination_file
-
-        r = RecombinationDistribution(3, (0.1, 0.25))
-        rho = DiffusionRates(3, (1.5, 2.5))
-        text = dump_recombination_file(r, rho)
-        back_r, back_rho = load_recombination_file(text)
-        assert back_r == r and back_rho == rho
-        only_r, none_rho = load_recombination_file(dump_recombination_file(r))
-        assert only_r == r and none_rho is None
-
-    def test_file_enforces_simplex(self):
-        from moranrec import load_recombination_file
-
-        with pytest.raises(ValueError):
-            load_recombination_file('{"crossover_probs": [0.7, 0.6]}')
-        with pytest.raises(ValueError):
-            load_recombination_file('{"probs": [0.1]}')
+        prob = dict(r.support())
+        assert prob[P("1,2,3")] == pytest.approx(0.65)
+        assert prob[P("1|2,3")] == 0.1
+        assert prob[P("1,2|3")] == 0.25
+        assert P("1,3|2") not in prob
 
 
 class TestMarginalRecombProb:
@@ -87,16 +67,16 @@ class TestMarginalRecombProb:
 
     def test_single_site_is_one(self):
         r = random_recomb(4, seed=0)
-        assert r.marginal((2,)).prob(coarsest([1])) == pytest.approx(1.0)
+        assert dict(r.marginal((2,)).support())[coarsest([1])] == pytest.approx(1.0)
 
     def test_trapped_material_sums_three_cuts(self):
         r = RecombinationDistribution(5, (0.1, 0.05, 0.2, 0.15))
-        got = r.marginal([1, 4, 5]).prob(P("1|2,3"))
+        got = dict(r.marginal([1, 4, 5]).support())[P("1|2,3")]
         assert got == pytest.approx(0.1 + 0.05 + 0.2)
 
     def test_full_set_is_identity(self):
         r = RecombinationDistribution(4, (0.1, 0.2, 0.3))
-        assert r.marginal([1, 2, 3, 4]).prob(P("1,2|3,4")) == pytest.approx(0.2)
+        assert dict(r.marginal([1, 2, 3, 4]).support())[P("1,2|3,4")] == pytest.approx(0.2)
 
     def test_marginals_sum_to_one(self):
         from moranrec import ordered_partitions_le2
@@ -104,13 +84,13 @@ class TestMarginalRecombProb:
         r = random_recomb(5, seed=3)
         for u in [(1, 3), (2, 4, 5), (1, 2, 3, 4, 5), (3,)]:
             sub = r.marginal(u)
-            total = sum(sub.prob(b) for b in ordered_partitions_le2(sub.sites))
+            prob = dict(sub.support())
+            total = sum(prob[b] for b in ordered_partitions_le2(sub.sites))
             assert total == pytest.approx(1.0)
 
     def test_rejects_unordered(self):
         r = random_recomb(3, seed=4)
-        with pytest.raises(NotOrderedPartitionError):
-            r.marginal([1, 2, 3]).prob(P("1,3|2"))
+        assert P("1,3|2") not in dict(r.marginal([1, 2, 3]).support())
 
 
 class TestRecombinator:
@@ -143,8 +123,6 @@ class TestRecombinator:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_composition_meets(self, n):
-        from moranrec import meet
-
         sp = binary_space(n)
         m = random_measure(sp, seed=10 + n)
         parts = enumerate_partitions(sp.sites)
@@ -186,7 +164,7 @@ class TestSampling:
     def test_example_pair_counts(self):
         z = PopulationState.from_counts(binary_space(2), [2, 0, 0, 1])
         bar = sampling_bar(finest([1, 2]), z.measure)
-        assert bar.value((0, 1)) == 2
+        assert bar.weights[encode_type(bar.cards, (0, 1))] == 2
         assert bar.norm == 6  # 3 * 2 ordered distinct pairs
 
     def test_whole_set_returns_population(self):
@@ -206,7 +184,7 @@ class TestSampling:
     def test_normalized_example(self):
         z = PopulationState.from_counts(binary_space(2), [2, 0, 0, 1])
         h = sampling(finest([1, 2]), z.measure)
-        assert h.value((0, 1)) == pytest.approx(1 / 3)
+        assert h.weights[encode_type(h.cards, (0, 1))] == pytest.approx(1 / 3)
         assert h.norm == pytest.approx(1.0)
 
     def test_probability_measure_whenever_enough_individuals(self):

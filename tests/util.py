@@ -1,22 +1,31 @@
 """Shared helpers and independent oracles for the test suite.
 
 Everything here is deliberately implemented from first principles, not by
-calling the production code paths it is meant to check.
+calling the production code paths it is meant to check.  The readers of
+the generator, partition-trajectory and forward-trajectory CSV files
+exist for the tests alone; they parse the package's output formats with
+its one table reader, ``csv_table``.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from moranrec import (
+    GeneratorMatrix,
     Measure,
     Partition,
     PopulationState,
     RecombinationDistribution,
     SiteSpace,
+    format_partition,
     parse_partition,
-    refines,
 )
+from moranrec.measures import csv_table, parse_type_token
+from moranrec.partitions import site_set
+from oracles import refines
 
 
 def brute_partitions(elems: tuple[int, ...]) -> set[Partition]:
@@ -133,3 +142,42 @@ def conjugated_closed_form_diffusion(rho1: float, rho2: float) -> np.ndarray:
 def permuted_generator(gen, order) -> np.ndarray:
     perm = [gen.index(p) for p in order]
     return gen.matrix.toarray()[np.ix_(perm, perm)]
+
+
+def is_ordered(a: Partition, within=None) -> bool:
+    """True iff every block of ``a`` is a contiguous run of ``within``.
+
+    ``within`` defaults to the ground set of ``a``.
+    """
+    w = site_set(within) if within is not None else a.ground
+    pos = {x: i for i, x in enumerate(w)}
+    for b in a.blocks:
+        idx = sorted(pos[x] for x in b)
+        if idx[-1] - idx[0] != len(idx) - 1:
+            return False
+    return True
+
+
+def generator_from_csv(text: str) -> GeneratorMatrix:
+    """Parse the output of ``backward.generator_to_csv`` (partition labels)."""
+    rows = []
+    labels: list[Partition] = []
+    header, data = csv_table(text, ("state",))
+    for fields in data:
+        labels.append(parse_partition(fields[0]))
+        rows.append([float(v) for v in fields[1:]])
+    if [format_partition(p) for p in labels] != header[1:]:
+        raise ValueError("row labels do not match the header order")
+    return GeneratorMatrix(tuple(labels), np.array(rows))
+
+
+def partition_events_from_csv(text: str) -> list[tuple[float, Partition]]:
+    """Parse the output of ``backward.partition_trajectory_to_csv``."""
+    return [(float(t), parse_partition(p))
+            for t, p in csv_table(text, ("time", "partition"))[1]]
+
+
+def trajectory_events_from_csv(text: str, cards: Sequence[int]) -> list[tuple[float, int, int]]:
+    """Parse the output of ``forward.trajectory_to_csv`` back to index events."""
+    return [(float(t), parse_type_token(cards, y), parse_type_token(cards, x))
+            for t, y, x in csv_table(text, ("time", "dying_type", "new_type"))[1]]
