@@ -14,8 +14,6 @@ from .backward import (
     BackwardModel,
     PartitionTrajectory,
     generator_theta,
-    generator_theta_det,
-    generator_theta_diff,
     simulate_backward,
 )
 from .errors import (
@@ -34,7 +32,6 @@ from .errors import (
 )
 from .expectations import (
     ExpectationTrajectory,
-    LdeTrajectory,
     LdeTransform,
     SamplingTable,
     check_generator_duality,

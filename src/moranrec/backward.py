@@ -123,19 +123,21 @@ def _transition_rates_diff(model: BackwardModel, a: Partition) -> dict[Partition
     return out
 
 
-def _theta(model: BackwardModel) -> GeneratorMatrix:
-    """Generator of the model's variant over all partitions of the sites.
+def generator_theta(model: BackwardModel) -> GeneratorMatrix:
+    """Generator of ``model.variant`` over all partitions of the sites.
 
     One weighting of the lattice's split/merge incidence per variant.  A
     block stays whole with probability one minus the crossover mass
     between its outer sites, and is cut between consecutive sites with
     the mass of the gaps between them.  Finite: every move, times the
     ``(N-(m-1))!/(N-|b|)!`` parent choices that give ``b``, over ``N``
-    (whole) or ``N**2`` (cut) parents drawn.  Deterministic: only cuts
-    whose fragments both land on fresh parents.  Diffusion: those cuts at
-    the summed rates, and every whole block landing on another at 1, so
-    each unordered pair of blocks merges at 2.  The diagonal is minus the
-    ``math.fsum`` of each row's moves, so it does not depend on their order.
+    (whole) or ``N**2`` (cut) parents drawn; rows with more blocks than
+    individuals are zero, as no admissible start reaches them.
+    Deterministic: only cuts whose fragments both land on fresh parents.
+    Diffusion: those cuts at the summed rates, and every whole block
+    landing on another at 1, so each unordered pair of blocks merges at 2.
+    The diagonal is minus the ``math.fsum`` of each row's moves, so it does
+    not depend on their order.
     """
     from scipy import sparse
 
@@ -157,7 +159,7 @@ def _theta(model: BackwardModel) -> GeneratorMatrix:
     else:
         rate, keep = np.where(split, gap, 1.0), fresh | ~split
     a, b, rate = inc["a"][keep], inc["b"][keep], rate[keep]
-    B = len(L.keys)
+    B = len(L.sizes)
     by_row = rate[np.argsort(a, kind="stable")].tolist()
     ends = np.cumsum(np.bincount(a, minlength=B)).tolist()
     exit_rates = [math.fsum(by_row[i:j]) for i, j in zip([0] + ends, ends)]
@@ -165,31 +167,6 @@ def _theta(model: BackwardModel) -> GeneratorMatrix:
     rows, cols = np.concatenate((a, diag)), np.concatenate((b, diag))
     vals = np.concatenate((rate, np.negative(exit_rates)))
     return GeneratorMatrix(labels, sparse.coo_array((vals, (rows, cols)), shape=(B, B)))
-
-
-def generator_theta(model: BackwardModel) -> GeneratorMatrix:
-    """Exact finite-population generator over all partitions of the sites.
-
-    Rows with more blocks than individuals are zero; they are unreachable
-    from any admissible initial partition.
-    """
-    if model.variant != "finite":
-        raise ValueError("generator_theta needs the finite variant")
-    return _theta(model)
-
-
-def generator_theta_det(model: BackwardModel) -> GeneratorMatrix:
-    """Infinite-population (fixed crossover probabilities) generator: pure splitting."""
-    if model.variant == "diffusion":
-        raise ValueError("deterministic generator needs crossover probabilities")
-    return _theta(BackwardModel(model.n, model.N, model.recomb, "deterministic"))
-
-
-def generator_theta_diff(model: BackwardModel) -> GeneratorMatrix:
-    """Diffusion-limit generator: marginal split rates plus pairwise coalescence at 2."""
-    if model.rho is None:
-        raise ValueError("diffusion generator needs DiffusionRates")
-    return _theta(BackwardModel(model.n, model.N, model.recomb, "diffusion", model.rho))
 
 
 @dataclass(frozen=True)

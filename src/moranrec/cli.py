@@ -60,7 +60,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,8 +69,6 @@ from . import __version__
 from .backward import (
     BackwardModel,
     generator_theta,
-    generator_theta_det,
-    generator_theta_diff,
     generator_to_csv,
     partition_trajectory_to_csv,
     simulate_backward,
@@ -415,7 +413,7 @@ def cmd_simulate_backward(cfg: RunConfig) -> int:
 def cmd_expectations(cfg: RunConfig) -> int:
     z0 = _need_initial(cfg)
     model = BackwardModel(cfg.space.n, cfg.N, cfg.recomb, "finite", cfg.rho)
-    traj = expected_sampling(model, z0, cfg.initial_partition, cfg.grid)
+    traj = expected_sampling(model, z0, cfg.grid)
     _check_output(traj.values, probability=True)
     _write_manifest(cfg, "expectations")
     expectations_to_csv(_target(cfg, "expected_sampling.csv"), traj.times,
@@ -478,10 +476,9 @@ def cmd_fixation(cfg: RunConfig) -> int:
 def cmd_generators(cfg: RunConfig) -> int:
     """Extra: dump the partition generator(s) as dense CSV."""
     model = BackwardModel(cfg.space.n, cfg.N, cfg.recomb, "finite", cfg.rho)
-    generators = {"theta_finite.csv": generator_theta(model),
-                  "theta_deterministic.csv": generator_theta_det(model)}
-    if cfg.rho is not None:
-        generators["theta_diffusion.csv"] = generator_theta_diff(model)
+    variants = ("finite", "deterministic") + (("diffusion",) if cfg.rho is not None else ())
+    generators = {f"theta_{v}.csv": generator_theta(replace(model, variant=v))
+                  for v in variants}
     # every generator is built (and the site cap checked) before anything is written
     _write_manifest(cfg, "generators")
     stamp = _stamp(cfg)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import BackwardModel, generator_theta, generator_theta_diff
+from .backward import BackwardModel, generator_theta
 from .errors import SampleTooLargeError, ShapeError, SizeCapError
 from .forward import DEFAULT_POPULATION_CAP, ForwardModel, generator_lambda
 from .markov import (
@@ -34,7 +34,6 @@ from .operators import block_products, sampling
 from .partitions import (
     Lattice,
     Partition,
-    coarsest,
     enumerate_partitions,
     finest,
     lattice,
@@ -57,7 +56,7 @@ def _sampling_rows(grid: np.ndarray, N: int) -> np.ndarray:
     rbar = block_products(grid, tuple(range(L.k)), L.blocks)
     keep = L.sizes <= N
     scale = np.array([1 / math.perm(N, k) for k in L.sizes[keep]])
-    B = len(L.keys)
+    B = len(L.sizes)
     rows = (L.mobius @ rbar.reshape(B, -1))[keep]
     return rows.reshape((-1,) + rbar.shape[1:]) * scale[:, None, None]
 
@@ -116,8 +115,9 @@ def check_generator_duality(forward: ForwardModel, backward: BackwardModel) -> f
     makes this pure floating-point roundoff.
     """
     if (forward.N != backward.N or forward.space.n != backward.n
-            or forward.recomb != backward.recomb):
-        raise ValueError("forward and backward models must share N, n and r")
+            or forward.recomb != backward.recomb or backward.variant != "finite"):
+        raise ValueError("forward and backward models must share N, n and r, "
+                         "and the backward model must be finite")
     lam = generator_lambda(forward)
     theta = generator_theta(backward)
     table = sampling_table(forward.space, forward.N)
@@ -131,12 +131,15 @@ def check_generator_duality(forward: ForwardModel, backward: BackwardModel) -> f
 
 @dataclass(frozen=True, eq=False)
 class ExpectationTrajectory:
-    """Expected sampling measures on a time grid, one block per partition."""
+    """Expected measures on the sites ``sites`` over a time grid, one block
+    per partition of them: sampling measures from :func:`expected_sampling`,
+    LDE measures from :func:`lde_trajectory`."""
 
     times: np.ndarray
+    sites: tuple[int, ...]
     partitions: tuple[Partition, ...]
     cards: tuple[int, ...]
-    values: np.ndarray  # (times, partitions, types)
+    values: np.ndarray  # (times, partitions, types on the sites)
 
     def series(self, a: Partition) -> np.ndarray:
         return self.values[:, self.partitions.index(a), :]
@@ -153,7 +156,7 @@ def expm(A: np.ndarray) -> np.ndarray:
     return linalg.expm(A)
 
 
-def expected_sampling(backward: BackwardModel, z0: PopulationState, a0: Partition,
+def expected_sampling(backward: BackwardModel, z0: PopulationState,
                       times) -> ExpectationTrajectory:
     """Expected sampling measures of the evolving population, all partitions.
 
@@ -167,17 +170,16 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState, a0: Partitio
     cannot be told apart from the grid and reusing ``E`` adds no error
     beyond what the grid already carries: ``linspace(0, 2, 11)``, whose
     steps differ in the last bit, needs one exponential, while a grid of
-    really different steps needs one per distinct step.  ``a0`` is
-    validated so that the row of interest is well defined
-    (``len(a0) <= N``), and the trajectory is returned for every partition
-    with at most ``N`` blocks.  Those partitions are closed under the
-    partitioning process, so the generator restricted to them is exact.
+    really different steps needs one per distinct step.  The model must be
+    finite.  The trajectory is returned for every partition with at most
+    ``N`` blocks.  Those partitions are closed under the partitioning
+    process, so the generator restricted to them is exact.
     """
     t = assert_sorted_times(times)
     if z0.N != backward.N:
         raise ValueError(f"population holds {z0.N} individuals, model expects {backward.N}")
-    if len(a0) > backward.N:
-        raise SampleTooLargeError("initial partition has more blocks than individuals")
+    if backward.variant != "finite":
+        raise ValueError("expected_sampling needs the finite variant")
     theta = generator_theta(backward)
     keep = np.flatnonzero(lattice(backward.n).sizes <= backward.N)
     partitions = [theta.labels[i] for i in keep]
@@ -193,7 +195,7 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState, a0: Partitio
             y = E @ y
         values[i] = y
         prev = ti
-    return ExpectationTrajectory(t, tuple(partitions), z0.measure.cards, values)
+    return ExpectationTrajectory(t, backward.sites, tuple(partitions), z0.measure.cards, values)
 
 
 def _lde_scales(L: Lattice, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -225,22 +227,8 @@ def lde_transform_diffusion(k: int) -> tuple[np.ndarray, np.ndarray]:
     return L.mobius.T.toarray(), L.zeta.T.toarray()
 
 
-@dataclass(frozen=True, eq=False)
-class LdeTrajectory:
-    """Expected LDE measures on a subset of sites, per partition of that subset."""
-
-    times: np.ndarray
-    sites: tuple[int, ...]
-    cards: tuple[int, ...]
-    partitions: tuple[Partition, ...]
-    values: np.ndarray  # (times, partitions, types on the subset)
-
-    def series(self, a: Partition) -> np.ndarray:
-        return self.values[:, self.partitions.index(a), :]
-
-
 def lde_trajectory(backward: BackwardModel, z0: PopulationState, u,
-                   times) -> LdeTrajectory:
+                   times) -> ExpectationTrajectory:
     """Expected linkage disequilibria on the sites ``u`` over a time grid.
 
     The sites of ``u`` evolve as a Moran model of their own, with the
@@ -257,11 +245,11 @@ def lde_trajectory(backward: BackwardModel, z0: PopulationState, u,
     sub = BackwardModel(len(u), backward.N, backward.recomb.marginal(u))
     zu = marginalize(z0.measure, u)
     traj = expected_sampling(sub, PopulationState(Measure(sub.sites, zu.cards, zu.weights), z0.N),
-                             coarsest(sub.sites), times)
+                             times)
     # columns with more than N blocks are zero and absent from the trajectory
     T = lde_transform(sub.n, sub.N)[:, lattice(sub.n).sizes <= sub.N]
-    return LdeTrajectory(traj.times, u, zu.cards, tuple(enumerate_partitions(u)),
-                         T @ traj.values)
+    return ExpectationTrajectory(traj.times, u, tuple(enumerate_partitions(u)), zu.cards,
+                                 T @ traj.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,17 +285,16 @@ def lde_conjugation_3site(backward: BackwardModel) -> LdeTransform:
     For the finite variant the transform carries the population size; in
     the diffusion variant it degenerates to the Mobius matrix and the left
     eigenvector matrix has a closed form.  Eigen data is computed
-    numerically in both cases.
+    numerically in both cases; the deterministic variant is rejected.
     """
     from scipy.linalg import eig, inv
 
     if backward.n != 3:
         raise ShapeError("this conjugation is specific to 3 sites")
+    if backward.variant == "deterministic":
+        raise ValueError("lde_conjugation_3site needs the finite or diffusion variant")
     order = three_site_order()
-    if backward.variant == "diffusion":
-        gen = generator_theta_diff(backward)
-    else:
-        gen = generator_theta(backward)
+    gen = generator_theta(backward)
     if backward.variant == "diffusion":
         T, Tinv = lde_transform_diffusion(3)
     else:

@@ -128,10 +128,6 @@ class Measure:
     def with_weights(self, weights: np.ndarray) -> "Measure":
         return Measure(self.sites, self.cards, weights)
 
-    def allclose(self, other: "Measure", atol: float = 0.0, rtol: float = 0.0) -> bool:
-        return (self.sites == other.sites
-                and np.allclose(self.weights, other.weights, atol=atol, rtol=rtol))
-
 
 def measure_from_counts(space: SiteSpace, counts: Sequence[float],
                         sites: Iterable[int] | None = None) -> Measure:

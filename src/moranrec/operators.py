@@ -127,9 +127,6 @@ class DiffusionRates:
     def sites(self) -> tuple[int, ...]:
         return tuple(range(1, self.n + 1))
 
-    def support(self) -> list[tuple[Partition, float]]:
-        return list(zip(ordered_partitions_le2(self.sites)[1:], self.rho))
-
     def marginal(self, u) -> "DiffusionRates":
         """The rates of the splits among the sites of ``u``, relabelled ``1..|u|``;
         see :meth:`RecombinationDistribution.marginal`."""

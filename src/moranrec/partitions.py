@@ -135,9 +135,8 @@ def _positions(mask: int) -> list[int]:
 class Lattice:
     """The partitions of positions ``0..k-1``, enumerated and indexed once.
 
-    ``keys[i]`` is partition ``i`` as the sorted tuple of its block
-    bitmasks and ``blocks[i]`` as ascending position tuples ordered by
-    their lowest position; ``i`` follows the restricted-growth order of
+    ``blocks[i]`` is partition ``i`` as ascending position tuples ordered
+    by their lowest position; ``i`` follows the restricted-growth order of
     :func:`enumerate_partitions`.  ``sizes`` holds the block counts, ``rgs``
     the restricted-growth strings, ``mu_finest[i]`` is ``mobius(finest, i)``
     and ``mu_coarsest[i]`` is ``mobius(i, coarsest)``.  The Mobius and
@@ -151,8 +150,6 @@ class Lattice:
         for labels, blocks in _rgs_masks(k):
             rgs.append(list(labels))
             masks.append(list(blocks))
-        self.keys = tuple(tuple(sorted(p)) for p in masks)
-        self.index = {key: i for i, key in enumerate(self.keys)}
         self.blocks = tuple(tuple(tuple(_positions(b)) for b in p) for p in masks)
         self.sizes = np.array([len(p) for p in masks])
         self.rgs = np.array(rgs, dtype=np.intp).reshape(len(rgs), k)
@@ -187,7 +184,7 @@ class Lattice:
             rows.append(np.broadcast_to(a, coarse.shape[:2]).ravel())
             cols.append(np.searchsorted(code, coarse @ radix).ravel())
             vals.append(np.repeat(up.mu_finest, len(a)))
-        B = len(self.keys)
+        B = len(self.sizes)
         return sparse.csr_array(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(B, B))
 

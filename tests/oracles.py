@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -47,7 +47,6 @@ from moranrec import (
     DiffusionRates,
     InvalidInitialError,
     ExpectationTrajectory,
-    LdeTrajectory,
     Measure,
     OverlapError,
     Partition,
@@ -365,7 +364,7 @@ def generator_from_rates(model: BackwardModel) -> GeneratorMatrix:
     return GeneratorMatrix(tuple(states), sparse.coo_array((vals, (rows, cols)), shape=(B, B)))
 
 
-def _marginal_sum(support: list[tuple[Partition, float]], u: tuple[int, ...],
+def _marginal_sum(support: Iterable[tuple[Partition, float]], u: tuple[int, ...],
                   b: Partition) -> float:
     """Sum of weights over full-set partitions restricting to ``b`` on ``u``."""
     total = 0.0
@@ -394,7 +393,8 @@ def marginal_split_rate(rates: DiffusionRates, u, b: Partition) -> float:
     opts = ordered_partitions_le2(u)
     if b not in opts[1:]:
         raise ValueError(f"{b} is not a two-part ordered partition of {u}")
-    return _marginal_sum(rates.support(), u, b)
+    support = zip(ordered_partitions_le2(rates.sites)[1:], rates.rho)
+    return _marginal_sum(support, u, b)
 
 
 def recombinator_bar(a: Partition, m: Measure) -> Measure:
@@ -492,9 +492,11 @@ def mobius_matrix(partitions: list[Partition]) -> np.ndarray:
 def incidence(k: int) -> np.ndarray:
     """Rows ``(a, b, split, lo, hi)`` of ``lattice(k).incidence``, one move at a
     time over the block bitmasks of every partition."""
-    L = lattice(k)
+    keys = [tuple(sorted(sum(1 << p for p in b) for b in blocks))
+            for blocks in lattice(k).blocks]
+    index = {key: i for i, key in enumerate(keys)}
     moves = []
-    for i, key in enumerate(L.keys):
+    for i, key in enumerate(keys):
         m = len(key)
         for j, blk in enumerate(key):
             rest = [*key[:j], *key[j + 1:], 0, 0]  # slots m - 1, m: fresh parents
@@ -502,7 +504,7 @@ def incidence(k: int) -> np.ndarray:
             for t in range(m - 1):
                 b = rest.copy()
                 b[t] |= blk
-                moves.append((i, L.index[tuple(sorted(b)[2:])], 0, pos[0], pos[-1]))
+                moves.append((i, index[tuple(sorted(b)[2:])], 0, pos[0], pos[-1]))
             for p, q in zip(pos, pos[1:]):
                 head = blk & ((2 << p) - 1)
                 for t1 in range(m):
@@ -511,7 +513,7 @@ def incidence(k: int) -> np.ndarray:
                         b[t1] |= head
                         b[t2] |= blk ^ head
                         empty = (t1 < m - 1) + (t2 < m - 1)
-                        moves.append((i, L.index[tuple(sorted(b)[empty:])], 1, p, q))
+                        moves.append((i, index[tuple(sorted(b)[empty:])], 1, p, q))
     return np.array(moves, dtype=np.intp).reshape(-1, 5)
 
 
@@ -632,14 +634,12 @@ def diffusion_left_eigenvectors(rho1: float, rho2: float) -> np.ndarray:
     ])
 
 
-def expected_sampling(backward: BackwardModel, z0: PopulationState, a0: Partition,
+def expected_sampling(backward: BackwardModel, z0: PopulationState,
                       times) -> ExpectationTrajectory:
     """Expected sampling measures via a dense ``expm(G * t)`` from 0 per time."""
     t = assert_sorted_times(times)
     if z0.N != backward.N:
         raise ValueError(f"population holds {z0.N} individuals, model expects {backward.N}")
-    if len(a0) > backward.N:
-        raise SampleTooLargeError("initial partition has more blocks than individuals")
     theta = generator_theta(backward)
     keep = [i for i, p in enumerate(theta.labels) if len(p) <= backward.N]
     partitions = [theta.labels[i] for i in keep]
@@ -648,7 +648,7 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState, a0: Partitio
     values = np.empty((t.size, len(partitions), H0.shape[1]))
     for i, ti in enumerate(t):
         values[i] = expm(G * ti) @ H0
-    return ExpectationTrajectory(t, tuple(partitions), z0.measure.cards, values)
+    return ExpectationTrajectory(t, backward.sites, tuple(partitions), z0.measure.cards, values)
 
 
 def expectation_rk4(theta: np.ndarray, H0: np.ndarray, times,
@@ -758,7 +758,7 @@ def sampling_table_values(space, N: int) -> np.ndarray:
 
 
 def lde_trajectory(backward: BackwardModel, z0: PopulationState, u,
-                   times) -> LdeTrajectory:
+                   times) -> ExpectationTrajectory:
     """Expected linkage disequilibria on the sites ``u``, on the full lattice.
 
     Solves the Bell(n) system of all sites of the model: pads each
@@ -767,7 +767,7 @@ def lde_trajectory(backward: BackwardModel, z0: PopulationState, u,
     set, and marginalizes the resulting signed measures onto ``u``.
     """
     u = site_set(u)
-    traj = stepped_expected_sampling(backward, z0, coarsest(backward.sites), times)
+    traj = stepped_expected_sampling(backward, z0, times)
     partitions_S = enumerate_partitions(backward.sites)
     index_S = {p: i for i, p in enumerate(partitions_S)}
     T = lattice_lde_transform(backward.n, backward.N)
@@ -788,7 +788,7 @@ def lde_trajectory(backward: BackwardModel, z0: PopulationState, u,
         for pi in range(len(sub_partitions)):
             m = Measure(sites_S, space.cards, L_full[pi])
             values[ti, pi] = marginalize(m, u).weights
-    return LdeTrajectory(traj.times, u, cards_u, tuple(sub_partitions), values)
+    return ExpectationTrajectory(traj.times, u, tuple(sub_partitions), cards_u, values)
 
 
 def _exit_rate(model: BackwardModel, a: Partition) -> float:

@@ -24,8 +24,6 @@ from moranrec import (
     finest,
     fixation_2site,
     generator_theta,
-    generator_theta_det,
-    generator_theta_diff,
     lde_conjugation_3site,
     lde_trajectory,
     marginalize,
@@ -148,7 +146,7 @@ def test_criterion_4_two_site_closed_form():
         h0 = sampling(finest([1, 2]), z0.measure).weights
         for r in (0.0, 0.1, 0.9):
             bwd = BackwardModel(2, N, RecombinationDistribution(2, (r,)))
-            traj = expected_sampling(bwd, z0, one, times)
+            traj = expected_sampling(bwd, z0, times)
             alpha = (r * (N - 1) + 2) / N
             c = r * (N - 1) / (r * (N - 1) + 2)
             for ti, t in enumerate(times):
@@ -233,7 +231,7 @@ def test_criterion_6_monte_carlo_duality():
 
 def test_criterion_7_limit_convergence():
     r_fixed = RecombinationDistribution(3, (0.3, 0.2))
-    det = generator_theta_det(BackwardModel(3, 10, r_fixed)).matrix
+    det = generator_theta(BackwardModel(3, 10, r_fixed, "deterministic")).matrix
     sizes = np.array([10, 100, 1000, 10_000], dtype=float)
     d_det = []
     for N in sizes.astype(int):
@@ -242,7 +240,7 @@ def test_criterion_7_limit_convergence():
     slope_det = np.polyfit(np.log10(sizes), np.log10(d_det), 1)[0]
 
     rho = DiffusionRates(3, (1.5, 2.5))
-    diff = generator_theta_diff(BackwardModel(3, 10, None, "diffusion", rho)).matrix
+    diff = generator_theta(BackwardModel(3, 10, None, "diffusion", rho)).matrix
     d_diff = []
     for N in sizes.astype(int):
         r_scaled = RecombinationDistribution(3, tuple(x / N for x in rho.rho))

@@ -12,8 +12,6 @@ from moranrec import (
     enumerate_partitions,
     finest,
     generator_theta,
-    generator_theta_det,
-    generator_theta_diff,
     ordered_partitions_le2,
     parse_partition,
     simulate_backward,
@@ -128,9 +126,8 @@ class TestGeneratorTheta:
     def test_all_variants_rows_sum_to_zero(self, n, N):
         r = random_recomb(n, seed=3 * n + N)
         rho = DiffusionRates(n, tuple(np.linspace(0.5, 2.0, n - 1)))
-        model = BackwardModel(n, N, r, "finite", rho)
-        for gen in (generator_theta(model), generator_theta_det(model),
-                    generator_theta_diff(model)):
+        for variant in ("finite", "deterministic", "diffusion"):
+            gen = generator_theta(BackwardModel(n, N, r, variant, rho))
             assert np.allclose(gen.matrix.sum(axis=1), 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -185,16 +182,18 @@ class TestGeneratorTheta:
 
 class TestGeneratorDet:
     def test_finest_row_is_zero(self):
-        gen = generator_theta_det(BackwardModel(3, 10, RecombinationDistribution(3, (0.2, 0.3))))
+        gen = generator_theta(BackwardModel(3, 10, RecombinationDistribution(3, (0.2, 0.3)),
+                                          "deterministic"))
         assert np.allclose(gen.matrix.toarray()[gen.index(finest([1, 2, 3]))], 0.0)
 
     def test_two_site_split_rate(self):
         r = 0.35
-        gen = generator_theta_det(BackwardModel(2, 50, RecombinationDistribution(2, (r,))))
+        gen = generator_theta(BackwardModel(2, 50, RecombinationDistribution(2, (r,)),
+                                          "deterministic"))
         assert gen.rate(coarsest([1, 2]), finest([1, 2])) == pytest.approx(r)
 
     def test_pure_splitting_structure(self):
-        gen = generator_theta_det(BackwardModel(4, 10, random_recomb(4, seed=9)))
+        gen = generator_theta(BackwardModel(4, 10, random_recomb(4, seed=9), "deterministic"))
         for a in gen.labels:
             for b in gen.labels:
                 if a != b and gen.rate(a, b) != 0.0:
@@ -202,7 +201,7 @@ class TestGeneratorDet:
 
     def test_large_population_convergence_order(self):
         r = RecombinationDistribution(3, (0.3, 0.2))
-        det = generator_theta_det(BackwardModel(3, 10, r)).matrix
+        det = generator_theta(BackwardModel(3, 10, r, "deterministic")).matrix
         dists = []
         for N in (10, 100, 1000):
             fin = generator_theta(BackwardModel(3, N, r)).matrix
@@ -214,7 +213,7 @@ class TestGeneratorDet:
 class TestGeneratorDiff:
     def test_two_site_matrix(self):
         rho = 1.7
-        gen = generator_theta_diff(
+        gen = generator_theta(
             BackwardModel(2, 10, None, "diffusion", DiffusionRates(2, (rho,))))
         got = permuted_generator(gen, [P("1,2"), P("1|2")])
         assert np.allclose(got, [[-rho, rho], [2, -2]])
@@ -222,7 +221,7 @@ class TestGeneratorDiff:
     def test_no_mixed_transitions(self):
         r = RecombinationDistribution(3, (0.2, 0.3))
         fin = generator_theta(BackwardModel(3, 8, r))
-        dif = generator_theta_diff(
+        dif = generator_theta(
             BackwardModel(3, 8, r, "diffusion", DiffusionRates(3, (1.0, 2.0))))
         a, b = P("1|2,3"), P("1,2|3")
         assert fin.rate(a, b) > 0  # finite N moves a fragment across blocks
@@ -236,14 +235,14 @@ class TestGeneratorDiff:
                 assert pure_split or pure_merge
 
     def test_coalescence_rate_two(self):
-        dif = generator_theta_diff(
+        dif = generator_theta(
             BackwardModel(3, 8, None, "diffusion", DiffusionRates(3, (1.0, 2.0))))
         assert dif.rate(P("1|2|3"), P("1,2|3")) == 2.0
         assert dif.rate(P("1|2,3"), P("1,2,3")) == 2.0
 
     def test_rescaled_convergence(self):
         rho = DiffusionRates(3, (1.5, 2.5))
-        dif = generator_theta_diff(BackwardModel(3, 10, None, "diffusion", rho)).matrix
+        dif = generator_theta(BackwardModel(3, 10, None, "diffusion", rho)).matrix
         dists = []
         for N in (10, 100, 1000):
             r = RecombinationDistribution(3, tuple(x / N for x in rho.rho))
@@ -314,18 +313,18 @@ class TestSimulateBackward:
                 assert split or merge
                 prev = p
 
-    @pytest.mark.parametrize("variant, start, generator", [
-        ("finite", "1|2,3", generator_theta),
-        ("deterministic", "1,2,3", generator_theta_det),
-        ("diffusion", "1|2,3", generator_theta_diff),
+    @pytest.mark.parametrize("variant, start", [
+        ("finite", "1|2,3"),
+        ("deterministic", "1,2,3"),
+        ("diffusion", "1|2,3"),
     ], ids=["finite", "deterministic", "diffusion"])
-    def test_first_jump_law_matches_generator(self, variant, start, generator):
+    def test_first_jump_law_matches_generator(self, variant, start):
         # chi-square of the embedded jump chain against the generator row,
         # plus the mean holding time
         model = BackwardModel(3, 5, RecombinationDistribution(3, (0.25, 0.15)), variant,
                               DiffusionRates(3, (0.8, 1.3)))
         start = P(start)
-        gen = generator(model)
+        gen = generator_theta(model)
         row = gen.matrix.toarray()[gen.index(start)].copy()
         row[gen.index(start)] = 0.0
         total_rate = row.sum()
@@ -355,11 +354,9 @@ class TestTransitionRatesHelper:
         # the dict-of-rates oracle against the lattice generator, row by row
         r = RecombinationDistribution(3, (0.2, 0.25))
         rho = DiffusionRates(3, (0.8, 1.3))
-        for variant, generator in (("finite", generator_theta),
-                                   ("deterministic", generator_theta_det),
-                                   ("diffusion", generator_theta_diff)):
+        for variant in ("finite", "deterministic", "diffusion"):
             model = BackwardModel(3, 6, r, variant, rho)
-            gen = generator(model)
+            gen = generator_theta(model)
             for a in gen.labels:
                 rates = transition_rates(model, a)
                 for b in gen.labels:

@@ -60,10 +60,13 @@ class TestConfigValidation:
         path = write_config(tmp_path, initial_counts=[4, 2, 1, 2])
         assert main(["simulate-forward", "--config", str(path)]) == 2
 
-    def test_partition_with_too_many_blocks(self, tmp_path):
+    @pytest.mark.parametrize("command", ["simulate-backward", "simulate-forward", "expectations"])
+    def test_partition_with_too_many_blocks(self, tmp_path, command):
+        # the config check is the only guard: expected_sampling takes no partition
         path = write_config(tmp_path, population_size=1, initial_counts=[1, 0, 0, 0],
                             initial_partition="1|2")
-        assert main(["simulate-backward", "--config", str(path)]) == 2
+        assert main([command, "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_size_cap_exit_code(self, tmp_path):
         path = write_config(

@@ -84,7 +84,7 @@ class TestDuality:
         bwd = BackwardModel(1, 4, r)
         assert check_generator_duality(fwd, bwd) < 1e-12
         z0 = PopulationState.from_counts(sp, [2, 1, 1])
-        traj = expected_sampling(bwd, z0, coarsest([1]), [0.0, 1e6])
+        traj = expected_sampling(bwd, z0, [0.0, 1e6])
         # neutral fixation: the late-time sample law equals the initial frequencies
         assert np.allclose(traj.values[1, 0], z0.counts / 4, atol=1e-9)
 
@@ -145,7 +145,8 @@ class TestExpectedSampling:
         r = random_recomb(3, 7)
         bwd = BackwardModel(3, 5, r)
         z0 = random_population(binary_space(3), 5, seed=7)
-        traj = expected_sampling(bwd, z0, coarsest([1, 2, 3]), [0.0])
+        traj = expected_sampling(bwd, z0, [0.0])
+        assert traj.sites == (1, 2, 3)
         direct = sampling_stack(z0)
         assert np.allclose(traj.values[0], direct, atol=1e-14)
 
@@ -153,7 +154,7 @@ class TestExpectedSampling:
         r = random_recomb(2, 8)
         bwd = BackwardModel(2, 6, r)
         z0 = random_population(SP2, 6, seed=8)
-        traj = expected_sampling(bwd, z0, coarsest([1, 2]), np.linspace(0, 20, 9))
+        traj = expected_sampling(bwd, z0, np.linspace(0, 20, 9))
         assert np.all(traj.values >= -1e-9)
         assert np.all(traj.values <= 1 + 1e-9)
         assert np.allclose(traj.values.sum(axis=2), 1.0, atol=1e-9)
@@ -163,7 +164,7 @@ class TestExpectedSampling:
             z0 = PopulationState.from_counts(SP2, [N - 2, 1, 0, 1])
             bwd = BackwardModel(2, N, RecombinationDistribution(2, (r,)))
             times = np.linspace(0.0, 10.0, 11)
-            traj = expected_sampling(bwd, z0, coarsest([1, 2]), times)
+            traj = expected_sampling(bwd, z0, times)
             got = traj.series(coarsest([1, 2]))
             for ti, t in enumerate(times):
                 assert np.allclose(got[ti], closed_form_h_whole_2site(N, r, z0, t),
@@ -174,27 +175,35 @@ class TestExpectedSampling:
         z0 = PopulationState.from_counts(SP2, [2, 2, 1, 1])
         bwd = BackwardModel(2, N, RecombinationDistribution(2, (r,)))
         t_star = 50 * N / (2 + r * (N - 1))
-        traj = expected_sampling(bwd, z0, coarsest([1, 2]), [t_star])
+        traj = expected_sampling(bwd, z0, [t_star])
         fix = fixation_2site(ForwardModel(SP2, N, bwd.recomb), z0)
         assert np.allclose(traj.series(coarsest([1, 2]))[0], fix.weights, atol=1e-8)
-
-    def test_initial_partition_validated(self):
-        r = random_recomb(3, 9)
-        bwd = BackwardModel(3, 2, r)
-        z0 = PopulationState.from_counts(binary_space(3), [1, 1, 0, 0, 0, 0, 0, 0])
-        with pytest.raises(SampleTooLargeError):
-            expected_sampling(bwd, z0, finest([1, 2, 3]), [0.0, 1.0])
 
     def test_matrix_exponential_agrees_with_rk4(self):
         r = random_recomb(3, 10)
         bwd = BackwardModel(3, 5, r)
         z0 = random_population(binary_space(3), 5, seed=10)
         times = [0.0, 1.0, 4.0, 10.0]
-        traj = expected_sampling(bwd, z0, coarsest([1, 2, 3]), times)
+        traj = expected_sampling(bwd, z0, times)
         theta = generator_theta(bwd).matrix
         h0 = sampling_stack(z0)
         rk4 = expectation_rk4(theta, h0, times, dt=1e-3)
         assert np.abs(rk4 - traj.values).max() < 1e-8
+
+
+def test_exact_calls_reject_unsupported_variants():
+    r = RecombinationDistribution(3, (0.2, 0.3))
+    rho = DiffusionRates(3, (1.0, 2.0))
+    z0 = random_population(binary_space(3), 5, seed=11)
+    fwd = ForwardModel(binary_space(3), 5, r)
+    for variant in ("deterministic", "diffusion"):
+        bwd = BackwardModel(3, 5, r, variant, rho)
+        with pytest.raises(ValueError, match="finite"):
+            expected_sampling(bwd, z0, [0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            check_generator_duality(fwd, bwd)
+    with pytest.raises(ValueError, match="finite"):
+        lde_conjugation_3site(BackwardModel(3, 5, r, "deterministic"))
 
 
 class TestLdeTrajectory:
@@ -244,14 +253,14 @@ class TestLdeTrajectory:
         z0 = PopulationState.from_counts(SP2, [2, 1, 1, 1])
         bwd = BackwardModel(2, 8, RecombinationDistribution(2, (0.2,)))
         with pytest.raises(ValueError):
-            expected_sampling(bwd, z0, coarsest([1, 2]), [0.0])
+            expected_sampling(bwd, z0, [0.0])
 
     @pytest.mark.parametrize("grid", [[0.0, np.nan], [np.nan], [0.0, np.inf]])
     def test_non_finite_times_rejected(self, grid):
         z0 = PopulationState.from_counts(SP2, [2, 1, 1, 1])
         bwd = BackwardModel(2, 5, RecombinationDistribution(2, (0.2,)))
         with pytest.raises(ValueError, match="time grid must be finite"):
-            expected_sampling(bwd, z0, coarsest([1, 2]), grid)
+            expected_sampling(bwd, z0, grid)
         with pytest.raises(ValueError, match="time grid must be finite"):
             lde_trajectory(bwd, z0, (1, 2), grid)
 

@@ -8,7 +8,6 @@ from moranrec import (
     BackwardModel,
     PopulationState,
     SiteSpace,
-    coarsest,
     expected_sampling,
     lde_trajectory,
 )
@@ -32,10 +31,9 @@ GRIDS = {
 def test_stepping_matches_per_time_expm(n, N):
     bwd = BackwardModel(n, N, random_recomb(n, 30 + n))
     z0 = random_population(binary_space(n), N, seed=40 + 7 * n + N)
-    a0 = coarsest(range(1, n + 1))
     for name, grid in GRIDS.items():
-        got = expected_sampling(bwd, z0, a0, grid)
-        ref = oracles.expected_sampling(bwd, z0, a0, grid)
+        got = expected_sampling(bwd, z0, grid)
+        ref = oracles.expected_sampling(bwd, z0, grid)
         assert got.partitions == ref.partitions
         assert np.array_equal(got.times, ref.times)
         assert np.abs(got.values - ref.values).max() <= 1e-12, name
@@ -54,7 +52,7 @@ def test_uniform_grid_needs_one_expm(monkeypatch, name, expected):
     monkeypatch.setattr(expectations_module, "expm", counting)
     bwd = BackwardModel(4, 6, random_recomb(4, 3))
     z0 = random_population(binary_space(4), 6, seed=3)
-    expected_sampling(bwd, z0, coarsest([1, 2, 3, 4]), GRIDS[name])
+    expected_sampling(bwd, z0, GRIDS[name])
     assert len(calls) == expected
 
 
@@ -70,14 +68,14 @@ def test_writer_matches_oracle_mixed_alphabets(tmp_path):
     space = SiteSpace((2, 3))
     bwd = BackwardModel(2, 5, random_recomb(2, 5))
     z0 = random_population(space, 5, seed=5)
-    traj = expected_sampling(bwd, z0, coarsest([1, 2]), [0.0, 0.3, 1.7])
+    traj = expected_sampling(bwd, z0, [0.0, 0.3, 1.7])
     assert_writer_matches_oracle(tmp_path, traj)
 
 
 def test_writer_matches_oracle_fewer_individuals_than_sites(tmp_path):
     bwd = BackwardModel(3, 2, random_recomb(3, 6))
     z0 = PopulationState.from_counts(binary_space(3), [1, 0, 0, 0, 0, 0, 0, 1])
-    traj = expected_sampling(bwd, z0, coarsest([1, 2, 3]), [0.0, 0.5, 1.0])
+    traj = expected_sampling(bwd, z0, [0.0, 0.5, 1.0])
     assert all(len(p) <= 2 for p in traj.partitions)
     assert_writer_matches_oracle(tmp_path, traj)
 

@@ -219,7 +219,7 @@ class TestSimulateForward:
         mean = acc / reps
         se = np.sqrt(np.maximum(acc2 / reps - mean**2, 0) / reps)
         bwd = BackwardModel(2, 10, m.recomb)
-        exact = expected_sampling(bwd, z0, coarsest([1, 2]), [t])
+        exact = expected_sampling(bwd, z0, [t])
         target = exact.series(coarsest([1, 2]))[0]
         assert np.all(np.abs(mean - target) <= 3 * np.maximum(se, 1e-9))
 
@@ -264,7 +264,7 @@ class TestDeterministicOde:
             m = ForwardModel(SP2, N, r)
             z0 = PopulationState.from_counts(SP2, (freq * N).astype(int))
             # the sampling measure of the one-block partition is the type frequency
-            exact = expected_sampling(BackwardModel(2, N, r), z0, coarsest([1, 2]), [t])
+            exact = expected_sampling(BackwardModel(2, N, r), z0, [t])
             target = exact.series(coarsest([1, 2]))[0]
             exact_dists.append(np.abs(target - omega.weights).max())
             reps = 300

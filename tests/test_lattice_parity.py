@@ -25,8 +25,6 @@ from moranrec import (
     expected_sampling,
     finest,
     generator_theta,
-    generator_theta_det,
-    generator_theta_diff,
     lde_conjugation_3site,
     lde_operator,
     lde_trajectory,
@@ -77,22 +75,19 @@ def test_mobius_matrix_equals_oracle_and_zeta_inverts_it(n):
 def test_theta_of_every_variant_matches_dict_oracle(n, N):
     recomb = random_recomb(n, 7 * n + N)
     rho = DiffusionRates(n, tuple(np.random.default_rng(n + N).uniform(0, 3, n - 1)))
-    for variant, generator in (("finite", generator_theta),
-                               ("deterministic", generator_theta_det),
-                               ("diffusion", generator_theta_diff)):
+    for variant in ("finite", "deterministic", "diffusion"):
         model = BackwardModel(n, N, recomb, variant, rho)
-        got, old = generator(model), oracles.generator_from_rates(model)
+        got, old = generator_theta(model), oracles.generator_from_rates(model)
         assert got.labels == old.labels
         assert np.abs(got.matrix.toarray() - old.matrix.toarray()).max() <= 1e-14
 
 
 def test_theta_with_a_zero_and_a_full_crossover_matches_dict_oracle():
     for crossover in ((0.0, 1.0, 0.0), (0.3, 0.0, 0.7), (0.0, 0.0, 0.0)):
-        model = BackwardModel(4, 5, RecombinationDistribution(4, crossover))
-        for generator, variant in ((generator_theta, "finite"),
-                                   (generator_theta_det, "deterministic")):
-            old = oracles.generator_from_rates(BackwardModel(4, 5, model.recomb, variant))
-            assert np.abs(generator(model).matrix.toarray()
+        for variant in ("finite", "deterministic"):
+            model = BackwardModel(4, 5, RecombinationDistribution(4, crossover), variant)
+            old = oracles.generator_from_rates(model)
+            assert np.abs(generator_theta(model).matrix.toarray()
                           - old.matrix.toarray()).max() <= 1e-14
 
 
@@ -249,7 +244,7 @@ class TestFewerIndividualsThanSites:
         self.z0 = random_population(binary_space(self.n), self.N, seed=3)
 
     def test_expected_sampling_at_time_zero(self):
-        traj = expected_sampling(self.bwd, self.z0, coarsest([1, 2, 3, 4]), [0.0, 0.5])
+        traj = expected_sampling(self.bwd, self.z0, [0.0, 0.5])
         kept = [p for p in enumerate_partitions(range(1, self.n + 1)) if len(p) <= self.N]
         assert list(traj.partitions) == kept
         for pi, a in enumerate(traj.partitions):
