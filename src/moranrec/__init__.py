@@ -33,7 +33,6 @@ from .errors import (
 from .expectations import (
     ExpectationTrajectory,
     LdeTransform,
-    SamplingTable,
     check_generator_duality,
     expected_sampling,
     fixation_2site,

@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .operators import DiffusionRates, RecombinationDistribution
 from .partitions import (
     Block,
     Partition,
-    enumerate_partitions,
     format_partition,
     lattice,
     ordered_partitions_le2,
@@ -126,10 +125,13 @@ def _transition_rates_diff(model: BackwardModel, a: Partition) -> dict[Partition
 def generator_theta(model: BackwardModel) -> GeneratorMatrix:
     """Generator of ``model.variant`` over all partitions of the sites.
 
-    One weighting of the lattice's split/merge incidence per variant.  A
-    block stays whole with probability one minus the crossover mass
-    between its outer sites, and is cut between consecutive sites with
-    the mass of the gaps between them.  Finite: every move, times the
+    Row and column ``i`` are partition ``i`` of
+    ``enumerate_partitions(model.sites)``, the row order of
+    ``lattice(model.n)``; no partition is built.  One weighting of the
+    lattice's split/merge incidence per variant.  A block stays whole with
+    probability one minus the crossover mass between its outer sites, and
+    is cut between consecutive sites with the mass of the gaps between
+    them.  Finite: every move, times the
     ``(N-(m-1))!/(N-|b|)!`` parent choices that give ``b``, over ``N``
     (whole) or ``N**2`` (cut) parents drawn; rows with more blocks than
     individuals are zero, as no admissible start reaches them.
@@ -141,7 +143,6 @@ def generator_theta(model: BackwardModel) -> GeneratorMatrix:
     """
     from scipy import sparse
 
-    labels = tuple(enumerate_partitions(model.sites))
     L = lattice(model.n)
     inc = L.incidence
     split, m, nb = inc["split"], inc["m"], inc["nb"]
@@ -166,7 +167,7 @@ def generator_theta(model: BackwardModel) -> GeneratorMatrix:
     diag = np.arange(B)
     rows, cols = np.concatenate((a, diag)), np.concatenate((b, diag))
     vals = np.concatenate((rate, np.negative(exit_rates)))
-    return GeneratorMatrix(labels, sparse.coo_array((vals, (rows, cols)), shape=(B, B)))
+    return GeneratorMatrix(sparse.coo_array((vals, (rows, cols)), shape=(B, B)))
 
 
 @dataclass(frozen=True)
@@ -328,16 +329,16 @@ def partition_trajectory_to_csv(rec: PartitionTrajectory,
     return buf.getvalue()
 
 
-def generator_to_csv(gen: GeneratorMatrix, header_comment: str | None = None) -> str:
-    """Dense CSV with the partition order as header row."""
+def generator_to_csv(gen: GeneratorMatrix, partitions: Sequence[Partition],
+                     header_comment: str | None = None) -> str:
+    """Dense CSV with ``partitions``, the states of the rows in order, as header row."""
     buf = io.StringIO()
     if header_comment:
         buf.write(f"# {header_comment}\n")
-    labels = [format_partition(p) if isinstance(p, Partition) else str(p)
-              for p in gen.labels]
+    labels = [format_partition(p) for p in partitions]
     buf.write("state," + ",".join(f'"{lab}"' for lab in labels) + "\n")
     dense = gen.matrix.toarray()
-    for lab, values in zip(labels, dense):
+    for lab, values in zip(labels, dense, strict=True):
         row = ",".join(f"{v:.17g}" for v in values)
         buf.write(f'"{lab}",{row}\n')
     return buf.getvalue()

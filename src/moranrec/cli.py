@@ -29,6 +29,8 @@ Numbers must be finite: ``NaN``, ``Infinity`` and overflowing literals are
 rejected, in the config, in the weights of the population file and in the
 ``--t-end``, ``--grid`` and ``--tol`` flags; ``--tol`` must also be at
 least 0.
+A population file lists each type at most once; a second row for a type
+is rejected, whatever its weight.
 Integer fields must be JSON integers; the entries of ``crossover_probs``
 and ``rho`` must be numbers (not booleans), and ``out`` and
 ``initial_population_file`` strings.  ``expectations``, ``lde`` and
@@ -90,7 +92,13 @@ from .measures import (
     type_token,
 )
 from .operators import DiffusionRates, RecombinationDistribution, sampling
-from .partitions import Partition, coarsest, format_partition, parse_partition
+from .partitions import (
+    Partition,
+    coarsest,
+    enumerate_partitions,
+    format_partition,
+    parse_partition,
+)
 
 # postcondition on expected sampling measures before they are written
 NEGATIVE_TOL = 1e-12
@@ -326,16 +334,19 @@ def expectations_to_csv(path: Path, times, partitions, cards, values,
                         comment: str) -> None:
     """Write rows ``time,partition,type,value`` of a (times, partitions, types) block.
 
-    The file is written one (time, partition) block at a time.
+    The file is written one (time, partition) block at a time; each
+    partition label is formatted once per file.
     """
     tokens = [type_token(cards, xi) for xi in range(values.shape[2])]
+    labels = [f'"{format_partition(p)}",' for p in partitions]
     # one %-template per block: the prefix (a time and a partition) holds no '%'
     rows = [f"{tok},%.17g\n" for tok in tokens]
     with open(path, "w") as f:
         f.write(f"# {comment}\ntime,partition,type,value\n")
         for ti, t in enumerate(times):
-            for pi, p in enumerate(partitions):
-                prefix = f'{t:.17g},"{format_partition(p)}",'
+            at = f"{t:.17g},"
+            for pi, label in enumerate(labels):
+                prefix = at + label
                 f.write((prefix + prefix.join(rows)) % tuple(values[ti, pi].tolist()))
 
 
@@ -482,8 +493,9 @@ def cmd_generators(cfg: RunConfig) -> int:
     # every generator is built (and the site cap checked) before anything is written
     _write_manifest(cfg, "generators")
     stamp = _stamp(cfg)
+    partitions = enumerate_partitions(model.sites)  # the row order of every generator
     for name, gen in generators.items():
-        _write(cfg, name, generator_to_csv(gen, stamp))
+        _write(cfg, name, generator_to_csv(gen, partitions, stamp))
     print(f"generators -> {cfg.out}")
     return 0
 

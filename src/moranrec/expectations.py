@@ -67,27 +67,18 @@ def sampling_stack(z: PopulationState) -> np.ndarray:
     return _sampling_rows(z.measure.as_grid()[None], z.N)[:, 0]
 
 
-@dataclass(frozen=True, eq=False)
-class SamplingTable:
-    """Sampling measures for every population state and every partition.
+def sampling_table(space: SiteSpace, N: int) -> np.ndarray:
+    """The full duality table over populations of size ``N``.
 
-    ``values[z_index, partition_index, type_index]`` holds the probability
-    that a without-replacement spliced sample shows the given type.
-    """
-
-    pop_states: tuple[tuple[int, ...], ...]
-    partitions: tuple[Partition, ...]
-    cards: tuple[int, ...]
-    values: np.ndarray
-
-
-def sampling_table(space: SiteSpace, N: int) -> SamplingTable:
-    """Build the full duality table over populations of size ``N``.
-
-    The block-marginal products of every state are contracted against the
-    Mobius matrix of the lattice in a single sparse product; the
-    falling-factorial normalization needs ``N`` at least the number of
-    sites.  At most ``DEFAULT_POPULATION_CAP`` population states and
+    ``table[z, a, x]`` is the probability that a without-replacement
+    spliced sample along partition ``a`` of population ``z`` shows type
+    ``x``.  ``z`` runs over ``enumerate_population_states(K, N)``, with
+    ``K`` the number of types, ``a`` over
+    ``enumerate_partitions(space.sites)`` (lattice order) and ``x`` over
+    the types in mixed-radix order.  The block-marginal products of every
+    state are contracted against the Mobius matrix of the lattice in a
+    single sparse product; the falling-factorial normalization needs ``N``
+    at least the number of sites.  At most ``DEFAULT_POPULATION_CAP`` population states and
     ``DEFAULT_SITE_CAP`` sites.
     """
     n = space.n
@@ -98,11 +89,9 @@ def sampling_table(space: SiteSpace, N: int) -> SamplingTable:
     if count_population_states(K, N) > DEFAULT_POPULATION_CAP:
         raise SizeCapError("population state space exceeds the cap; "
                            "reduce sites, alphabet or N")
-    partitions = enumerate_partitions(space.sites)
     states = enumerate_population_states(K, N)
     grid = np.array(states, dtype=float).reshape((len(states),) + space.cards)
-    values = np.ascontiguousarray(_sampling_rows(grid, N).transpose(1, 0, 2))
-    return SamplingTable(tuple(states), tuple(partitions), space.cards, values)
+    return np.ascontiguousarray(_sampling_rows(grid, N).transpose(1, 0, 2))
 
 
 def check_generator_duality(forward: ForwardModel, backward: BackwardModel) -> float:
@@ -121,11 +110,9 @@ def check_generator_duality(forward: ForwardModel, backward: BackwardModel) -> f
     lam = generator_lambda(forward)
     theta = generator_theta(backward)
     table = sampling_table(forward.space, forward.N)
-    if tuple(lam.labels) != table.pop_states or tuple(theta.labels) != table.partitions:
-        raise RuntimeError("state enumeration mismatch")
-    Z, B, K = table.values.shape
-    lhs = (lam.matrix @ table.values.reshape(Z, B * K)).reshape(Z, B, K)
-    rhs = theta.matrix @ table.values.transpose(1, 0, 2).reshape(B, Z * K)
+    Z, B, K = table.shape
+    lhs = (lam.matrix @ table.reshape(Z, B * K)).reshape(Z, B, K)
+    rhs = theta.matrix @ table.transpose(1, 0, 2).reshape(B, Z * K)
     return float(np.abs(lhs - rhs.reshape(B, Z, K).transpose(1, 0, 2)).max())
 
 
@@ -133,16 +120,18 @@ def check_generator_duality(forward: ForwardModel, backward: BackwardModel) -> f
 class ExpectationTrajectory:
     """Expected measures on the sites ``sites`` over a time grid, one block
     per partition of them: sampling measures from :func:`expected_sampling`,
-    LDE measures from :func:`lde_trajectory`."""
+    LDE measures from :func:`lde_trajectory`.
+
+    ``values[i, j]`` belongs to ``times[i]`` and ``partitions[j]``; the
+    partitions follow ``enumerate_partitions(sites)`` (lattice order),
+    restricted to those with at most ``N`` blocks for sampling measures.
+    """
 
     times: np.ndarray
     sites: tuple[int, ...]
     partitions: tuple[Partition, ...]
     cards: tuple[int, ...]
     values: np.ndarray  # (times, partitions, types on the sites)
-
-    def series(self, a: Partition) -> np.ndarray:
-        return self.values[:, self.partitions.index(a), :]
 
 
 _EPS = np.finfo(float).eps
@@ -180,12 +169,10 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState,
         raise ValueError(f"population holds {z0.N} individuals, model expects {backward.N}")
     if backward.variant != "finite":
         raise ValueError("expected_sampling needs the finite variant")
-    theta = generator_theta(backward)
     keep = np.flatnonzero(lattice(backward.n).sizes <= backward.N)
-    partitions = [theta.labels[i] for i in keep]
-    G = theta.matrix.toarray()[np.ix_(keep, keep)]
+    G = generator_theta(backward).matrix.toarray()[np.ix_(keep, keep)]
     y = sampling_stack(z0)
-    values = np.empty((t.size, len(partitions), y.shape[1]))
+    values = np.empty((t.size, keep.size, y.shape[1]))
     step, E, prev = None, None, 0.0
     for i, ti in enumerate(t):
         h = ti - prev
@@ -195,7 +182,9 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState,
             y = E @ y
         values[i] = y
         prev = ti
-    return ExpectationTrajectory(t, backward.sites, tuple(partitions), z0.measure.cards, values)
+    partitions = enumerate_partitions(backward.sites)
+    return ExpectationTrajectory(t, backward.sites, tuple(partitions[i] for i in keep),
+                                 z0.measure.cards, values)
 
 
 def _lde_scales(L: Lattice, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -306,7 +295,8 @@ def lde_conjugation_3site(backward: BackwardModel) -> LdeTransform:
         power, falling = _lde_scales(L, backward.N)
         Tinv = (L.mobius.toarray() / falling[:, None] * power[None, :]) @ L.zeta.T.toarray()
     # from lattice order to the display order
-    idx = [gen.index(p) for p in order]
+    lattice_order = enumerate_partitions((1, 2, 3))
+    idx = [lattice_order.index(p) for p in order]
     perm = np.ix_(idx, idx)
     theta, T, Tinv = gen.matrix.toarray()[perm], T[perm], Tinv[perm]
     A = T @ theta @ Tinv

@@ -59,19 +59,20 @@ def replacement_distribution(model: ForwardModel, counts: np.ndarray) -> np.ndar
     block-marginal products; a probability vector.  ``counts`` may stack
     count vectors along leading axes; each gets its own distribution.
     """
-    support = [(a, r) for a, r in model.recomb.support() if r != 0.0]
+    support = [(blocks, r) for blocks, r in model.recomb.support() if r != 0.0]
     lead = counts.shape[:-1]
     N = counts.sum(axis=-1, keepdims=True)
     products = block_products(counts.reshape(lead + model.space.cards), model.space.sites,
-                              [a for a, _ in support])
-    return sum((r / N**len(a)) * rbar for (a, r), rbar in zip(support, products))
+                              [blocks for blocks, _ in support])
+    return sum((r / N**len(blocks)) * rbar for (blocks, r), rbar in zip(support, products))
 
 
 def generator_lambda(model: ForwardModel) -> GeneratorMatrix:
     """Exact generator over every population of size ``N``.
 
-    Rows are indexed by count vectors in the order of
-    ``enumerate_population_states``; monomorphic rows are zero (absorbing).
+    Row and column ``i`` are count vector ``i`` of
+    ``enumerate_population_states(K, N)``, with ``K`` the number of types;
+    monomorphic rows are zero (absorbing).
     The rate of replacing a ``y`` by an ``x`` goes to the state with one
     ``y`` fewer and one ``x`` more, ranked by
     :func:`rank_population_moves`.  Only types present in a state can die,
@@ -86,8 +87,7 @@ def generator_lambda(model: ForwardModel) -> GeneratorMatrix:
     if n_states > DEFAULT_POPULATION_CAP:
         raise SizeCapError(f"{n_states} population states exceeds the cap of "
                            f"{DEFAULT_POPULATION_CAP}; reduce sites, alphabet or N")
-    labels = enumerate_population_states(K, model.N)
-    states = np.array(labels, dtype=np.int64)
+    states = np.array(enumerate_population_states(K, model.N), dtype=np.int64)
     # one row of rates[(z, y), x] = q_z(x) * z(y) per type y present in z;
     # distinct (y, x) reach distinct states
     src, y = np.nonzero(states)
@@ -101,7 +101,7 @@ def generator_lambda(model: ForwardModel) -> GeneratorMatrix:
     G = sparse.coo_array((np.concatenate([rates[hit, x], diagonal]),
                           (np.concatenate([rows, every]), np.concatenate([cols, every]))),
                          shape=(n_states, n_states))
-    return GeneratorMatrix(tuple(labels), G)
+    return GeneratorMatrix(G)
 
 
 @dataclass(frozen=True)
@@ -181,8 +181,8 @@ def deterministic_step(recomb: RecombinationDistribution, omega: Measure,
     if dt <= 0:
         raise ValueError("dt must be positive")
     cards = omega.cards
-    cuts = [(a, r) for a, r in recomb.support()[1:] if r > 0.0]
-    parts = [a for a, _ in cuts]
+    cuts = [(blocks, r) for blocks, r in recomb.support()[1:] if r > 0.0]
+    parts = [blocks for blocks, _ in cuts]
 
     def field(w: np.ndarray) -> np.ndarray:
         norm = w.sum()

@@ -14,23 +14,25 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """Square rate matrix with rows/columns labelled by explicit states.
+    """Square rate matrix over an enumerated state space.
 
-    Rows sum to zero; the diagonal is minus the off-diagonal row sum.
-    ``matrix`` is a read-only CSR array without explicit zeros, whatever
-    dense or sparse input it was built from; callers that need a dense
-    block take ``.toarray()`` of it.
+    Row and column ``i`` stand for state ``i`` of the enumeration that
+    defines the states: :func:`moranrec.partitions.enumerate_partitions`
+    for the partitioning generators, :func:`enumerate_population_states`
+    for the population generator.  Rows sum to zero; the diagonal is minus
+    the off-diagonal row sum.  ``matrix`` is a read-only CSR array without
+    explicit zeros, whatever dense or sparse input it was built from;
+    callers that need a dense block take ``.toarray()`` of it.
     """
 
-    labels: tuple
     matrix: sparse.csr_array
 
     def __post_init__(self) -> None:
         from scipy import sparse
 
         m = sparse.csr_array(self.matrix, dtype=float, copy=True)
-        if m.shape != (len(self.labels), len(self.labels)):
-            raise ValueError("matrix shape must match the number of labels")
+        if m.shape[0] != m.shape[1]:
+            raise ValueError(f"generator matrix must be square, got shape {m.shape}")
         # canonical (summed, sorted) before freezing: scipy sorts unsorted
         # indices in place, which read-only arrays would refuse
         m.sum_duplicates()
@@ -38,17 +40,6 @@ class GeneratorMatrix:
         for part in (m.data, m.indices, m.indptr):
             part.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(self.labels)})
-
-    def index(self, label) -> int:
-        return self._index[label]
-
-    def rate(self, a, b) -> float:
-        return float(self.matrix[self.index(a), self.index(b)])
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
 
 
 def enumerate_population_states(n_types: int, N: int) -> list[tuple[int, ...]]:

@@ -227,12 +227,18 @@ def csv_table(text: str, header: Sequence[str]) -> tuple[list[str], Iterator[lis
 def measure_from_csv(text: str, sites: Sequence[int], cards: Sequence[int]) -> Measure:
     """Parse the output of :func:`measure_to_csv`; comment lines start with '#'.
 
-    A weight that is not a finite number raises ``ValueError``.
+    A weight that is not a finite number, or a second row for one type,
+    raises ``ValueError``.
     """
     weights = np.zeros(int(np.prod(cards)) if len(cards) else 1)
+    seen: set[int] = set()
     for token, value in csv_table(text, ("type", "weight"))[1]:
         weight = float(value)
         if not math.isfinite(weight):
             raise ValueError(f"weight of type {token!r} is not finite: {value!r}")
-        weights[parse_type_token(cards, token)] = weight
+        idx = parse_type_token(cards, token)
+        if idx in seen:
+            raise ValueError(f"type {token!r} has more than one row")
+        seen.add(idx)
+        weights[idx] = weight
     return Measure(tuple(sites), tuple(cards), weights)

@@ -40,9 +40,7 @@ from .partitions import (
     Block,
     Partition,
     coarsenings,
-    coarsest,
     lattice,
-    ordered_partitions_le2,
     refinements,
     site_set,
 )
@@ -90,12 +88,12 @@ class RecombinationDistribution:
         """Probability that no crossover happens during a reproduction."""
         return max(0.0, 1.0 - sum(self.crossover))
 
-    def support(self) -> list[tuple[Partition, float]]:
-        """Pairs (partition, probability) over the whole set and every cut."""
-        out = [(coarsest(self.sites), self.r_whole)]
-        for p, r in zip(ordered_partitions_le2(self.sites)[1:], self.crossover):
-            out.append((p, r))
-        return out
+    def support(self) -> list[tuple[tuple[Block, ...], float]]:
+        """Pairs (blocks, probability) over the whole set and every cut, each
+        partition as its canonical block tuple (``Partition.blocks``)."""
+        s = self.sites
+        return [((s,), self.r_whole)] + [((s[:k], s[k:]), r)
+                                          for k, r in enumerate(self.crossover, start=1)]
 
     def marginal(self, u) -> "RecombinationDistribution":
         """The law of the cuts among the sites of ``u``, relabelled ``1..|u|``.

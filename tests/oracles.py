@@ -75,7 +75,6 @@ from moranrec.expectations import lde_transform as lattice_lde_transform
 from moranrec.expectations import sampling_stack
 from moranrec.forward import DEFAULT_POPULATION_CAP, ForwardModel
 from moranrec.markov import (
-    GeneratorMatrix,
     assert_sorted_times,
     count_population_states,
     enumerate_population_states,
@@ -347,9 +346,10 @@ def _transition_rates_det(model: BackwardModel, a: Partition) -> dict[Partition,
     return out
 
 
-def generator_from_rates(model: BackwardModel) -> GeneratorMatrix:
+def generator_from_rates(model: BackwardModel) -> tuple[tuple[Partition, ...], np.ndarray]:
     """Generator from one ``transition_rates`` dict per partition; the
-    diagonal is minus the ``fsum`` of the row's rates."""
+    diagonal is minus the ``fsum`` of the row's rates.  Returns the states
+    in the order of :func:`rgs_partitions` and the dense matrix."""
     states = rgs_partitions(model.sites)
     index = {p: i for i, p in enumerate(states)}
     rows: list[int] = []
@@ -361,15 +361,16 @@ def generator_from_rates(model: BackwardModel) -> GeneratorMatrix:
         cols += [index[b] for b in rates] + [ai]
         vals += [*rates.values(), -math.fsum(rates.values())]
     B = len(states)
-    return GeneratorMatrix(tuple(states), sparse.coo_array((vals, (rows, cols)), shape=(B, B)))
+    return tuple(states), sparse.coo_array((vals, (rows, cols)), shape=(B, B)).toarray()
 
 
-def _marginal_sum(support: Iterable[tuple[Partition, float]], u: tuple[int, ...],
-                  b: Partition) -> float:
-    """Sum of weights over full-set partitions restricting to ``b`` on ``u``."""
+def _marginal_sum(support: Iterable[tuple[tuple[tuple[int, ...], ...], float]],
+                  u: tuple[int, ...], b: Partition) -> float:
+    """Sum of weights over full-set partitions, given by their blocks,
+    restricting to ``b`` on ``u``."""
     total = 0.0
-    for a, w in support:
-        if restrict(a, u) == b:
+    for blocks, w in support:
+        if restrict(Partition(blocks), u) == b:
             total += w
     return total
 
@@ -640,10 +641,10 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState,
     t = assert_sorted_times(times)
     if z0.N != backward.N:
         raise ValueError(f"population holds {z0.N} individuals, model expects {backward.N}")
-    theta = generator_theta(backward)
-    keep = [i for i, p in enumerate(theta.labels) if len(p) <= backward.N]
-    partitions = [theta.labels[i] for i in keep]
-    G = theta.matrix.toarray()[np.ix_(keep, keep)]
+    states = rgs_partitions(backward.sites)
+    keep = [i for i, p in enumerate(states) if len(p) <= backward.N]
+    partitions = [states[i] for i in keep]
+    G = generator_theta(backward).matrix.toarray()[np.ix_(keep, keep)]
     H0 = sampling_stack(z0)
     values = np.empty((t.size, len(partitions), H0.shape[1]))
     for i, ti in enumerate(t):

@@ -147,15 +147,15 @@ def test_criterion_4_two_site_closed_form():
         for r in (0.0, 0.1, 0.9):
             bwd = BackwardModel(2, N, RecombinationDistribution(2, (r,)))
             traj = expected_sampling(bwd, z0, times)
+            whole = traj.values[:, traj.partitions.index(one)]
             alpha = (r * (N - 1) + 2) / N
             c = r * (N - 1) / (r * (N - 1) + 2)
             for ti, t in enumerate(times):
                 closed = h1 - c * (1 - math.exp(-alpha * t)) * (h1 - h0)
-                worst_sol = max(worst_sol,
-                                float(np.abs(traj.series(one)[ti] - closed).max()))
+                worst_sol = max(worst_sol, float(np.abs(whole[ti] - closed).max()))
             t1, t2 = 0.5, 1.5
             lde = lde_trajectory(bwd, z0, (1, 2), [t1, t2])
-            top = lde.series(one)
+            top = lde.values[:, lde.partitions.index(one)]
             k = int(np.argmax(np.abs(top[0])))
             fitted = -(np.log(abs(top[1][k])) - np.log(abs(top[0][k]))) / (t2 - t1)
             worst_rate = max(worst_rate, abs(fitted - (2 + r * (N - 1)) / N))

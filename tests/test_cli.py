@@ -3,18 +3,28 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import moranrec
-from moranrec import backward, measure_from_csv, parse_partition
+from moranrec import (
+    BackwardModel,
+    DiffusionRates,
+    RecombinationDistribution,
+    backward,
+    enumerate_partitions,
+    generator_theta,
+    measure_from_csv,
+    parse_partition,
+)
 from moranrec import cli
 from moranrec.cli import main
 
 from oracles import expectations_from_csv, refines
-from util import partition_events_from_csv, trajectory_events_from_csv
+from util import generator_from_csv, partition_events_from_csv, trajectory_events_from_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -177,6 +187,16 @@ class TestConfigValidation:
         path = write_config(tmp_path, initial_counts=None, initial_population_file="pop.csv")
         assert main(["expectations", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_population_row(self, tmp_path, capsys):
+        # the rows hold 10 individuals; keeping the last "00" row would sum to 7
+        (tmp_path / "pop.csv").write_text("type,weight\n00,3\n00,1\n01,2\n10,2\n11,2\n")
+        path = write_config(tmp_path, population_size=7, initial_counts=None,
+                            initial_population_file="pop.csv")
+        assert main(["fixation", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'00'" in err
         assert not (tmp_path / "out").exists()
 
 
@@ -471,6 +491,20 @@ class TestGeneratorsCommand:
         for name in ("theta_finite.csv", "theta_deterministic.csv", "theta_diffusion.csv"):
             text = (out / name).read_text()
             assert '"1,2"' in text.splitlines()[1]
+
+    def test_label_order_matches_enumeration(self, tmp_path):
+        path = write_config(tmp_path, sites=3, crossover_probs=[0.2, 0.3], rho=[1.0, 2.0],
+                            initial_counts=[3, 1, 1, 1, 1, 1, 1, 1], initial_partition="1,2,3")
+        assert main(["generators", "--config", str(path)]) == 0
+        parts = enumerate_partitions((1, 2, 3))
+        model = BackwardModel(3, 10, RecombinationDistribution(3, (0.2, 0.3)),
+                              rho=DiffusionRates(3, (1.0, 2.0)))
+        for variant in ("finite", "deterministic", "diffusion"):
+            text = (tmp_path / "out" / f"theta_{variant}.csv").read_text()
+            labels, dense = generator_from_csv(text)  # checks the header against the rows
+            assert labels == parts
+            gen = generator_theta(replace(model, variant=variant))
+            assert np.array_equal(dense, gen.matrix.toarray())
 
 
 # Runs in a fresh interpreter: the scipy modules loaded after importing the

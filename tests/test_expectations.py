@@ -11,6 +11,8 @@ from moranrec import (
     ShapeError,
     check_generator_duality,
     coarsest,
+    enumerate_partitions,
+    enumerate_population_states,
     expected_sampling,
     finest,
     fixation_2site,
@@ -98,12 +100,12 @@ class TestDuality:
     def test_sampling_table_matches_direct_evaluation(self):
         N = 4
         table = sampling_table(SP2, N)
-        for zi, s in enumerate(table.pop_states[:6]):
+        states = enumerate_population_states(SP2.total_states, N)
+        for zi, s in enumerate(states[:6]):
             z = PopulationState.from_counts(SP2, s)
-            for a in table.partitions:
+            for ai, a in enumerate(enumerate_partitions(SP2.sites)):
                 direct = sampling(a, z.measure).weights
-                assert np.allclose(table.values[zi, table.partitions.index(a)],
-                                   direct, atol=1e-12)
+                assert np.allclose(table[zi, ai], direct, atol=1e-12)
 
     def test_table_needs_enough_individuals(self):
         with pytest.raises(SampleTooLargeError):
@@ -165,7 +167,7 @@ class TestExpectedSampling:
             bwd = BackwardModel(2, N, RecombinationDistribution(2, (r,)))
             times = np.linspace(0.0, 10.0, 11)
             traj = expected_sampling(bwd, z0, times)
-            got = traj.series(coarsest([1, 2]))
+            got = traj.values[:, traj.partitions.index(coarsest([1, 2]))]
             for ti, t in enumerate(times):
                 assert np.allclose(got[ti], closed_form_h_whole_2site(N, r, z0, t),
                                    atol=1e-10)
@@ -177,7 +179,8 @@ class TestExpectedSampling:
         t_star = 50 * N / (2 + r * (N - 1))
         traj = expected_sampling(bwd, z0, [t_star])
         fix = fixation_2site(ForwardModel(SP2, N, bwd.recomb), z0)
-        assert np.allclose(traj.series(coarsest([1, 2]))[0], fix.weights, atol=1e-8)
+        whole = traj.partitions.index(coarsest([1, 2]))
+        assert np.allclose(traj.values[0, whole], fix.weights, atol=1e-8)
 
     def test_matrix_exponential_agrees_with_rk4(self):
         r = random_recomb(3, 10)
@@ -224,7 +227,7 @@ class TestLdeTrajectory:
         z0 = PopulationState.from_counts(SP2, [N - 2, 1, 0, 1])
         t1, t2 = 0.5, 1.5
         traj = lde_trajectory(bwd, z0, (1, 2), [t1, t2])
-        top = traj.series(coarsest([1, 2]))
+        top = traj.values[:, traj.partitions.index(coarsest([1, 2]))]
         k = int(np.argmax(np.abs(top[0])))
         rate = -(np.log(abs(top[1][k])) - np.log(abs(top[0][k]))) / (t2 - t1)
         assert rate == pytest.approx((2 + r * (N - 1)) / N, abs=1e-8)
@@ -235,7 +238,7 @@ class TestLdeTrajectory:
         z0 = PopulationState.from_counts(binary_space(3), [2, 1, 0, 0, 1, 0, 1, 1])
         t1, t2 = 0.4, 1.2
         traj = lde_trajectory(bwd, z0, (1, 2, 3), [t1, t2])
-        top = traj.series(coarsest([1, 2, 3]))
+        top = traj.values[:, traj.partitions.index(coarsest([1, 2, 3]))]
         k = int(np.argmax(np.abs(top[0])))
         rate = -(np.log(abs(top[1][k])) - np.log(abs(top[0][k]))) / (t2 - t1)
         expected = (6 * N + (N - 1) * (N - 2) * (r1 + r2)) / N**2
@@ -247,7 +250,8 @@ class TestLdeTrajectory:
         z0 = PopulationState.from_counts(SP2, counts)
         bwd = BackwardModel(2, 16, RecombinationDistribution(2, (0.2,)))
         traj = lde_trajectory(bwd, z0, (1, 2), [0.0])
-        assert np.allclose(traj.series(coarsest([1, 2]))[0], 0.0, atol=1e-12)
+        whole = traj.partitions.index(coarsest([1, 2]))
+        assert np.allclose(traj.values[0, whole], 0.0, atol=1e-12)
 
     def test_population_size_mismatch_rejected(self):
         z0 = PopulationState.from_counts(SP2, [2, 1, 1, 1])

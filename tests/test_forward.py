@@ -63,18 +63,19 @@ class TestGeneratorLambda:
         assert np.allclose(g.matrix.sum(axis=1), 0.0, atol=1e-12)
 
     def test_monomorphic_rows_absorbing(self):
-        g = generator_lambda(model2(3, 0.4))
+        G = generator_lambda(model2(3, 0.4)).matrix.toarray()
+        states = enumerate_population_states(4, 3)
         for x in range(4):
             state = tuple(3 if i == x else 0 for i in range(4))
-            assert np.allclose(g.matrix.toarray()[g.index(state)], 0.0)
+            assert np.allclose(G[states.index(state)], 0.0)
 
     def test_pure_resampling_matches_hand_construction(self):
         # with no crossover the off-diagonal rate is z(y) * z(x) / N
         N = 2
-        g = generator_lambda(model2(N, 0.0))
+        G = generator_lambda(model2(N, 0.0)).matrix.toarray()
         states = enumerate_population_states(4, N)
-        for s in states:
-            for t in states:
+        for si, s in enumerate(states):
+            for ti, t in enumerate(states):
                 if s == t:
                     continue
                 diff = np.array(t) - np.array(s)
@@ -84,7 +85,7 @@ class TestGeneratorLambda:
                     expected = s[y] * s[x] / N
                 else:
                     expected = 0.0
-                assert g.rate(s, t) == pytest.approx(expected)
+                assert G[si, ti] == pytest.approx(expected)
 
     def test_size_cap(self, monkeypatch):
         monkeypatch.setattr(forward, "DEFAULT_POPULATION_CAP", 10)
@@ -157,14 +158,14 @@ class TestSimulateForward:
         # mean holding time
         m = model2(5, 0.35)
         z0 = PopulationState.from_counts(SP2, [2, 1, 0, 2])
-        gen = generator_lambda(m)
+        states = enumerate_population_states(4, 5)
         start = tuple(int(c) for c in z0.counts)
-        row = gen.matrix.toarray()[gen.index(start)].copy()
-        row[gen.index(start)] = 0.0
+        row = generator_lambda(m).matrix.toarray()[states.index(start)].copy()
+        row[states.index(start)] = 0.0
         total_rate = row.sum()
         reps = 4000
         horizon = 30.0 / total_rate  # a first event is then all but certain
-        counts = np.zeros(gen.size)
+        counts = np.zeros(len(states))
         holds = np.empty(reps)
         for rep in range(reps):
             rec = simulate_forward(m, z0, horizon, seed=271, replicate=rep)
@@ -172,7 +173,7 @@ class TestSimulateForward:
             first = list(start)
             first[y] -= 1
             first[x] += 1
-            counts[gen.index(tuple(first))] += 1
+            counts[states.index(tuple(first))] += 1
             holds[rep] = t
         expected = reps * row / total_rate
         mask = expected > 0
@@ -220,7 +221,7 @@ class TestSimulateForward:
         se = np.sqrt(np.maximum(acc2 / reps - mean**2, 0) / reps)
         bwd = BackwardModel(2, 10, m.recomb)
         exact = expected_sampling(bwd, z0, [t])
-        target = exact.series(coarsest([1, 2]))[0]
+        target = exact.values[0, exact.partitions.index(coarsest([1, 2]))]
         assert np.all(np.abs(mean - target) <= 3 * np.maximum(se, 1e-9))
 
 
@@ -265,7 +266,7 @@ class TestDeterministicOde:
             z0 = PopulationState.from_counts(SP2, (freq * N).astype(int))
             # the sampling measure of the one-block partition is the type frequency
             exact = expected_sampling(BackwardModel(2, N, r), z0, [t])
-            target = exact.series(coarsest([1, 2]))[0]
+            target = exact.values[0, exact.partitions.index(coarsest([1, 2]))]
             exact_dists.append(np.abs(target - omega.weights).max())
             reps = 300
             h = np.empty((reps, 4))

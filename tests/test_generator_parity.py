@@ -5,7 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from moranrec import BackwardModel, ForwardModel, RecombinationDistribution, SiteSpace
+from moranrec import (
+    BackwardModel,
+    DiffusionRates,
+    ForwardModel,
+    Partition,
+    RecombinationDistribution,
+    SiteSpace,
+    generator_theta,
+)
 from moranrec.expectations import check_generator_duality, sampling_table
 from moranrec.forward import generator_lambda, replacement_distribution
 from moranrec.markov import (
@@ -39,7 +47,7 @@ def test_generator_lambda_matches_dict_loop(cards, probs, N):
     m = model(cards, probs, N)
     labels, dense = oracles.generator_lambda(m)
     gen = generator_lambda(m)
-    assert gen.labels == labels
+    assert tuple(enumerate_population_states(m.space.total_states, N)) == labels
     G = gen.matrix.toarray()
     off = ~np.eye(len(labels), dtype=bool)
     assert np.array_equal(G[off], dense[off])
@@ -148,7 +156,7 @@ def test_replacement_law_equals_head_tail_oracle_bitwise(cards, probs):
 def test_sampling_table_matches_recombinator_bar_contraction(cards, N):
     space = SiteSpace(cards)
     table = sampling_table(space, N)
-    assert np.abs(table.values - oracles.sampling_table_values(space, N)).max() <= 1e-12
+    assert np.abs(table - oracles.sampling_table_values(space, N)).max() <= 1e-12
 
 
 def test_duality_check_memory_stays_sparse():
@@ -165,3 +173,27 @@ def test_duality_check_memory_stays_sparse():
         tracemalloc.stop()
     assert defect <= 1e-10
     assert peak < 64 * 2**20
+
+
+def test_generators_and_duality_table_build_no_partition(monkeypatch):
+    # rows and columns are enumeration indices: no Partition is built on the way
+    recomb = RecombinationDistribution(6, (0.1, 0.05, 0.2, 0.1, 0.15))
+    rho = DiffusionRates(6, (1.0, 0.5, 2.0, 1.5, 0.25))
+    models = [BackwardModel(6, 8, recomb, v, rho)
+              for v in ("finite", "deterministic", "diffusion")]
+    r3 = RecombinationDistribution(3, (0.2, 0.3))
+    space = SiteSpace((2, 2, 2))
+    fwd, bwd = ForwardModel(space, 4, r3), BackwardModel(3, 4, r3)
+    built = []
+    init = Partition.__post_init__
+
+    def counting(self):
+        built.append(self.blocks)
+        init(self)
+
+    monkeypatch.setattr(Partition, "__post_init__", counting)
+    for m in models:
+        generator_theta(m)
+    sampling_table(space, 4)
+    assert check_generator_duality(fwd, bwd) <= 1e-10
+    assert built == []

@@ -59,7 +59,7 @@ def test_marginal_recombination_matches_restriction_sum():
             assert marginal.n == k
             prob = dict(marginal.support())
             for b in ordered_partitions_le2(u):
-                assert abs(prob[relabel(b, u)]
+                assert abs(prob[relabel(b, u).blocks]
                            - oracles.marginal_recomb_prob(recomb, u, b)) <= 1e-15
 
 

@@ -55,7 +55,7 @@ class TestRecombinationDistribution:
     def test_prob(self):
         r = RecombinationDistribution(3, (0.1, 0.25))
         assert r.r_whole == pytest.approx(0.65)
-        prob = dict(r.support())
+        prob = {Partition(blocks): r for blocks, r in r.support()}
         assert prob[P("1,2,3")] == pytest.approx(0.65)
         assert prob[P("1|2,3")] == 0.1
         assert prob[P("1,2|3")] == 0.25
@@ -67,16 +67,16 @@ class TestMarginalRecombProb:
 
     def test_single_site_is_one(self):
         r = random_recomb(4, seed=0)
-        assert dict(r.marginal((2,)).support())[coarsest([1])] == pytest.approx(1.0)
+        assert dict(r.marginal((2,)).support())[coarsest([1]).blocks] == pytest.approx(1.0)
 
     def test_trapped_material_sums_three_cuts(self):
         r = RecombinationDistribution(5, (0.1, 0.05, 0.2, 0.15))
-        got = dict(r.marginal([1, 4, 5]).support())[P("1|2,3")]
+        got = dict(r.marginal([1, 4, 5]).support())[P("1|2,3").blocks]
         assert got == pytest.approx(0.1 + 0.05 + 0.2)
 
     def test_full_set_is_identity(self):
         r = RecombinationDistribution(4, (0.1, 0.2, 0.3))
-        assert dict(r.marginal([1, 2, 3, 4]).support())[P("1,2|3,4")] == pytest.approx(0.2)
+        assert dict(r.marginal([1, 2, 3, 4]).support())[P("1,2|3,4").blocks] == pytest.approx(0.2)
 
     def test_marginals_sum_to_one(self):
         from moranrec import ordered_partitions_le2
@@ -85,12 +85,12 @@ class TestMarginalRecombProb:
         for u in [(1, 3), (2, 4, 5), (1, 2, 3, 4, 5), (3,)]:
             sub = r.marginal(u)
             prob = dict(sub.support())
-            total = sum(prob[b] for b in ordered_partitions_le2(sub.sites))
+            total = sum(prob[b.blocks] for b in ordered_partitions_le2(sub.sites))
             assert total == pytest.approx(1.0)
 
     def test_rejects_unordered(self):
         r = random_recomb(3, seed=4)
-        assert P("1,3|2") not in dict(r.marginal([1, 2, 3]).support())
+        assert P("1,3|2").blocks not in dict(r.marginal([1, 2, 3]).support())
 
 
 class TestRecombinator:

@@ -20,6 +20,7 @@ from moranrec import (
     PopulationState,
     RecombinationDistribution,
     SiteSpace,
+    enumerate_partitions,
     format_partition,
     parse_partition,
 )
@@ -139,9 +140,18 @@ def conjugated_closed_form_diffusion(rho1: float, rho2: float) -> np.ndarray:
     ])
 
 
-def permuted_generator(gen, order) -> np.ndarray:
-    perm = [gen.index(p) for p in order]
+def permuted_generator(gen: GeneratorMatrix, order: Sequence[Partition]) -> np.ndarray:
+    """Dense partitioning generator with rows and columns in ``order``."""
+    parts = enumerate_partitions(order[0].ground)
+    perm = [parts.index(p) for p in order]
     return gen.matrix.toarray()[np.ix_(perm, perm)]
+
+
+def theta_entry(gen: GeneratorMatrix, a: Partition, b: Partition) -> float:
+    """Rate ``a -> b`` of a partitioning generator, whose rows follow
+    ``enumerate_partitions`` of the sites."""
+    parts = enumerate_partitions(a.ground)
+    return float(gen.matrix[parts.index(a), parts.index(b)])
 
 
 def is_ordered(a: Partition, within=None) -> bool:
@@ -158,8 +168,9 @@ def is_ordered(a: Partition, within=None) -> bool:
     return True
 
 
-def generator_from_csv(text: str) -> GeneratorMatrix:
-    """Parse the output of ``backward.generator_to_csv`` (partition labels)."""
+def generator_from_csv(text: str) -> tuple[list[Partition], np.ndarray]:
+    """Parse the output of ``backward.generator_to_csv``: the row partitions
+    and the dense matrix."""
     rows = []
     labels: list[Partition] = []
     header, data = csv_table(text, ("state",))
@@ -168,7 +179,7 @@ def generator_from_csv(text: str) -> GeneratorMatrix:
         rows.append([float(v) for v in fields[1:]])
     if [format_partition(p) for p in labels] != header[1:]:
         raise ValueError("row labels do not match the header order")
-    return GeneratorMatrix(tuple(labels), np.array(rows))
+    return labels, np.array(rows)
 
 
 def partition_events_from_csv(text: str) -> list[tuple[float, Partition]]:
