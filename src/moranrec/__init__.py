@@ -74,12 +74,9 @@ from .operators import (
 from .partitions import (
     EMPTY,
     Partition,
-    coarsenings,
     coarsest,
     enumerate_partitions,
     finest,
     format_partition,
-    ordered_partitions_le2,
     parse_partition,
-    refinements,
 )

@@ -29,7 +29,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,13 +37,7 @@ import numpy as np
 from .errors import InvalidInitialError, SizeCapError
 from .markov import GeneratorMatrix
 from .operators import DiffusionRates, RecombinationDistribution
-from .partitions import (
-    Block,
-    Partition,
-    format_partition,
-    lattice,
-    ordered_partitions_le2,
-)
+from .partitions import Block, Partition, format_partition, lattice
 
 VARIANTS = ("finite", "deterministic", "diffusion")
 
@@ -89,37 +83,18 @@ class BackwardModel:
 
 
 @lru_cache(maxsize=4096)
-def _split_choices(model: BackwardModel, block: tuple[int, ...]) -> tuple[tuple[Partition, float], ...]:
-    """(split, probability) over the at-most-two-part partitions of ``block``."""
+def _split_choices(model: BackwardModel,
+                   block: Block) -> tuple[tuple[tuple[Block, ...], float], ...]:
+    """(fragments, probability) pairs: ``block`` whole, then cut after each of
+    its sites but the last, with the probabilities of ``recomb.marginal(block)``."""
     sub = model.recomb.marginal(block)
-    return tuple(zip(ordered_partitions_le2(block), (sub.r_whole, *sub.crossover)))
+    return (((block,), sub.r_whole),
+            *(((block[:k], block[k:]), r) for k, r in enumerate(sub.crossover, start=1)))
 
 
 def _merge_into(blocks: list[tuple[int, ...]], target: int,
                 fragment: tuple[int, ...]) -> None:
     blocks[target] = tuple(sorted(blocks[target] + fragment))
-
-
-def _transition_rates_diff(model: BackwardModel, a: Partition) -> dict[Partition, float]:
-    """Nonzero diffusion rates out of ``a``: each block splits at the rates of
-    its cuts, and each unordered pair of blocks merges at 2."""
-    out: dict[Partition, float] = {}
-    m = len(a)
-    for j in range(m):
-        block = a.blocks[j]
-        others = tuple(blk for k, blk in enumerate(a.blocks) if k != j)
-        for jj, rho in zip(ordered_partitions_le2(block)[1:], model.rho.marginal(block).rho):
-            if rho == 0.0:
-                continue
-            b = Partition(others + jj.blocks)
-            out[b] = out.get(b, 0.0) + rho
-    for j in range(m):
-        for k in range(j + 1, m):
-            blocks = [blk for i, blk in enumerate(a.blocks) if i not in (j, k)]
-            blocks.append(tuple(sorted(a.blocks[j] + a.blocks[k])))
-            b = Partition(tuple(blocks))
-            out[b] = out.get(b, 0.0) + 2.0
-    return out
 
 
 def generator_theta(model: BackwardModel) -> GeneratorMatrix:
@@ -218,12 +193,24 @@ def _state(model: BackwardModel, blocks: tuple[Block, ...]) -> _State:
     is silent.  The exit rate is ``m`` minus the silent rates.
     """
     a = Partition(blocks)
+    m = len(blocks)
     if model.variant == "diffusion":
-        rates = _transition_rates_diff(model, a)
-        targets = tuple(b.blocks for b in rates) + (blocks,)
-        return _State(sum(rates.values()), a, (), (),
-                      (tuple(accumulate(rates.values())), targets))
-    N, m = model.N, len(blocks)
+        # each block cut at the nonzero rates of its splits, then each
+        # unordered pair of blocks merged at 2; no two moves share a target
+        moves = []
+        for j, block in enumerate(blocks):
+            rest = blocks[:j] + blocks[j + 1:]
+            for k, rho in enumerate(model.rho.marginal(block).rho, start=1):
+                if rho != 0.0:
+                    moves.append((tuple(sorted(rest + (block[:k], block[k:]))), rho))
+        for j, k in combinations(range(m), 2):
+            rest = blocks[:j] + blocks[j + 1:k] + blocks[k + 1:]
+            merged = tuple(sorted(blocks[j] + blocks[k]))
+            moves.append((tuple(sorted(rest + (merged,))), 2.0))
+        rates = [rate for _, rate in moves]
+        targets = tuple(b for b, _ in moves) + (blocks,)
+        return _State(sum(rates), a, (), (), (tuple(accumulate(rates)), targets))
+    N = model.N
     stay = (N - (m - 1)) / N  # finite: the chance that a parent is empty
     silent = 0.0
     splits = []
@@ -234,7 +221,7 @@ def _state(model: BackwardModel, blocks: tuple[Block, ...]) -> _State:
             silent += r_one * stay + (1.0 - r_one) * stay / N
         else:
             silent += r_one
-        fragments = tuple(jj.blocks for jj, _ in choices)
+        fragments = tuple(f for f, _ in choices)
         splits.append((tuple(accumulate(p for _, p in choices)), fragments + fragments[-1:]))
     rest = tuple(blocks[:j] + blocks[j + 1:] for j in range(m))
     return _State(m - silent, a, rest, tuple(splits), None)

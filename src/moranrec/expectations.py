@@ -61,10 +61,11 @@ def _sampling_rows(grid: np.ndarray, N: int) -> np.ndarray:
     return rows.reshape((-1,) + rbar.shape[1:]) * scale[:, None, None]
 
 
-def sampling_stack(z: PopulationState) -> np.ndarray:
-    """Matrix of normalized sampling measures of ``z``, one row per partition
-    of its sites with at most ``z.N`` blocks, in lattice order."""
-    return _sampling_rows(z.measure.as_grid()[None], z.N)[:, 0]
+def sampling_stack(m: Measure, N: int) -> np.ndarray:
+    """Matrix of normalized sampling measures of the counting measure ``m`` of
+    ``N`` individuals, one row per partition of its sites with at most ``N``
+    blocks, in lattice order."""
+    return _sampling_rows(m.as_grid()[None], N)[:, 0]
 
 
 def sampling_table(space: SiteSpace, N: int) -> np.ndarray:
@@ -137,12 +138,32 @@ class ExpectationTrajectory:
 _EPS = np.finfo(float).eps
 
 
-def expm(A: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.expm``; scipy is imported by the first exact call, not
-    by importing this package, so the simulators start without it."""
-    from scipy import linalg
+def _solve(backward: BackwardModel, m: Measure, N: int, times) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted grid and the values of :func:`expected_sampling` for the
+    counting measure ``m`` of ``N`` individuals, whose ``k``-th site is site
+    ``k`` of ``backward``: (time, partition with at most ``N`` blocks in
+    lattice order, type).  No partition is built."""
+    from scipy.linalg import expm
 
-    return linalg.expm(A)
+    t = assert_sorted_times(times)
+    if N != backward.N:
+        raise ValueError(f"population holds {N} individuals, model expects {backward.N}")
+    if backward.variant != "finite":
+        raise ValueError("expected_sampling needs the finite variant")
+    keep = np.flatnonzero(lattice(backward.n).sizes <= backward.N)
+    G = generator_theta(backward).matrix.toarray()[np.ix_(keep, keep)]
+    y = sampling_stack(m, N)
+    values = np.empty((t.size, keep.size, y.shape[1]))
+    step, E, prev = None, None, 0.0
+    for i, ti in enumerate(t):
+        h = ti - prev
+        if h != 0:
+            if step is None or abs(h - step) > 4 * _EPS * ti:
+                step, E = h, expm(G * h)
+            y = E @ y
+        values[i] = y
+        prev = ti
+    return t, values
 
 
 def expected_sampling(backward: BackwardModel, z0: PopulationState,
@@ -164,27 +185,9 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState,
     ``N`` blocks.  Those partitions are closed under the partitioning
     process, so the generator restricted to them is exact.
     """
-    t = assert_sorted_times(times)
-    if z0.N != backward.N:
-        raise ValueError(f"population holds {z0.N} individuals, model expects {backward.N}")
-    if backward.variant != "finite":
-        raise ValueError("expected_sampling needs the finite variant")
-    keep = np.flatnonzero(lattice(backward.n).sizes <= backward.N)
-    G = generator_theta(backward).matrix.toarray()[np.ix_(keep, keep)]
-    y = sampling_stack(z0)
-    values = np.empty((t.size, keep.size, y.shape[1]))
-    step, E, prev = None, None, 0.0
-    for i, ti in enumerate(t):
-        h = ti - prev
-        if h != 0:
-            if step is None or abs(h - step) > 4 * _EPS * ti:
-                step, E = h, expm(G * h)
-            y = E @ y
-        values[i] = y
-        prev = ti
-    partitions = enumerate_partitions(backward.sites)
-    return ExpectationTrajectory(t, backward.sites, tuple(partitions[i] for i in keep),
-                                 z0.measure.cards, values)
+    t, values = _solve(backward, z0.measure, z0.N, times)
+    partitions = [p for p in enumerate_partitions(backward.sites) if len(p) <= backward.N]
+    return ExpectationTrajectory(t, backward.sites, tuple(partitions), z0.measure.cards, values)
 
 
 def _lde_scales(L: Lattice, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -233,12 +236,10 @@ def lde_trajectory(backward: BackwardModel, z0: PopulationState, u,
     u = site_set(u)
     sub = BackwardModel(len(u), backward.N, backward.recomb.marginal(u))
     zu = marginalize(z0.measure, u)
-    traj = expected_sampling(sub, PopulationState(Measure(sub.sites, zu.cards, zu.weights), z0.N),
-                             times)
-    # columns with more than N blocks are zero and absent from the trajectory
+    t, values = _solve(sub, zu, z0.N, times)
+    # columns with more than N blocks are zero and absent from the solve
     T = lde_transform(sub.n, sub.N)[:, lattice(sub.n).sizes <= sub.N]
-    return ExpectationTrajectory(traj.times, u, tuple(enumerate_partitions(u)), zu.cards,
-                                 T @ traj.values)
+    return ExpectationTrajectory(t, u, tuple(enumerate_partitions(u)), zu.cards, T @ values)
 
 
 @dataclass(frozen=True, eq=False)

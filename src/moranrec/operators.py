@@ -30,20 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import NotSubsetError, SampleTooLargeError, ZeroMeasureError
 from .measures import Measure
-from .partitions import (
-    Block,
-    Partition,
-    coarsenings,
-    lattice,
-    refinements,
-    site_set,
-)
+from .partitions import Block, Partition, lattice, site_set
 
 
 def _gap_sums(per_gap: tuple[float, ...], u: tuple[int, ...]) -> tuple[float, ...]:
@@ -162,9 +156,10 @@ def block_products(grid: np.ndarray, sites: tuple[int, ...],
     return out
 
 
-def _block_products(a: Partition, m: Measure, partitions: list[Partition]) -> np.ndarray:
-    """:func:`block_products` of one measure over partitions of the ground of ``a``,
-    one weight vector per partition."""
+def _block_products(a: Partition, m: Measure,
+                    partitions: list[tuple[Block, ...]]) -> np.ndarray:
+    """:func:`block_products` of one measure over partitions of the ground of ``a``
+    (canonical block tuples), one weight vector per partition."""
     if a.ground != m.sites:
         raise ValueError(f"partition ground {a.ground} does not match sites {m.sites}")
     return block_products(m.as_grid(), m.sites, partitions).reshape(len(partitions), -1)
@@ -178,7 +173,7 @@ def recombinator_bar(a: Partition, m: Measure) -> Measure:
     """
     if len(a) == 1 and a.ground == m.sites:
         return m
-    return m.with_weights(_block_products(a, m, [a])[0])
+    return m.with_weights(_block_products(a, m, [a.blocks])[0])
 
 
 def sampling_bar(a: Partition, z: Measure) -> Measure:
@@ -186,11 +181,11 @@ def sampling_bar(a: Partition, z: Measure) -> Measure:
     without replacement when ``z`` is a counting measure.
 
     The Mobius values ``mobius(a, b)`` over the coarsenings ``b`` of ``a``
-    (the lattice of the blocks of ``a``) applied to their block-marginal
-    products; exact on integer input.
+    (the lattice of the blocks of ``a``, relabelled to block tuples)
+    applied to their block-marginal products; exact on integer input.
     """
-    mu = lattice(len(a)).mu_finest
-    return Measure(z.sites, z.cards, mu @ _block_products(a, z, coarsenings(a)))
+    L = lattice(len(a))
+    return Measure(z.sites, z.cards, L.mu_finest @ _block_products(a, z, L.relabel(a.blocks)))
 
 
 def sampling(a: Partition, z: Measure) -> Measure:
@@ -214,14 +209,17 @@ def lde_operator(a: Partition, m: Measure) -> Measure:
     from below.  The weights may be negative.
 
     The Mobius values ``mobius(b, a)`` over the refinements ``b`` of ``a``
-    (one block lattice per block of ``a``) applied to their normalized
-    block-marginal products.  For ``a`` the one-block partition of ``u``
-    this is the multilocus linkage disequilibrium of the sites in ``u``.
+    (the product of the lattices of its blocks, the last block varying
+    fastest, each product's blocks ordered by their least site) applied to
+    their normalized block-marginal products.  For ``a`` the one-block
+    partition of ``u`` this is the multilocus linkage disequilibrium of the
+    sites in ``u``.
     """
     norm = m.norm
     if norm <= 0:
         raise ZeroMeasureError("cannot normalize the zero measure")
-    down = refinements(a)
+    per_block = [lattice(len(blk)).relabel((s,) for s in blk) for blk in a.blocks]
+    down = [tuple(sorted(b for p in combo for b in p)) for combo in product(*per_block)]
     mu = np.ones(())
     for blk in a.blocks:
         mu = np.multiply.outer(mu, lattice(len(blk)).mu_coarsest)

@@ -10,9 +10,10 @@ their rows and columns by the order of :func:`enumerate_partitions`
 The lattice of partitions of ``k`` sites is enumerated once, in
 :class:`Lattice` (cached per ``k`` by :func:`lattice`, which refuses more
 than ``DEFAULT_SITE_CAP`` positions), and every enumeration here
-relabels it: the partitions of a site set, the coarsenings of a
-partition (the partitions of its blocks) and its refinements (one
-partition per block).  It is the package's only partition algebra: its
+relabels it to canonical block tuples: the partitions of a site set,
+and, in :mod:`moranrec.operators`, the coarsenings of a partition (the
+partitions of its blocks) and its refinements (one partition per
+block).  It is the package's only partition algebra: its
 Mobius and zeta matrices carry every Mobius sum of the exact pipeline,
 and their entries are exact integers so that inversion round-trips
 exactly.
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product as _cartesian
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
@@ -157,10 +157,17 @@ class Lattice:
             [math.prod(_MU[len(b)] for b in p) for p in self.blocks], dtype=float)
         self.mu_coarsest = np.array([_MU[m] for m in self.sizes], dtype=float)
 
-    def relabel(self, parts: Iterable[Iterable[int]]) -> list[Partition]:
-        """Every partition, with position ``p`` read as the sites ``parts[p]``."""
+    def relabel(self, parts: Iterable[Iterable[int]]) -> list[tuple[Block, ...]]:
+        """Every partition as canonical block tuples, with position ``p`` read
+        as the sites ``parts[p]``.
+
+        ``parts`` must be disjoint and ordered by their least site, as the
+        blocks of a :class:`Partition` are; then the lowest position of each
+        lattice block carries its least site, so only the sites within a
+        block need sorting.
+        """
         parts = [tuple(x) for x in parts]
-        return [Partition(tuple(tuple(x for q in b for x in parts[q]) for b in p))
+        return [tuple(tuple(sorted(x for q in b for x in parts[q])) for b in p)
                 for p in self.blocks]
 
     @cached_property
@@ -278,40 +285,11 @@ def enumerate_partitions(sites: Iterable[int]) -> list[Partition]:
 
     The first entry is the coarsest partition, the last the finest.  This
     order fixes the row/column indexing of every generator matrix over the
-    partition lattice.
+    partition lattice.  It is the one place where lattice rows become
+    :class:`Partition` objects.
     """
     w = site_set(sites)
-    return lattice(len(w)).relabel((s,) for s in w)
-
-
-def coarsenings(a: Partition) -> list[Partition]:
-    """All partitions coarser than or equal to ``a``, ``a`` last: the lattice of
-    its blocks, whose ``mu_finest`` holds ``mobius(a, b)``."""
-    return lattice(len(a)).relabel(a.blocks)
-
-
-def refinements(a: Partition) -> list[Partition]:
-    """All partitions finer than or equal to ``a``, ``a`` first: the product of
-    the lattices of its blocks (the last varying fastest), so ``mobius(b, a)``
-    is the outer product of their ``mu_coarsest``."""
-    per_block = [enumerate_partitions(b) for b in a.blocks]
-    return [Partition(tuple(blk for p in combo for blk in p.blocks))
-            for combo in _cartesian(*per_block)]
-
-
-def ordered_partitions_le2(sites: Iterable[int]) -> list[Partition]:
-    """The whole set plus every split of ``sites`` into a leading and trailing part.
-
-    Splits are ordered within ``sites`` (between consecutive elements), not
-    necessarily within the enclosing site universe.
-    """
-    u = site_set(sites)
-    if not u:
-        raise EmptyBlockError("ordered partitions need a nonempty site set")
-    out = [Partition((u,))]
-    for k in range(1, len(u)):
-        out.append(Partition((u[:k], u[k:])))
-    return out
+    return [Partition(p) for p in lattice(len(w)).relabel((s,) for s in w)]
 
 
 def format_partition(a: Partition) -> str:

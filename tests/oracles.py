@@ -21,7 +21,13 @@ with one block-marginal product kernel and one-row Mobius products
 law), the restriction sums that the package replaced with the gap sums of
 ``RecombinationDistribution.marginal`` (``marginal_recomb_prob``,
 ``marginal_split_rate``), the partition-level narrative simulator that
-the package replaced with one run on cached block-tuple states, and the
+the package replaced with one run on cached block-tuple states (with its
+``Partition`` split choices ``_split_choices`` and diffusion rates
+``_transition_rates_diff``), the ``Partition`` lists of coarsenings,
+refinements and ordered splits (``coarsenings``, ``refinements``,
+``ordered_partitions_le2``) that the package replaced with lattice block
+tuples, with the operators read off them
+(``partition_list_sampling_bar``, ``partition_list_lde_operator``), and the
 brute-force paths (transition rates, sampling, RK4, LDE via sampling)
 that only tests call.  The pairwise partition algebra (``refines``,
 ``meet``, ``join``, ``restrict``, ``drop_block`` and the pairwise
@@ -34,7 +40,8 @@ Tests compare the package against them.
 from __future__ import annotations
 
 import math
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -45,6 +52,7 @@ from moranrec import (
     BackwardModel,
     EMPTY,
     DiffusionRates,
+    EmptyBlockError,
     InvalidInitialError,
     ExpectationTrajectory,
     Measure,
@@ -64,12 +72,10 @@ from moranrec import (
     format_partition,
     generator_theta,
     marginalize,
-    ordered_partitions_le2,
-    refinements,
     sampling,
 )
 from moranrec import backward as backward_module
-from moranrec.backward import _merge_into, _split_choices, _transition_rates_diff
+from moranrec.backward import _merge_into
 from moranrec.expectations import expected_sampling as stepped_expected_sampling
 from moranrec.expectations import lde_transform as lattice_lde_transform
 from moranrec.expectations import sampling_stack
@@ -80,6 +86,7 @@ from moranrec.markov import (
     enumerate_population_states,
 )
 from moranrec.measures import csv_table, parse_type_token, type_token
+from moranrec.operators import _block_products
 from moranrec.partitions import _positions, lattice, site_set
 
 # Brute-force tuple enumeration is N!/(N-m)! work; keep it for tests only.
@@ -265,6 +272,42 @@ def coarsenings_with_mobius(a: Partition) -> list[tuple[Partition, int]]:
     return out
 
 
+def coarsenings(a: Partition) -> list[Partition]:
+    """All partitions coarser than or equal to ``a``, ``a`` last, in lattice
+    order (the groupings of its blocks by restricted-growth string)."""
+    return [b for b, _ in coarsenings_with_mobius(a)]
+
+
+def refinements(a: Partition) -> list[Partition]:
+    """All partitions finer than or equal to ``a``, ``a`` first: the product of
+    the partitions of its blocks (the last varying fastest)."""
+    per_block = [enumerate_partitions(b) for b in a.blocks]
+    return [Partition(tuple(blk for p in combo for blk in p.blocks))
+            for combo in product(*per_block)]
+
+
+def ordered_partitions_le2(sites: Iterable[int]) -> list[Partition]:
+    """The whole set plus every split of ``sites`` into a leading and trailing part.
+
+    Splits are ordered within ``sites`` (between consecutive elements), not
+    necessarily within the enclosing site universe.
+    """
+    u = site_set(sites)
+    if not u:
+        raise EmptyBlockError("ordered partitions need a nonempty site set")
+    out = [Partition((u,))]
+    for k in range(1, len(u)):
+        out.append(Partition((u[:k], u[k:])))
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _split_choices(model: BackwardModel, block: tuple[int, ...]) -> tuple[tuple[Partition, float], ...]:
+    """(split, probability) over the at-most-two-part partitions of ``block``."""
+    sub = model.recomb.marginal(block)
+    return tuple(zip(ordered_partitions_le2(block), (sub.r_whole, *sub.crossover)))
+
+
 def _falling_weight(N: int, m: int, b_size: int) -> float:
     """(N-(m-1))! / (N-b_size)! as a product; zero once ``b_size`` exceeds ``N``."""
     w = 1.0
@@ -343,6 +386,28 @@ def _transition_rates_det(model: BackwardModel, a: Partition) -> dict[Partition,
                 continue
             b = Partition(others + jj.blocks)
             out[b] = out.get(b, 0.0) + r
+    return out
+
+
+def _transition_rates_diff(model: BackwardModel, a: Partition) -> dict[Partition, float]:
+    """Nonzero diffusion rates out of ``a``: each block splits at the rates of
+    its cuts, and each unordered pair of blocks merges at 2."""
+    out: dict[Partition, float] = {}
+    m = len(a)
+    for j in range(m):
+        block = a.blocks[j]
+        others = tuple(blk for k, blk in enumerate(a.blocks) if k != j)
+        for jj, rho in zip(ordered_partitions_le2(block)[1:], model.rho.marginal(block).rho):
+            if rho == 0.0:
+                continue
+            b = Partition(others + jj.blocks)
+            out[b] = out.get(b, 0.0) + rho
+    for j in range(m):
+        for k in range(j + 1, m):
+            blocks = [blk for i, blk in enumerate(a.blocks) if i not in (j, k)]
+            blocks.append(tuple(sorted(a.blocks[j] + a.blocks[k])))
+            b = Partition(tuple(blocks))
+            out[b] = out.get(b, 0.0) + 2.0
     return out
 
 
@@ -455,6 +520,29 @@ def lde_operator(a: Partition, m: Measure) -> Measure:
         w = mobius(b, a) * recombinator(b, m).weights
         total = w if total is None else total + w
     return Measure(m.sites, m.cards, total)
+
+
+def partition_list_sampling_bar(a: Partition, z: Measure) -> Measure:
+    """``sampling_bar`` over the coarsenings of ``a`` as a list of
+    :class:`Partition` objects, weighted by ``Lattice(|a|).mu_finest``."""
+    mu = lattice(len(a)).mu_finest
+    return Measure(z.sites, z.cards, mu @ _block_products(a, z, coarsenings(a)))
+
+
+def partition_list_lde_operator(a: Partition, m: Measure) -> Measure:
+    """``lde_operator`` over the refinements of ``a`` as a list of
+    :class:`Partition` objects, weighted by the outer product of the block
+    lattices' ``mu_coarsest``."""
+    norm = m.norm
+    if norm <= 0:
+        raise ZeroMeasureError("cannot normalize the zero measure")
+    down = refinements(a)
+    mu = np.ones(())
+    for blk in a.blocks:
+        mu = np.multiply.outer(mu, lattice(len(blk)).mu_coarsest)
+    power = np.array([norm ** len(b) for b in down])
+    rows = _block_products(a, m, down) / power[:, None]
+    return Measure(m.sites, m.cards, mu.ravel() @ rows)
 
 
 def replacement_distribution(model: ForwardModel, counts: np.ndarray) -> np.ndarray:
@@ -645,7 +733,7 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState,
     keep = [i for i, p in enumerate(states) if len(p) <= backward.N]
     partitions = [states[i] for i in keep]
     G = generator_theta(backward).matrix.toarray()[np.ix_(keep, keep)]
-    H0 = sampling_stack(z0)
+    H0 = sampling_stack(z0.measure, z0.N)
     values = np.empty((t.size, len(partitions), H0.shape[1]))
     for i, ti in enumerate(t):
         values[i] = expm(G * ti) @ H0

@@ -12,7 +12,6 @@ from moranrec import (
     enumerate_partitions,
     finest,
     generator_theta,
-    ordered_partitions_le2,
     parse_partition,
     simulate_backward,
 )
@@ -22,6 +21,7 @@ from oracles import (
     _falling_weight,
     drop_block,
     marginal_recomb_prob,
+    ordered_partitions_le2,
     refines,
     restrict,
     theta_rate,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from moranrec import (
@@ -11,7 +12,6 @@ from moranrec import (
     expected_sampling,
     lde_trajectory,
 )
-from moranrec import expectations as expectations_module
 from moranrec.cli import expectations_to_csv
 
 from util import binary_space, random_population, random_recomb
@@ -43,13 +43,13 @@ def test_stepping_matches_per_time_expm(n, N):
                                            ("near-uniform", 2), ("irregular", 4)])
 def test_uniform_grid_needs_one_expm(monkeypatch, name, expected):
     calls = []
-    real = expectations_module.expm
+    real = scipy.linalg.expm
 
     def counting(A):
         calls.append(A.shape)
         return real(A)
 
-    monkeypatch.setattr(expectations_module, "expm", counting)
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
     bwd = BackwardModel(4, 6, random_recomb(4, 3))
     z0 = random_population(binary_space(4), 6, seed=3)
     expected_sampling(bwd, z0, GRIDS[name])

@@ -32,7 +32,6 @@ from moranrec import (
     lde_transform_diffusion,
     marginalize,
     measure_from_counts,
-    ordered_partitions_le2,
     recombinator_bar,
     sampling,
     sampling_bar,
@@ -142,7 +141,7 @@ def test_sampling_stack_matches_per_partition_sampling(n, N):
     parts = enumerate_partitions(range(1, n + 1))
     z = random_population(binary_space(n), N, seed=10 * n + N)
     old = np.array([sampling(p, z.measure).weights for p in parts])
-    assert np.abs(sampling_stack(z) - old).max() <= 1e-12
+    assert np.abs(sampling_stack(z.measure, z.N) - old).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n,N", CASES)
@@ -200,7 +199,7 @@ def test_marginal_laws_match_restriction_sums(n):
     for k in range(1, n + 1):
         for u in itertools.combinations(range(1, n + 1), k):
             sub, sub_rates = recomb.marginal(u), rates.marginal(u)
-            splits = ordered_partitions_le2(u)
+            splits = oracles.ordered_partitions_le2(u)
             probs = (sub.r_whole, *sub.crossover)
             for b, p in zip(splits, probs):
                 assert abs(p - oracles.marginal_recomb_prob(recomb, u, b)) <= 1e-15

@@ -24,10 +24,10 @@ from moranrec import (
     SiteSpace,
     lde_trajectory,
     marginalize,
-    ordered_partitions_le2,
 )
 
 import oracles
+from oracles import ordered_partitions_le2
 from util import binary_space, random_population, random_recomb
 
 GRID = [0.0, 0.3, 0.3, 0.8, 2.5]

@@ -79,7 +79,7 @@ class TestMarginalRecombProb:
         assert dict(r.marginal([1, 2, 3, 4]).support())[P("1,2|3,4").blocks] == pytest.approx(0.2)
 
     def test_marginals_sum_to_one(self):
-        from moranrec import ordered_partitions_le2
+        from oracles import ordered_partitions_le2
 
         r = random_recomb(5, seed=3)
         for u in [(1, 3), (2, 4, 5), (1, 2, 3, 4, 5), (3,)]:

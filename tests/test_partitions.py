@@ -10,16 +10,23 @@ from moranrec import (
     OverlapError,
     Partition,
     SizeCapError,
-    coarsenings,
     coarsest,
     enumerate_partitions,
     finest,
     format_partition,
-    ordered_partitions_le2,
     parse_partition,
-    refinements,
 )
-from oracles import coarsenings_with_mobius, join, meet, mobius, refines, restrict
+from oracles import (
+    coarsenings,
+    coarsenings_with_mobius,
+    join,
+    meet,
+    mobius,
+    ordered_partitions_le2,
+    refinements,
+    refines,
+    restrict,
+)
 from util import brute_partitions, is_ordered, mobius_recursive
 
 
