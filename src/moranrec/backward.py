@@ -41,9 +41,10 @@ from .partitions import Block, Partition, format_partition, lattice
 
 VARIANTS = ("finite", "deterministic", "diffusion")
 
-# Events one simulated path may hold (about 0.5 kB each).  The finite and
-# diffusion chains never absorb, so a huge ``t_end`` would otherwise run
-# until memory is exhausted.
+# Events one simulated path may hold (about 0.5 kB each), read at call time
+# by both simulators.  The finite and diffusion partitioning chains never
+# absorb, and a large population takes long to, so a huge ``t_end`` would
+# otherwise run until memory is exhausted.
 MAX_EVENTS = 100_000
 
 # Simulation states held by the state cache: twice the 4140 partitions of

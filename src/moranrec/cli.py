@@ -42,13 +42,21 @@ of a subset evolve as a Moran model of their own), so only the number of
 Size caps are module constants: 8 sites for the partition lattice
 (``partitions.DEFAULT_SITE_CAP``, which also bounds the blocks of an
 ``initial_partition`` that ``simulate-forward`` samples with), 2^20 dense
-types (``measures.DEFAULT_STATE_CAP``) and 20,000 population states
-(``forward.DEFAULT_POPULATION_CAP``).
+types (``measures.DEFAULT_STATE_CAP``), 20,000 population states
+(``forward.DEFAULT_POPULATION_CAP``), 2^24 individuals in the forward
+simulator (``forward.DEFAULT_INDIVIDUAL_CAP``) and 2^27 values in one
+output table (``DEFAULT_OUTPUT_CAP`` here): the times of a ``grid``
+object, checked before the grid is built, and times x partitions x types
+of ``expectations`` and ``lde`` or times x types of the
+``simulate-forward`` summary, checked before anything is computed.
 
-Exit codes: 0 success, 2 config validation failure, 3 size cap exceeded
-(including a ``simulate-backward`` replicate that would record more than
-``backward.MAX_EVENTS`` = 100,000 events before ``t_end``: the finite and
-diffusion chains never absorb; such a run leaves no ``run.json`` and no
+Exit codes: 0 success, 2 config validation failure (including a config
+file that cannot be read, is a directory or is not UTF-8), 3 size cap
+exceeded (including a replicate of ``simulate-forward`` or
+``simulate-backward`` that would record more than ``backward.MAX_EVENTS``
+= 100,000 events before ``t_end``: the finite and diffusion partitioning
+chains never absorb, and a large population takes long to; such a run,
+like one above the individual cap, leaves no ``run.json`` and no
 replicate CSV behind), 4 duality-check defect above tolerance,
 5 output check failed (``expectations`` found a non-finite value or a
 block that is not a probability vector, or ``lde`` a non-finite value; no
@@ -64,6 +72,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -97,12 +106,19 @@ from .partitions import (
     coarsest,
     enumerate_partitions,
     format_partition,
+    lattice,
     parse_partition,
+    site_set,
 )
 
 # postcondition on expected sampling measures before they are written
 NEGATIVE_TOL = 1e-12
 MASS_TOL = 1e-10
+
+# Values one output table may hold (1 GiB of float64): the grid times, and
+# times x partitions x types of ``expectations`` and ``lde`` or times x
+# types of the ``simulate-forward`` summary.
+DEFAULT_OUTPUT_CAP = 2**27
 
 _ALLOWED_KEYS = {
     "sites", "alphabet_sizes", "population_size", "crossover_probs", "rho",
@@ -167,16 +183,26 @@ def _number(value: object, what: str) -> float:
     return _finite_float(value)
 
 
+def _cap_output(values: int, what: str) -> None:
+    """Raise :class:`SizeCapError` if ``what`` would hold more than
+    ``DEFAULT_OUTPUT_CAP`` values; called before anything is built."""
+    if values > DEFAULT_OUTPUT_CAP:
+        raise SizeCapError(f"{what} would hold {values} values, above the cap of "
+                           f"{DEFAULT_OUTPUT_CAP}; shorten the grid or reduce the sites")
+
+
 def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     """Parse, validate and freeze a run configuration."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(), parse_float=_finite_float,
+        raw = json.loads(path.read_text(encoding="utf-8"), parse_float=_finite_float,
                          parse_constant=_finite_float)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON ({path}, line {exc.lineno}): {exc.msg}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}")
     _require(isinstance(raw, dict), "config must be a JSON object")
     unknown = set(raw) - _ALLOWED_KEYS
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
@@ -277,7 +303,9 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         _require("stop" in grid_spec, "'grid' object needs 'stop'")
         stop = _number(grid_spec["stop"], "'grid' stop")
         _require(stop >= 0, "'grid' stop must be nonnegative")
-        grid = np.linspace(0.0, stop, _int_field(grid_spec, "num", 11, 1))
+        num = _int_field(grid_spec, "num", 11, 1)
+        _cap_output(num, "'grid'")
+        grid = np.linspace(0.0, stop, num)
     else:
         _require(isinstance(grid_spec, list) and grid_spec, "'grid' must be a list")
         grid = np.asarray([_number(x, "'grid' times") for x in grid_spec])
@@ -364,25 +392,43 @@ def _check_output(values: np.ndarray, probability: bool) -> None:
                 f"max |sum-1| {mass:.3e})")
 
 
+def _write_replicates(cfg: RunConfig, files: Iterable[tuple[str, str]]) -> None:
+    """Write each (name, text) as it is made; if making one exceeds a size
+    cap, remove those already written and re-raise."""
+    written: list[Path] = []
+    try:
+        for name, text in files:
+            written.append(_write(cfg, name, text))
+    except SizeCapError:
+        for path in written:
+            path.unlink()
+        raise
+
+
 def cmd_simulate_forward(cfg: RunConfig) -> int:
     z0 = _need_initial(cfg)
     model = ForwardModel(cfg.space, cfg.N, cfg.recomb)
     a0 = cfg.initial_partition
     h0 = sampling(a0, z0.measure).weights  # before any output: a cap error writes nothing
-    _write_manifest(cfg, "simulate-forward")
+    _cap_output(cfg.grid.size * cfg.space.total_states, "forward_summary.csv")
     stamp = _stamp(cfg)
     grid = cfg.grid
     mean = np.zeros((grid.size, cfg.space.total_states))
     msq = np.zeros_like(mean)
-    for rep in range(cfg.replicates):
-        rec = simulate_forward(model, z0, cfg.t_end, cfg.seed, replicate=rep)
-        _write(cfg, f"forward_rep{rep:04d}.csv",
-               trajectory_to_csv(rec, cfg.space.cards, f"{stamp} replicate={rep}"))
-        for gi, t in enumerate(grid):
-            z_t = PopulationState.from_counts(cfg.space, rec.state_at(t))
-            h = sampling(a0, z_t.measure).weights
-            mean[gi] += h
-            msq[gi] += h * h
+
+    def replicates():
+        for rep in range(cfg.replicates):
+            rec = simulate_forward(model, z0, cfg.t_end, cfg.seed, replicate=rep)
+            for gi, t in enumerate(grid):
+                z_t = PopulationState.from_counts(cfg.space, rec.state_at(t))
+                h = sampling(a0, z_t.measure).weights
+                mean[gi] += h
+                msq[gi] += h * h
+            yield (f"forward_rep{rep:04d}.csv",
+                   trajectory_to_csv(rec, cfg.space.cards, f"{stamp} replicate={rep}"))
+
+    _write_replicates(cfg, replicates())
+    _write_manifest(cfg, "simulate-forward")
     lines = [f"# {stamp}", "time,type,mean_h,stderr"]
     if cfg.replicates == 0:
         for xi in range(h0.size):
@@ -404,18 +450,12 @@ def cmd_simulate_forward(cfg: RunConfig) -> int:
 def cmd_simulate_backward(cfg: RunConfig) -> int:
     model = BackwardModel(cfg.space.n, cfg.N, cfg.recomb, cfg.variant, cfg.rho)
     stamp = _stamp(cfg)
-    written: list[Path] = []  # removed again if a replicate exceeds the event budget
-    try:
-        for rep in range(cfg.replicates):
-            rec = simulate_backward(model, cfg.initial_partition, cfg.t_end, cfg.seed,
-                                    replicate=rep)
-            written.append(_write(cfg, f"backward_rep{rep:04d}.csv",
-                                  partition_trajectory_to_csv(rec, f"{stamp} replicate={rep} "
-                                                                   f"variant={cfg.variant}")))
-    except SizeCapError:
-        for path in written:
-            path.unlink()
-        raise
+    _write_replicates(cfg, (
+        (f"backward_rep{rep:04d}.csv",
+         partition_trajectory_to_csv(
+             simulate_backward(model, cfg.initial_partition, cfg.t_end, cfg.seed, replicate=rep),
+             f"{stamp} replicate={rep} variant={cfg.variant}"))
+        for rep in range(cfg.replicates)))
     _write_manifest(cfg, "simulate-backward")
     print(f"simulate-backward[{cfg.variant}]: {cfg.replicates} replicates -> {cfg.out}")
     return 0
@@ -424,6 +464,8 @@ def cmd_simulate_backward(cfg: RunConfig) -> int:
 def cmd_expectations(cfg: RunConfig) -> int:
     z0 = _need_initial(cfg)
     model = BackwardModel(cfg.space.n, cfg.N, cfg.recomb, "finite", cfg.rho)
+    partitions = int((lattice(cfg.space.n).sizes <= cfg.N).sum())
+    _cap_output(cfg.grid.size * partitions * cfg.space.total_states, "expected_sampling.csv")
     traj = expected_sampling(model, z0, cfg.grid)
     _check_output(traj.values, probability=True)
     _write_manifest(cfg, "expectations")
@@ -437,6 +479,9 @@ def cmd_expectations(cfg: RunConfig) -> int:
 def cmd_lde(cfg: RunConfig) -> int:
     z0 = _need_initial(cfg)
     model = BackwardModel(cfg.space.n, cfg.N, cfg.recomb, "finite", cfg.rho)
+    u = site_set(cfg.lde_sites)
+    types = math.prod(cfg.space.cards[s - 1] for s in u)
+    _cap_output(cfg.grid.size * len(lattice(len(u)).sizes) * types, "expected_lde.csv")
     traj = lde_trajectory(model, z0, cfg.lde_sites, cfg.grid)
     _check_output(traj.values, probability=False)
     _write_manifest(cfg, "lde")

@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import backward
 from .errors import InvalidInitialError, SizeCapError
 from .markov import (
     GeneratorMatrix,
@@ -35,6 +36,9 @@ from .measures import Measure, PopulationState, SiteSpace, type_token
 from .operators import RecombinationDistribution, block_products
 
 DEFAULT_POPULATION_CAP = 20000
+
+# Individuals the simulator holds as a list of type codes (8 bytes each).
+DEFAULT_INDIVIDUAL_CAP = 2**24
 
 
 @dataclass(frozen=True)
@@ -131,13 +135,20 @@ def simulate_forward(model: ForwardModel, z0: PopulationState, t_end: float,
 
     The stream is seeded by ``(seed, replicate)``, so replicates are
     independent and each run is bit-reproducible.  ``t_end`` may be
-    ``inf``; the loop then runs until absorption (monomorphic state).
+    ``inf``; the loop then runs until absorption (monomorphic state).  A
+    path that would record more than ``backward.MAX_EVENTS`` events before
+    ``t_end``, or a population of more than ``DEFAULT_INDIVIDUAL_CAP``
+    individuals, raises :class:`SizeCapError`.
     """
     space = model.space
     if z0.N != model.N or (z0.measure.sites, z0.measure.cards) != (space.sites, space.cards):
         raise InvalidInitialError(
             f"initial population must hold {model.N} individuals on sites {space.sites} "
             f"with alphabet sizes {space.cards}")
+    if model.N > DEFAULT_INDIVIDUAL_CAP:
+        raise SizeCapError(f"{model.N} individuals exceeds the cap of {DEFAULT_INDIVIDUAL_CAP} "
+                           "held by the forward simulator; reduce N")
+    budget = backward.MAX_EVENTS
     rng = np.random.default_rng([seed, replicate])
     N = model.N
     counts = [int(c) for c in z0.counts]
@@ -161,6 +172,8 @@ def simulate_forward(model: ForwardModel, z0: PopulationState, t_end: float,
         x = a - a % tail + b % tail
         if x == y:
             continue
+        if len(events) == budget:
+            raise SizeCapError(f"more than {budget} events before t_end={t_end:g}; lower t_end")
         pop[dying] = x
         counts[y] -= 1
         counts[x] += 1

@@ -20,7 +20,7 @@ from moranrec import (
     measure_from_csv,
     parse_partition,
 )
-from moranrec import cli
+from moranrec import cli, expectations, forward
 from moranrec.cli import main
 
 from oracles import expectations_from_csv, refines
@@ -51,6 +51,16 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["duality-check", "--config", str(tmp_path / "nope.json")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+    def test_unreadable_config(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"sites": 2, "out": "\xff\xfe"}')
+        assert main(["fixation", "--config", str(path)]) == 2
+        assert "config error: cannot read config" in capsys.readouterr().err
 
     def test_unknown_key(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -98,6 +108,38 @@ class TestConfigValidation:
         assert time.perf_counter() - start < 1.0
         assert "size cap exceeded" in capsys.readouterr().err
         assert not (tmp_path / "out" / "run.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate-backward", "expectations"])
+    def test_grid_over_output_cap_exits_3(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, grid={"stop": 1, "num": 10**13})
+        start = time.perf_counter()
+        assert main([command, "--config", str(path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "'grid' would hold 10000000000000 values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,values", [
+        ("expectations", 3 * 2 * 4),  # times x partitions x types
+        ("lde", 3 * 2 * 4),
+        ("simulate-forward", 3 * 4),  # times x types of the summary
+    ])
+    def test_outputs_over_output_cap_exit_3_before_any_work(self, tmp_path, capsys,
+                                                            monkeypatch, command, values):
+        def not_built(*args, **kwargs):
+            raise AssertionError("work started above the output cap")
+
+        for module in (expectations, cli):
+            for name in ("generator_theta", "simulate_forward"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, not_built)
+        monkeypatch.setattr(cli, "DEFAULT_OUTPUT_CAP", values - 1)
+        path = write_config(tmp_path)
+        assert main([command, "--config", str(path)]) == 3
+        assert f"would hold {values} values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "DEFAULT_OUTPUT_CAP", values)
+        assert main([command, "--config", str(path)]) == 0
 
     def test_generators_over_site_cap_exits_3_and_writes_nothing(self, tmp_path, capsys):
         path = write_config(tmp_path, sites=9, population_size=10,
@@ -270,6 +312,27 @@ class TestSimulateForwardCommand:
         text = (tmp_path / "out" / "initial_population.csv").read_text()
         back = measure_from_csv(text, (1, 2), (2, 2))
         assert np.array_equal(back.weights, [4, 2, 1, 3])
+
+    def test_event_budget_exits_3_and_leaves_no_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(backward, "MAX_EVENTS", 50)
+        # 60 individuals of four types take thousands of events to fix one type
+        path = write_config(tmp_path, population_size=60, initial_counts=[15] * 4,
+                            t_end=1e300, replicates=3)
+        start = time.perf_counter()
+        assert main(["simulate-forward", "--config", str(path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert "more than 50 events" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "run.json").exists()
+        assert not list((tmp_path / "out").glob("forward_rep*.csv"))
+
+    def test_population_over_individual_cap_exits_3(self, tmp_path, capsys):
+        N = forward.DEFAULT_INDIVIDUAL_CAP + 1
+        path = write_config(tmp_path, population_size=N, initial_counts=[N - 3, 1, 1, 1])
+        start = time.perf_counter()
+        assert main(["simulate-forward", "--config", str(path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert f"{N} individuals exceeds the cap" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_zero_replicates_summary_only(self, tmp_path):
         path = write_config(tmp_path, replicates=0)

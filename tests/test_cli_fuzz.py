@@ -1,15 +1,20 @@
 """Fuzzing of ``cli.main`` with small configs, some fields malformed.
 
 Every drawn config either runs or is rejected with a documented exit code,
-and no exception escapes.  Some configs read the population from a CSV
-file whose weights may be junk.  Sizes stay small (at most 4 sites of at most 3
-letters, N <= 8, 20 grid points, 2 replicates, t_end <= 5), so no example
-allocates more than a few MB; each example writes only into its own
-temporary directory.
+and no exception escapes and no traceback is printed.  Some configs read
+the population from a CSV file whose weights may be junk; some config
+files are not UTF-8, or are a directory.  Sizes stay small (at most 4
+sites of at most 3 letters, N <= 8, 20 grid points, 2 replicates,
+t_end <= 5), so no example allocates more than a few MB, except that a
+config may ask for a grid above the output cap or a population above the
+forward simulator's cap, which must be refused before anything is built.
+Each example writes only into its own temporary directory.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import tempfile
@@ -18,7 +23,8 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from moranrec.cli import _ALLOWED_KEYS, COMMANDS, main
+from moranrec.cli import _ALLOWED_KEYS, COMMANDS, DEFAULT_OUTPUT_CAP, main
+from moranrec.forward import DEFAULT_INDIVIDUAL_CAP
 from moranrec.measures import type_token
 
 EXIT_CODES = {0, 2, 3, 4, 5}
@@ -35,6 +41,9 @@ JUNK = st.one_of(
 # population-file weights: non-finite, overflowing, negative, fractional, not a number
 JUNK_WEIGHTS = ["inf", "-inf", "nan", "1e400", "-1", "0.5", "x"]
 POPULATION_FILE = "population.csv"
+# how the config reaches ``--config``: mostly as JSON text
+FORMS = ["json"] * 8 + ["not-utf8", "directory"]
+ONE_IN_FIVE = st.integers(0, 4).map(lambda i: i == 0)
 
 
 @st.composite
@@ -67,6 +76,12 @@ def configs(draw) -> tuple[dict, str]:
         "seed": draw(st.integers(0, 3)),
         "out": "out",
     }
+    if draw(ONE_IN_FIVE):  # more output times than the cap allows
+        cfg["grid"] = {"stop": 1.0, "num": draw(st.integers(DEFAULT_OUTPUT_CAP + 1, 10**13))}
+    if draw(ONE_IN_FIVE):  # more individuals than the forward simulator holds
+        extra = draw(st.integers(DEFAULT_INDIVIDUAL_CAP + 1, 10**12)) - N
+        cfg["population_size"] += extra
+        cfg["initial_counts"][0] += extra
     weights = [str(c) for c in cfg["initial_counts"]]
     for i in draw(st.lists(st.integers(0, len(weights) - 1), max_size=2)):
         weights[i] = draw(st.sampled_from(JUNK_WEIGHTS))
@@ -87,13 +102,19 @@ def configs(draw) -> tuple[dict, str]:
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(command=st.sampled_from(sorted(COMMANDS)), case=configs())
-def test_main_exits_with_a_documented_code(command, case):
+@given(command=st.sampled_from(sorted(COMMANDS)), case=configs(), form=st.sampled_from(FORMS))
+def test_main_exits_with_a_documented_code(command, case, form):
     cfg, population = case
     with tempfile.TemporaryDirectory() as tmp:
         if cfg["out"] == "out":
             cfg["out"] = str(Path(tmp) / "out")
         (Path(tmp) / POPULATION_FILE).write_text(population)
         path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(cfg))
-        assert main([command, "--config", str(path)]) in EXIT_CODES
+        if form == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(json.dumps(cfg).encode("utf-16" if form == "not-utf8" else "utf-8"))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, "--config", str(path)])
+        assert code in EXIT_CODES
+        assert "Traceback" not in err.getvalue()

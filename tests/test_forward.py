@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from moranrec import forward
+from moranrec import backward, forward
 from moranrec import (
     ForwardModel,
     InvalidInitialError,
@@ -187,6 +187,25 @@ class TestSimulateForward:
         z0 = PopulationState.from_counts(SP2, [2, 1, 1, 1])
         rec = simulate_forward(m, z0, np.inf, seed=5)
         assert rec.state_at(np.inf).max() == 5
+
+    def test_event_budget_is_read_at_call_time(self, monkeypatch):
+        m = model2(40, 0.3)
+        z0 = PopulationState.from_counts(SP2, [10, 10, 10, 10])
+        k = len(simulate_forward(m, z0, np.inf, seed=9).events)  # absorbs after k events
+        assert k > 2
+        monkeypatch.setattr(backward, "MAX_EVENTS", k)  # exactly enough
+        assert len(simulate_forward(m, z0, np.inf, seed=9).events) == k
+        monkeypatch.setattr(backward, "MAX_EVENTS", k - 1)
+        with pytest.raises(SizeCapError, match=f"more than {k - 1} events"):
+            simulate_forward(m, z0, np.inf, seed=9)
+
+    def test_individual_cap(self, monkeypatch):
+        z0 = PopulationState.from_counts(SP2, [2, 1, 1, 1])
+        monkeypatch.setattr(forward, "DEFAULT_INDIVIDUAL_CAP", 5)
+        assert simulate_forward(model2(5, 0.3), z0, 1.0, seed=5).t_end == 1.0
+        monkeypatch.setattr(forward, "DEFAULT_INDIVIDUAL_CAP", 4)
+        with pytest.raises(SizeCapError, match="5 individuals exceeds the cap of 4"):
+            simulate_forward(model2(5, 0.3), z0, 1.0, seed=5)
 
     def test_neutral_fixation_frequencies(self):
         # no recombination: fixation probability equals initial frequency
