@@ -41,15 +41,17 @@ JUNK = st.one_of(
 # population-file weights: non-finite, overflowing, negative, fractional, not a number
 JUNK_WEIGHTS = ["inf", "-inf", "nan", "1e400", "-1", "0.5", "x"]
 POPULATION_FILE = "population.csv"
-# how the config reaches ``--config``: mostly as JSON text
-FORMS = ["json"] * 8 + ["not-utf8", "directory"]
-ONE_IN_FIVE = st.integers(0, 4).map(lambda i: i == 0)
+# one in five configs is valid but for one twist: it asks for a grid above
+# the output cap or more individuals than the forward simulator holds, or
+# reaches ``--config`` as a file that is not UTF-8 or as a directory
+TWISTS = ["none"] * 16 + ["grid", "population", "not-utf8", "directory"]
 
 
 @st.composite
-def configs(draw) -> tuple[dict, str]:
-    """A valid small config with up to three fields dropped or replaced by junk,
-    and the text of the population CSV that it may name."""
+def configs(draw) -> tuple[dict, str, str]:
+    """A small config with up to three fields dropped or replaced by junk, or
+    a valid one with a twist, the text of the population CSV that it may
+    name, and the twist."""
     n = draw(st.integers(1, 4))
     cards = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     N = draw(st.integers(1, 8))
@@ -76,18 +78,26 @@ def configs(draw) -> tuple[dict, str]:
         "seed": draw(st.integers(0, 3)),
         "out": "out",
     }
-    if draw(ONE_IN_FIVE):  # more output times than the cap allows
+    twist = draw(st.sampled_from(TWISTS))
+    if twist != "none":
+        cfg["alphabet_sizes"] = cards
+        cfg["initial_partition"] = ",".join(map(str, sites))
+    if twist == "grid":
         cfg["grid"] = {"stop": 1.0, "num": draw(st.integers(DEFAULT_OUTPUT_CAP + 1, 10**13))}
-    if draw(ONE_IN_FIVE):  # more individuals than the forward simulator holds
+    elif twist == "population":
         extra = draw(st.integers(DEFAULT_INDIVIDUAL_CAP + 1, 10**12)) - N
         cfg["population_size"] += extra
         cfg["initial_counts"][0] += extra
     weights = [str(c) for c in cfg["initial_counts"]]
-    for i in draw(st.lists(st.integers(0, len(weights) - 1), max_size=2)):
+    junk_rows = [] if twist != "none" else draw(
+        st.lists(st.integers(0, len(weights) - 1), max_size=2))
+    for i in junk_rows:
         weights[i] = draw(st.sampled_from(JUNK_WEIGHTS))
     population = "type,weight\n" + "".join(
         f"{type_token(cards, x)},{w}\n" for x, w in enumerate(weights))
-    for key in draw(st.lists(st.sampled_from(sorted(_ALLOWED_KEYS)), max_size=3, unique=True)):
+    junk_keys = [] if twist != "none" else draw(
+        st.lists(st.sampled_from(sorted(_ALLOWED_KEYS)), max_size=3, unique=True))
+    for key in junk_keys:
         if key == "out":
             # a string would write outside the example directory, and so
             # would the default "." of a dropped 'out'
@@ -98,22 +108,22 @@ def configs(draw) -> tuple[dict, str]:
             del cfg[key]
     if cfg.get("initial_population_file") == POPULATION_FILE:
         cfg.pop("initial_counts", None)  # the counts would take precedence over the file
-    return cfg, population
+    return cfg, population, twist
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(command=st.sampled_from(sorted(COMMANDS)), case=configs(), form=st.sampled_from(FORMS))
-def test_main_exits_with_a_documented_code(command, case, form):
-    cfg, population = case
+@given(command=st.sampled_from(sorted(COMMANDS)), case=configs())
+def test_main_exits_with_a_documented_code(command, case):
+    cfg, population, twist = case
     with tempfile.TemporaryDirectory() as tmp:
         if cfg["out"] == "out":
             cfg["out"] = str(Path(tmp) / "out")
         (Path(tmp) / POPULATION_FILE).write_text(population)
         path = Path(tmp) / "config.json"
-        if form == "directory":
+        if twist == "directory":
             path.mkdir()
         else:
-            path.write_bytes(json.dumps(cfg).encode("utf-16" if form == "not-utf8" else "utf-8"))
+            path.write_bytes(json.dumps(cfg).encode("utf-16" if twist == "not-utf8" else "utf-8"))
         with contextlib.redirect_stderr(io.StringIO()) as err:
             code = main([command, "--config", str(path)])
         assert code in EXIT_CODES
