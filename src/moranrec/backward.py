@@ -12,14 +12,13 @@ population.  Three variants share one interface:
   time sped up by ``N``; splits at marginal rates, every unordered pair of
   blocks coalesces at rate 2, and nothing else.
 
-Simulation follows the generative narrative (pick a block, split it, let
-each fragment pick a parent); the generator matrices weight the
-split/merge incidence of the partition lattice with the same rates and
-serve as the exact reference.  The simulator visits each state as its
-canonical tuple of blocks and reads everything a jump needs (exit rate,
-cumulative split probabilities, the other blocks) from a bounded cache
-of states, so an event costs its random draws and a few tuple
-operations.
+The generator matrices weight the split/merge incidence of the partition
+lattice.  The simulator draws from the same moves, grouped in classes: a
+block kept whole, or a block cut after one of its sites, each at the rate
+at which it changes the state; where the fragments land is drawn after.
+It visits each state as its canonical tuple of blocks and reads the
+class table from a bounded cache of states, so an event costs three
+random draws and a few tuple operations.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -86,11 +85,18 @@ class BackwardModel:
 @lru_cache(maxsize=4096)
 def _split_choices(model: BackwardModel,
                    block: Block) -> tuple[tuple[tuple[Block, ...], float], ...]:
-    """(fragments, probability) pairs: ``block`` whole, then cut after each of
-    its sites but the last, with the probabilities of ``recomb.marginal(block)``."""
-    sub = model.recomb.marginal(block)
-    return (((block,), sub.r_whole),
-            *(((block[:k], block[k:]), r) for k, r in enumerate(sub.crossover, start=1)))
+    """(fragments, weight) pairs: ``block`` whole, then cut after each of its
+    sites but the last.  The weights are the probabilities of
+    ``recomb.marginal(block)``; in the diffusion variant, whose model may
+    carry no ``recomb``, they are 1 for the whole block and the rates of
+    ``rho.marginal(block)`` for the cuts."""
+    if model.variant == "diffusion":
+        whole, cuts = 1.0, model.rho.marginal(block).rho
+    else:
+        sub = model.recomb.marginal(block)
+        whole, cuts = sub.r_whole, sub.crossover
+    return (((block,), whole),
+            *(((block[:k], block[k:]), r) for k, r in enumerate(cuts, start=1)))
 
 
 def _merge_into(blocks: list[tuple[int, ...]], target: int,
@@ -168,88 +174,77 @@ class PartitionTrajectory:
 class _State(NamedTuple):
     """What the simulator needs of one state, built once per (model, blocks).
 
-    ``splits[j]`` holds the cumulative split probabilities of block ``j``
-    and the fragments of each split (the last repeated once, for a draw
-    past the final sum); ``rest[j]`` holds the other blocks, in order.  The
-    diffusion variant jumps by its transition rates instead: ``jumps``
-    holds their cumulative sums and the target states (the state itself
-    last).  Sums run left to right, as a running ``acc += p`` would.
+    ``moves`` lists the move classes of positive rate as ``(j, fragments)``:
+    block ``j`` kept whole (one fragment) or cut in two.  ``cum`` holds
+    their cumulative rates, summed left to right, and ``rate``, the last
+    of them, is the exit rate.  ``rest[j]`` holds the blocks other than
+    ``j``, in order.
     """
 
     rate: float
     partition: Partition
     rest: tuple[tuple[Block, ...], ...]
-    splits: tuple[tuple[tuple[float, ...], tuple[tuple[Block, ...], ...]], ...]
-    jumps: tuple[tuple[float, ...], tuple[tuple[Block, ...], ...]] | None
+    cum: tuple[float, ...]
+    moves: tuple[tuple[int, tuple[Block, ...]], ...]
 
 
 @lru_cache(maxsize=STATE_CACHE_SIZE)
 def _state(model: BackwardModel, blocks: tuple[Block, ...]) -> _State:
     """The cached :class:`_State` of the canonical block tuple ``blocks``.
 
-    In the narrative variants every block meets an event at rate one.  The
-    event is silent when the block stays whole and lands on an empty
-    parent, or splits and both fragments land on the same empty parent; in
-    the deterministic limit every parent is fresh, so only the first case
-    is silent.  The exit rate is ``m`` minus the silent rates.
+    A class's rate is its :func:`_split_choices` weight times the chance
+    that it changes the state.  Finite: a whole block must land on one of
+    the ``m-1`` parents of the other blocks among the ``N`` individuals,
+    and a cut changes the state unless both fragments land on the same of
+    the ``N-m+1`` empty parents.  Deterministic: every fragment gets a
+    fresh parent, so only cuts move.  Diffusion: a whole block lands on
+    each other block at rate 1, and a cut sends both fragments to fresh
+    parents.  States with more blocks than individuals have no moves, as
+    their generator rows.
     """
-    a = Partition(blocks)
     m = len(blocks)
-    if model.variant == "diffusion":
-        # each block cut at the nonzero rates of its splits, then each
-        # unordered pair of blocks merged at 2; no two moves share a target
-        moves = []
-        for j, block in enumerate(blocks):
-            rest = blocks[:j] + blocks[j + 1:]
-            for k, rho in enumerate(model.rho.marginal(block).rho, start=1):
-                if rho != 0.0:
-                    moves.append((tuple(sorted(rest + (block[:k], block[k:]))), rho))
-        for j, k in combinations(range(m), 2):
-            rest = blocks[:j] + blocks[j + 1:k] + blocks[k + 1:]
-            merged = tuple(sorted(blocks[j] + blocks[k]))
-            moves.append((tuple(sorted(rest + (merged,))), 2.0))
-        rates = [rate for _, rate in moves]
-        targets = tuple(b for b, _ in moves) + (blocks,)
-        return _State(sum(rates), a, (), (), (tuple(accumulate(rates)), targets))
-    N = model.N
-    stay = (N - (m - 1)) / N  # finite: the chance that a parent is empty
-    silent = 0.0
-    splits = []
-    for block in blocks:
-        choices = _split_choices(model, block)
-        r_one = choices[0][1]
-        if model.variant == "finite":
-            silent += r_one * stay + (1.0 - r_one) * stay / N
-        else:
-            silent += r_one
-        fragments = tuple(f for f, _ in choices)
-        splits.append((tuple(accumulate(p for _, p in choices)), fragments + fragments[-1:]))
-    rest = tuple(blocks[:j] + blocks[j + 1:] for j in range(m))
-    return _State(m - silent, a, rest, tuple(splits), None)
-
-
-def _narrative_jump(cur: tuple[Block, ...], state: _State, N: int | None,
-                    rng: np.random.Generator) -> tuple[Block, ...]:
-    """One block-level event: split a uniform block, then a parent per fragment.
-
-    Parents ``0..m-2`` carry the other blocks, the rest are empty.  With a
-    population size ``N`` (the finite variant) each parent is drawn among
-    the ``N`` individuals; without one (the deterministic variant) every
-    fragment gets a fresh one.  Returns ``cur`` itself when the event is
-    silent.
-    """
-    m = len(cur)
-    j = int(rng.integers(m))
-    cum, fragments = state.splits[j]
-    split = fragments[bisect_right(cum, rng.random())]
-    if N is None:
-        parents = list(range(m - 1, m - 1 + len(split)))
+    if model.variant == "finite":
+        N = model.N
+        whole, cut = ((m - 1) / N, (N * N - (N - m + 1)) / N**2) if m <= N else (0.0, 0.0)
+    elif model.variant == "deterministic":
+        whole, cut = 0.0, 1.0
     else:
-        parents = [int(rng.integers(N)) for _ in split]
-    if parents[0] >= m - 1 and parents[-1] == parents[0]:  # at most two fragments
-        return cur  # the whole block lands on one empty parent
+        whole, cut = m - 1.0, 1.0
+    moves, rates = [], []
+    for j, block in enumerate(blocks):
+        for fragments, weight in _split_choices(model, block):
+            rate = weight * (whole if len(fragments) == 1 else cut)
+            if rate > 0.0:
+                moves.append((j, fragments))
+                rates.append(rate)
+    cum = tuple(accumulate(rates))
+    rest = tuple(blocks[:j] + blocks[j + 1:] for j in range(m))
+    return _State(cum[-1] if cum else 0.0, Partition(blocks), rest, cum, tuple(moves))
+
+
+def _jump(state: _State, N: int | None, rng: np.random.Generator) -> tuple[Block, ...]:
+    """The target of one state-changing event: a move class drawn at its
+    rate, then the parent of each of its fragments.
+
+    Parents ``0..m-2`` carry the other blocks, the rest are empty.  A whole
+    block lands on a uniform other block's parent.  With a population size
+    ``N`` (the finite variant) the two fragments of a cut draw their
+    parents among the ``N`` individuals, redrawn only when both drew the
+    same empty one; without one both get fresh parents.
+    """
+    m = len(state.rest)
+    j, fragments = state.moves[bisect_right(state.cum, rng.random() * state.rate,
+                                            0, len(state.cum) - 1)]
+    if len(fragments) == 1:
+        parents = [int(rng.integers(m - 1))]
+    elif N is None:
+        parents = [m - 1, m]
+    else:
+        parents = rng.integers(N, size=2).tolist()
+        while parents[0] == parents[1] >= m - 1:  # silent: the block stays whole
+            parents = rng.integers(N, size=2).tolist()
     blocks = list(state.rest[j])
-    for fragment, parent in zip(split, parents):
+    for fragment, parent in zip(fragments, parents):
         if parent < m - 1:
             _merge_into(blocks, parent, fragment)
         else:
@@ -261,13 +256,13 @@ def simulate_backward(model: BackwardModel, sigma0: Partition, t_end: float,
                       seed: int, *, replicate: int = 0) -> PartitionTrajectory:
     """Event-driven path of the partitioning process up to ``t_end``.
 
-    Holding times use the exact rate of leaving the current state.  For the
-    finite and deterministic variants the jump is the narrative step,
-    redrawn until it changes the state, which leaves the path law
-    unchanged; the diffusion variant picks its jump from the transition
-    rates.  The finite and diffusion chains have in general no absorbing
-    state, so a path that would need more than ``MAX_EVENTS`` events before
-    ``t_end`` raises :class:`SizeCapError`.
+    Holding times use the exact rate of leaving the current state, and
+    each jump is drawn by :func:`_jump` from the state's move classes, so
+    no draw is silent and the path law is the generator's in every
+    variant.  The stream is seeded by ``(seed, replicate)``.  The finite
+    and diffusion chains have in general no absorbing state, so a path
+    that would need more than ``MAX_EVENTS`` events before ``t_end`` raises
+    :class:`SizeCapError`.
     """
     if sigma0.ground != model.sites:
         raise InvalidInitialError(f"initial partition must cover sites {model.sites}")
@@ -288,14 +283,7 @@ def simulate_backward(model: BackwardModel, sigma0: Partition, t_end: float,
         if len(events) == MAX_EVENTS:
             raise SizeCapError(f"more than {MAX_EVENTS} events before t_end={t_end:g}; "
                                "lower t_end")
-        if state.jumps is not None:
-            cum, targets = state.jumps
-            nxt = targets[bisect_right(cum, rng.random() * state.rate)]
-        else:
-            nxt = cur
-            while nxt == cur:
-                nxt = _narrative_jump(cur, state, N, rng)
-        cur = nxt
+        cur = _jump(state, N, rng)
         state = _state(model, cur)
         events.append((t, state.partition))
     return PartitionTrajectory(sigma0, tuple(events), seed, replicate, t_end)

@@ -30,7 +30,10 @@ rejected, in the config, in the weights of the population file and in the
 ``--t-end``, ``--grid`` and ``--tol`` flags; ``--tol`` must also be at
 least 0.
 A population file lists each type at most once; a second row for a type
-is rejected, whatever its weight.
+is rejected, whatever its weight.  A config gives ``initial_counts`` or
+``initial_population_file``, not both.  ``simulate-forward`` rejects a
+grid that runs past ``t_end``, whose summary rows would repeat the state
+at ``t_end`` as if it had been simulated.
 Integer fields must be JSON integers; the entries of ``crossover_probs``
 and ``rho`` must be numbers (not booleans), and ``out`` and
 ``initial_population_file`` strings.  ``expectations``, ``lde`` and
@@ -254,6 +257,8 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
              "diffusion variant needs 'rho'")
 
     initial = None
+    _require(raw.get("initial_counts") is None or raw.get("initial_population_file") is None,
+             "give 'initial_counts' or 'initial_population_file', not both")
     if raw.get("initial_counts") is not None:
         counts = raw["initial_counts"]
         _require(isinstance(counts, list) and len(counts) == space.total_states,
@@ -407,6 +412,9 @@ def _write_replicates(cfg: RunConfig, files: Iterable[tuple[str, str]]) -> None:
 
 def cmd_simulate_forward(cfg: RunConfig) -> int:
     z0 = _need_initial(cfg)
+    _require(cfg.grid[-1] <= cfg.t_end,
+             f"'grid' runs to {cfg.grid[-1]:g}, past 't_end' = {cfg.t_end:g}; "
+             "simulate-forward reports only simulated times")
     model = ForwardModel(cfg.space, cfg.N, cfg.recomb)
     a0 = cfg.initial_partition
     h0 = sampling(a0, z0.measure).weights  # before any output: a cap error writes nothing
@@ -419,8 +427,8 @@ def cmd_simulate_forward(cfg: RunConfig) -> int:
     def replicates():
         for rep in range(cfg.replicates):
             rec = simulate_forward(model, z0, cfg.t_end, cfg.seed, replicate=rep)
-            for gi, t in enumerate(grid):
-                z_t = PopulationState.from_counts(cfg.space, rec.state_at(t))
+            for gi, counts in enumerate(rec.states_at(grid)):
+                z_t = PopulationState.from_counts(cfg.space, counts)
                 h = sampling(a0, z_t.measure).weights
                 mean[gi] += h
                 msq[gi] += h * h

@@ -20,7 +20,7 @@ import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -127,6 +127,20 @@ class TrajectoryRecord:
             z[y] -= 1
             z[x] += 1
         return z
+
+    def states_at(self, times: Sequence[float]) -> Iterator[np.ndarray]:
+        """:meth:`state_at` of each of the nondecreasing ``times``, in one
+        pass over the events."""
+        z = np.array(self.initial, dtype=np.int64)
+        events = iter(self.events)
+        pending = next(events, None)
+        for t in times:
+            while pending is not None and pending[0] <= t:
+                _, y, x = pending
+                z[y] -= 1
+                z[x] += 1
+                pending = next(events, None)
+            yield z.copy()
 
 
 def simulate_forward(model: ForwardModel, z0: PopulationState, t_end: float,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -231,6 +232,13 @@ class TestConfigValidation:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_counts_and_population_file_together_rejected(self, tmp_path, capsys):
+        (tmp_path / "pop.csv").write_text("type,weight\n00,1\n01,2\n10,3\n11,4\n")
+        path = write_config(tmp_path, initial_population_file="pop.csv")
+        assert main(["simulate-forward", "--config", str(path)]) == 2
+        assert "not both" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_duplicate_population_row(self, tmp_path, capsys):
         # the rows hold 10 individuals; keeping the last "00" row would sum to 7
         (tmp_path / "pop.csv").write_text("type,weight\n00,3\n00,1\n01,2\n10,2\n11,2\n")
@@ -333,6 +341,33 @@ class TestSimulateForwardCommand:
         assert time.perf_counter() - start < 1.0
         assert f"{N} individuals exceeds the cap" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_grid_past_t_end_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        path = write_config(tmp_path, t_end=1.0, grid=[0, 1, 5, 50], replicates=3)
+        assert main(["simulate-forward", "--config", str(path)]) == 2
+        assert "past 't_end'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        path = write_config(tmp_path, t_end=1.0, grid=[0, 0.5, 1], replicates=3)
+        assert main(["simulate-forward", "--config", str(path), "--t-end", "0.5"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_summary_at_event_times_matches_state_at(self, tmp_path):
+        cfg = cli.load_config(write_config(tmp_path, replicates=2), argparse.Namespace())
+        model = forward.ForwardModel(cfg.space, cfg.N, cfg.recomb)
+        recs = [forward.simulate_forward(model, cfg.initial, cfg.t_end, cfg.seed, replicate=rep)
+                for rep in range(2)]
+        grid = sorted({0.0, 1.0, *(t for t, _, _ in recs[0].events[:3])})
+        assert len(grid) == 5
+        path = write_config(tmp_path, replicates=2, grid=grid)
+        assert main(["simulate-forward", "--config", str(path)]) == 0
+        rows = (tmp_path / "out" / "forward_summary.csv").read_text().splitlines()[2:]
+        for gi, t in enumerate(grid):
+            mean = np.mean([moranrec.sampling(cfg.initial_partition, moranrec.PopulationState
+                                              .from_counts(cfg.space, rec.state_at(t)).measure)
+                            .weights for rec in recs], axis=0)
+            block = [row.split(",") for row in rows[4 * gi:4 * gi + 4]]
+            assert all(float(row[0]) == t for row in block)
+            assert [float(row[2]) for row in block] == pytest.approx(mean, abs=1e-15)
 
     def test_zero_replicates_summary_only(self, tmp_path):
         path = write_config(tmp_path, replicates=0)

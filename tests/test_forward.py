@@ -144,6 +144,22 @@ class TestSimulateForward:
                 z[x] += 1
             assert np.array_equal(rec.state_at(mid), z)
 
+    def test_states_at_matches_state_at_in_one_pass(self):
+        m = model2(50, 0.3)
+        z0 = PopulationState.from_counts(SP2, [20, 10, 5, 15])
+        rec = simulate_forward(m, z0, 2.0, seed=9)
+        event_times = np.array([t for t, _, _ in rec.events])
+        assert event_times.size > 50
+        # 1,001 times from before 0 to past t_end, 51 of them event times
+        on_events = event_times[np.linspace(0, event_times.size - 1, 51).astype(int)]
+        grid = np.sort(np.concatenate((np.linspace(-0.1, 2.1, 950), on_events)))
+        assert grid.size == 1001
+        got = list(rec.states_at(grid))
+        assert len(got) == grid.size
+        for t, z in zip(grid, got):
+            assert np.array_equal(z, rec.state_at(t)), t
+        assert list(rec.states_at([])) == []
+
     def test_population_must_match_model(self):
         m = model2(5, 0.3)
         with pytest.raises(InvalidInitialError):

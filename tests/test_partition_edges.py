@@ -1,10 +1,12 @@
 """``Partition`` objects are built only where a result is returned.
 
 The operators, the backward simulator's jump tables and the LDE solve read
-lattice rows as canonical block tuples.  Each is checked here against the
-``Partition``-list path it replaced (``tests/oracles.py``), bit for bit,
-and a counter on ``Partition.__post_init__`` holds the number of
-partitions each entry point builds.
+lattice rows as canonical block tuples.  The operators are checked here
+against the ``Partition``-list path they replaced (``tests/oracles.py``),
+bit for bit; the jump tables' move classes, spread over their targets,
+against the oracle transition rates and the generator's exit rates.  A
+counter on ``Partition.__post_init__`` holds the number of partitions
+each entry point builds.
 """
 
 from itertools import accumulate
@@ -22,6 +24,7 @@ from moranrec import (
     coarsest,
     enumerate_partitions,
     finest,
+    generator_theta,
     lde_operator,
     lde_trajectory,
     sampling_bar,
@@ -60,36 +63,104 @@ def test_operators_match_partition_list_oracles_bitwise(n):
             assert np.array_equal(got.weights, ref.weights), a
 
 
-def _models(n: int) -> list[BackwardModel]:
+def _models(n: int, N: int) -> list[BackwardModel]:
     """Each variant with a zero crossover probability and a zero rate (n >= 3)."""
     probs = list(random_recomb(n, 90 + n).crossover)
     rho = list(np.random.default_rng(n).uniform(0.3, 2.0, n - 1))
     if n >= 3:
         probs[1], rho[1] = 0.0, 0.0
     r, rates = RecombinationDistribution(n, tuple(probs)), DiffusionRates(n, tuple(rho))
-    return [BackwardModel(n, n + 2, r, v, rates) for v in VARIANTS]
+    return [BackwardModel(n, N, r, v, rates) for v in VARIANTS]
+
+
+def _class_rates(model: BackwardModel, blocks) -> list[tuple[int, tuple, float]]:
+    """``(j, fragments, rate)`` of every move class of positive rate, in table
+    order, at the rate stated in ``backward._state``'s docstring."""
+    m, N = len(blocks), model.N
+    out = []
+    for j, block in enumerate(blocks):
+        for fragments, w in backward._split_choices(model, block):
+            whole = len(fragments) == 1
+            if model.variant == "finite":
+                rate = 0.0 if m > N else w * ((m - 1) / N if whole
+                                              else (N * N - (N - m + 1)) / N**2)
+            elif model.variant == "deterministic":
+                rate = 0.0 if whole else w
+            else:
+                rate = w * (m - 1) if whole else w
+            if rate > 0.0:
+                out.append((j, fragments, rate))
+    return out
+
+
+def _spread(model: BackwardModel, blocks, classes) -> dict[tuple, float]:
+    """The target law of the move classes: a whole block merges with each of
+    the ``m-1`` other blocks alike; a finite cut's two fragments land on
+    every parent pair that changes the state, an empty parent counted once
+    per individual that carries no block (deterministic and diffusion: both
+    fresh)."""
+    m = len(blocks)
+    empty = model.N - m + 1  # individuals that carry no block (finite)
+    if model.variant == "finite":
+        parents = [(None, empty)] + [(k, 1) for k in range(m - 1)]  # (block, count)
+        pairs = [((p, q), a * (b if (p, q) != (None, None) else empty - 1))
+                 for p, a in parents for q, b in parents]
+    else:
+        pairs = [((None, None), 1)]
+    pairs = [(pq, c) for pq, c in pairs if c > 0]
+    out: dict[tuple, float] = {}
+    for j, fragments, rate in classes:
+        rest = blocks[:j] + blocks[j + 1:]
+        if len(fragments) == 1:
+            moves = [((k,), 1) for k in range(m - 1)]
+        else:
+            moves = pairs
+        total = sum(c for _, c in moves)
+        for parents, c in moves:
+            new = list(rest)
+            for fragment, parent in zip(fragments, parents):
+                if parent is None:
+                    new.append(fragment)
+                else:
+                    new[parent] = tuple(sorted(new[parent] + fragment))
+            b = tuple(sorted(new))
+            out[b] = out.get(b, 0.0) + rate * c / total
+    return out
+
+
+def _relative_error(got, ref) -> float:
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    return float(np.max(np.abs(got - ref) / np.where(ref == 0.0, 1.0, ref), initial=0.0))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_jump_tables_match_partition_oracles(n):
-    # every state of n <= 8 sites: 5,295 in all
-    for model in _models(n):
-        for a in oracles.rgs_partitions(model.sites):
-            state = backward._state(model, a.blocks)
-            assert state.partition == a
-            if model.variant == "diffusion":
-                rates = oracles._transition_rates_diff(model, a)
-                targets = tuple(b.blocks for b in rates) + (a.blocks,)
-                assert state.jumps == (tuple(accumulate(rates.values())), targets)
-                assert state.rate == sum(rates.values())
-                continue
-            for block, (cum, fragments) in zip(a.blocks, state.splits, strict=True):
-                ref = oracles._split_choices(model, block)
-                assert backward._split_choices(model, block) == tuple(
-                    (jj.blocks, p) for jj, p in ref)
-                assert cum == tuple(accumulate(p for _, p in ref))
-                assert fragments == tuple(jj.blocks for jj, _ in ref) + (ref[-1][0].blocks,)
-            assert state.rate == oracles._exit_rate(model, a)
+    # every state of n <= 8 sites (5,295 in all), N below, at and above n
+    for N in sorted({max(n - 1, 1), n, n + 2}):
+        for model in _models(n, N):
+            got, ref, cum, cum_ref, exits = [], [], [], [], []
+            exit_rates = -generator_theta(model).matrix.diagonal()
+            for a in enumerate_partitions(model.sites):
+                state = backward._state(model, a.blocks)
+                assert state.partition == a
+                exits.append(state.rate)
+                classes = _class_rates(model, a.blocks)
+                assert state.moves == tuple((j, f) for j, f, _ in classes)
+                cum += state.cum
+                cum_ref += accumulate(r for _, _, r in classes)
+                law = _spread(model, a.blocks, classes)
+                rates = oracles.transition_rates(model, a)
+                assert law.keys() == {b.blocks for b in rates}, (N, model.variant, a)
+                got += (law[b.blocks] for b in rates)
+                ref += rates.values()
+            for block in {block for a in enumerate_partitions(model.sites) for block in a.blocks}:
+                weights = ((1.0, *model.rho.marginal(block).rho) if model.variant == "diffusion"
+                           else (p for _, p in oracles._split_choices(model, block)))
+                splits = (jj.blocks for jj in oracles.ordered_partitions_le2(block))
+                assert backward._split_choices(model, block) == tuple(zip(splits, weights))
+            assert _relative_error(got, ref) <= 1e-12, (N, model.variant)
+            assert _relative_error(cum, cum_ref) <= 1e-12, (N, model.variant)
+            assert _relative_error(exits, exit_rates) <= 1e-12, (N, model.variant)
 
 
 def test_operators_build_no_partition_beyond_the_argument(built):
@@ -111,13 +182,13 @@ def test_lde_trajectory_labels_its_result_once(built):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_simulator_builds_one_partition_per_cached_state(built, variant):
-    model = _models(6)[VARIANTS.index(variant)]
+    model = _models(6, 8)[VARIANTS.index(variant)]
     start = coarsest(range(1, 7))
     backward._state.cache_clear()
     backward._split_choices.cache_clear()
     built.clear()
     events = sum(len(simulate_backward(model, start, 40.0, seed=3, replicate=rep).events)
-                 for rep in range(4))
+                 for rep in range(12))
     states = backward._state.cache_info().currsize
     assert events > states > 10
     assert len(built) == states
