@@ -104,6 +104,36 @@ def _merge_into(blocks: list[tuple[int, ...]], target: int,
     blocks[target] = tuple(sorted(blocks[target] + fragment))
 
 
+def _theta_entries(model: BackwardModel) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """``(B, rows, cols, vals)``: the entries of the generator of
+    ``model.variant``, one per move of the lattice incidence (moves the
+    variant excludes at rate 0), then the diagonal.  See
+    :func:`generator_theta`."""
+    L = lattice(model.n)
+    inc = L.incidence
+    split, m, nb = inc["split"], inc["m"], inc["nb"]
+    per_gap = model.rho.rho if model.variant == "diffusion" else model.recomb.crossover
+    cum = np.concatenate(([0.0], np.cumsum(per_gap)))
+    gap = cum[inc["hi"]] - cum[inc["lo"]]
+    fresh = split & (nb == m + 1)
+    if model.variant == "finite":
+        N = model.N
+        falling = np.where(nb == m + 1, (N - m + 1.0) * (N - m), np.where(nb == m, N - m + 1.0, 1.0))
+        rate = np.where(split, gap / N**2, np.maximum(1.0 - gap, 0.0) / N) * falling
+        keep = m <= N  # states with more blocks than individuals are not reachable
+    elif model.variant == "deterministic":
+        rate, keep = gap, fresh
+    else:
+        rate, keep = np.where(split, gap, 1.0), fresh | ~split
+    rate = np.where(keep, rate, 0.0)
+    by_row, ends = rate.tolist(), inc["offsets"].tolist()
+    exit_rates = [math.fsum(by_row[i:j]) for i, j in zip(ends, ends[1:])]
+    B = len(L.sizes)
+    diag = np.arange(B)
+    return (B, np.concatenate((inc["a"], diag)), np.concatenate((inc["b"], diag)),
+            np.concatenate((rate, np.negative(exit_rates))))
+
+
 def generator_theta(model: BackwardModel) -> GeneratorMatrix:
     """Generator of ``model.variant`` over all partitions of the sites.
 
@@ -120,36 +150,21 @@ def generator_theta(model: BackwardModel) -> GeneratorMatrix:
     Deterministic: only cuts whose fragments both land on fresh parents.
     Diffusion: those cuts at the summed rates, and every whole block
     landing on another at 1, so each unordered pair of blocks merges at 2.
-    The diagonal is minus the ``math.fsum`` of each row's moves, so it does
-    not depend on their order.
+    The diagonal is minus the ``math.fsum`` over each row's slice of the
+    row-sorted incidence, so it does not depend on the order of the moves.
+    :func:`generator_theta_dense` assembles the same entries densely.
     """
     from scipy import sparse
 
-    L = lattice(model.n)
-    inc = L.incidence
-    split, m, nb = inc["split"], inc["m"], inc["nb"]
-    per_gap = model.rho.rho if model.variant == "diffusion" else model.recomb.crossover
-    cum = np.concatenate(([0.0], np.cumsum(per_gap)))
-    gap = cum[inc["hi"]] - cum[inc["lo"]]
-    fresh = split & (nb == m + 1)
-    if model.variant == "finite":
-        N = model.N
-        falling = np.select([nb == m + 1, nb == m], [(N - m + 1.0) * (N - m), N - m + 1.0], 1.0)
-        rate = np.where(split, gap / N**2, np.maximum(1.0 - gap, 0.0) / N) * falling
-        keep = m <= N  # states with more blocks than individuals are not reachable
-    elif model.variant == "deterministic":
-        rate, keep = gap, fresh
-    else:
-        rate, keep = np.where(split, gap, 1.0), fresh | ~split
-    a, b, rate = inc["a"][keep], inc["b"][keep], rate[keep]
-    B = len(L.sizes)
-    by_row = rate[np.argsort(a, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(a, minlength=B)).tolist()
-    exit_rates = [math.fsum(by_row[i:j]) for i, j in zip([0] + ends, ends)]
-    diag = np.arange(B)
-    rows, cols = np.concatenate((a, diag)), np.concatenate((b, diag))
-    vals = np.concatenate((rate, np.negative(exit_rates)))
+    B, rows, cols, vals = _theta_entries(model)
     return GeneratorMatrix(sparse.coo_array((vals, (rows, cols)), shape=(B, B)))
+
+
+def generator_theta_dense(model: BackwardModel) -> np.ndarray:
+    """:func:`generator_theta` as a dense array, summed straight from its
+    entries without scipy."""
+    B, rows, cols, vals = _theta_entries(model)
+    return np.bincount(rows * B + cols, vals, B * B).reshape(B, B)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .backward import BackwardModel, generator_theta
+from .backward import BackwardModel, generator_theta, generator_theta_dense
 from .errors import SampleTooLargeError, ShapeError, SizeCapError
 from .forward import DEFAULT_POPULATION_CAP, ForwardModel, generator_lambda
 from .markov import (
@@ -135,7 +136,7 @@ class ExpectationTrajectory:
     values: np.ndarray  # (times, partitions, types on the sites)
 
 
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 def _solve(backward: BackwardModel, m: Measure, N: int, times) -> tuple[np.ndarray, np.ndarray]:
@@ -151,11 +152,11 @@ def _solve(backward: BackwardModel, m: Measure, N: int, times) -> tuple[np.ndarr
     if backward.variant != "finite":
         raise ValueError("expected_sampling needs the finite variant")
     keep = np.flatnonzero(lattice(backward.n).sizes <= backward.N)
-    G = generator_theta(backward).matrix.toarray()[np.ix_(keep, keep)]
+    G = generator_theta_dense(backward)[np.ix_(keep, keep)]
     y = sampling_stack(m, N)
     values = np.empty((t.size, keep.size, y.shape[1]))
     step, E, prev = None, None, 0.0
-    for i, ti in enumerate(t):
+    for i, ti in enumerate(t.tolist()):
         h = ti - prev
         if h != 0:
             if step is None or abs(h - step) > 4 * _EPS * ti:
@@ -195,6 +196,7 @@ def _lde_scales(L: Lattice, N: int) -> tuple[np.ndarray, np.ndarray]:
     return np.power(float(N), L.sizes), np.array([math.perm(N, k) for k in L.sizes], dtype=float)
 
 
+@lru_cache(maxsize=8)
 def lde_transform(k: int, N: int) -> np.ndarray:
     """Matrix turning a stack of sampling expectations into LDE expectations.
 
@@ -202,11 +204,14 @@ def lde_transform(k: int, N: int) -> np.ndarray:
     ``T[a, c] = sum over common refinements b of a and c of
     (N)_|c| / N**|b| * mobius(b, a)``, that is
     ``T = M^T diag(N**-|b|) Z diag((N)_|c|)`` with ``M`` the Mobius and
-    ``Z`` the zeta matrix.  Columns with ``|c| > N`` are zero.
+    ``Z`` the zeta matrix.  Columns with ``|c| > N`` are zero.  The result
+    is cached per ``(k, N)`` (the last 8) and read-only.
     """
     L = lattice(k)
     power, falling = _lde_scales(L, N)
-    return (L.mobius.T @ (L.zeta.toarray() / power[:, None])) * falling[None, :]
+    T = (L.mobius.T @ (L.zeta.toarray() / power[:, None])) * falling[None, :]
+    T.flags.writeable = False
+    return T
 
 
 def lde_transform_diffusion(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +289,6 @@ def lde_conjugation_3site(backward: BackwardModel) -> LdeTransform:
     if backward.variant == "deterministic":
         raise ValueError("lde_conjugation_3site needs the finite or diffusion variant")
     order = three_site_order()
-    gen = generator_theta(backward)
     if backward.variant == "diffusion":
         T, Tinv = lde_transform_diffusion(3)
     else:
@@ -299,7 +303,7 @@ def lde_conjugation_3site(backward: BackwardModel) -> LdeTransform:
     lattice_order = enumerate_partitions((1, 2, 3))
     idx = [lattice_order.index(p) for p in order]
     perm = np.ix_(idx, idx)
-    theta, T, Tinv = gen.matrix.toarray()[perm], T[perm], Tinv[perm]
+    theta, T, Tinv = generator_theta_dense(backward)[perm], T[perm], Tinv[perm]
     A = T @ theta @ Tinv
     D = np.diag(np.diag(A))
     evals, V = eig(A)

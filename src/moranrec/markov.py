@@ -21,8 +21,10 @@ class GeneratorMatrix:
     for the partitioning generators, :func:`enumerate_population_states`
     for the population generator.  Rows sum to zero; the diagonal is minus
     the off-diagonal row sum.  ``matrix`` is a read-only CSR array without
-    explicit zeros, whatever dense or sparse input it was built from;
-    callers that need a dense block take ``.toarray()`` of it.
+    explicit zeros, whatever dense or sparse input it was built from.  The
+    expectation solve does not go through it: it assembles the small
+    partitioning generator densely, by
+    :func:`moranrec.backward.generator_theta_dense`.
     """
 
     matrix: sparse.csr_array

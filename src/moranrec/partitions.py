@@ -209,7 +209,9 @@ class Lattice:
         or is cut between its consecutive positions ``lo[e]`` and ``hi[e]``
         (``split[e]`` true) and each part lands on another block or on a
         fresh parent.  A whole block spans ``lo[e]..hi[e]``.  ``m[e]`` and
-        ``nb[e]`` are the block counts of ``a`` and ``b``.
+        ``nb[e]`` are the block counts of ``a`` and ``b``.  Entries are
+        ordered by ``a``, so the moves out of partition ``i`` are the slice
+        ``offsets[i]:offsets[i + 1]``.
 
         Each move relabels the restricted-growth string of ``a``, one block
         count at a time; ``b`` is found by the leader code of the result.
@@ -244,10 +246,12 @@ class Lattice:
             relabelled = np.where(tail[:, None], g[:, :, None], Rq[:, None])
             add(np.repeat(a[row], m * m), np.where(head[:, None], h[:, None], relabelled),
                 1, np.repeat(p, m * m), np.repeat(q, m * m))
-        a, code, split, lo, hi = (np.concatenate(col) for col in cols)
+        order = np.argsort(np.concatenate(cols[0]), kind="stable")
+        a, code, split, lo, hi = (np.concatenate(col)[order] for col in cols)
         b = np.searchsorted(_leader_code(self.rgs), code)  # codes ascend in lattice order
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(a, minlength=len(self.sizes)))))
         return {"a": a, "b": b, "split": split.astype(bool), "lo": lo, "hi": hi,
-                "m": self.sizes[a], "nb": self.sizes[b]}
+                "m": self.sizes[a], "nb": self.sizes[b], "offsets": offsets}
 
 
 def _leader_code(labels: np.ndarray) -> np.ndarray:

@@ -332,12 +332,21 @@ def transition_rates(model: BackwardModel, a: Partition) -> dict[Partition, floa
     return _transition_rates_diff(model, a)
 
 
+_partition = lru_cache(maxsize=8192)(Partition)  # twice the 4140 partitions of 8 sites
+
+
+def _as_partitions(rates: dict[tuple[tuple[int, ...], ...], float]) -> dict[Partition, float]:
+    """One ``Partition`` per target of rates keyed by canonical block tuples;
+    targets met before are shared, not rebuilt."""
+    return {_partition(b): r for b, r in rates.items()}
+
+
 def _transition_rates_finite(model: BackwardModel, a: Partition) -> dict[Partition, float]:
     N = model.N
     m = len(a)
-    out: dict[Partition, float] = {}
+    out: dict[tuple[tuple[int, ...], ...], float] = {}
     if m > N:
-        return out  # states with more blocks than individuals are not reachable
+        return {}  # states with more blocks than individuals are not reachable
     for j in range(m):
         block = a.blocks[j]
         others = [blk for k, blk in enumerate(a.blocks) if k != j]
@@ -349,7 +358,7 @@ def _transition_rates_finite(model: BackwardModel, a: Partition) -> dict[Partiti
                 for k in range(m - 1):
                     blocks = list(others)
                     _merge_into(blocks, k, block)
-                    b = Partition(tuple(blocks))
+                    b = tuple(sorted(blocks))
                     w = r / N * _falling_weight(N, m, len(b))
                     if w:
                         out[b] = out.get(b, 0.0) + w
@@ -367,32 +376,32 @@ def _transition_rates_finite(model: BackwardModel, a: Partition) -> dict[Partiti
                         blocks.append(f2)
                     else:
                         _merge_into(blocks, t2, f2)
-                    b = Partition(tuple(blocks))
-                    if b == a:
+                    b = tuple(sorted(blocks))
+                    if b == a.blocks:
                         continue
                     w = r / N**2 * _falling_weight(N, m, len(b))
                     if w:
                         out[b] = out.get(b, 0.0) + w
-    return out
+    return _as_partitions(out)
 
 
 def _transition_rates_det(model: BackwardModel, a: Partition) -> dict[Partition, float]:
-    out: dict[Partition, float] = {}
+    out: dict[tuple[tuple[int, ...], ...], float] = {}
     for j in range(len(a)):
         block = a.blocks[j]
         others = tuple(blk for k, blk in enumerate(a.blocks) if k != j)
         for jj, r in _split_choices(model, block):
             if len(jj) == 1 or r == 0.0:
                 continue
-            b = Partition(others + jj.blocks)
+            b = tuple(sorted(others + jj.blocks))
             out[b] = out.get(b, 0.0) + r
-    return out
+    return _as_partitions(out)
 
 
 def _transition_rates_diff(model: BackwardModel, a: Partition) -> dict[Partition, float]:
     """Nonzero diffusion rates out of ``a``: each block splits at the rates of
     its cuts, and each unordered pair of blocks merges at 2."""
-    out: dict[Partition, float] = {}
+    out: dict[tuple[tuple[int, ...], ...], float] = {}
     m = len(a)
     for j in range(m):
         block = a.blocks[j]
@@ -400,15 +409,15 @@ def _transition_rates_diff(model: BackwardModel, a: Partition) -> dict[Partition
         for jj, rho in zip(ordered_partitions_le2(block)[1:], model.rho.marginal(block).rho):
             if rho == 0.0:
                 continue
-            b = Partition(others + jj.blocks)
+            b = tuple(sorted(others + jj.blocks))
             out[b] = out.get(b, 0.0) + rho
     for j in range(m):
         for k in range(j + 1, m):
             blocks = [blk for i, blk in enumerate(a.blocks) if i not in (j, k)]
             blocks.append(tuple(sorted(a.blocks[j] + a.blocks[k])))
-            b = Partition(tuple(blocks))
+            b = tuple(sorted(blocks))
             out[b] = out.get(b, 0.0) + 2.0
-    return out
+    return _as_partitions(out)
 
 
 def generator_from_rates(model: BackwardModel) -> tuple[tuple[Partition, ...], np.ndarray]:

@@ -14,6 +14,7 @@ from moranrec import (
     SiteSpace,
     generator_theta,
 )
+from moranrec.backward import VARIANTS, generator_theta_dense
 from moranrec.expectations import check_generator_duality, sampling_table
 from moranrec.forward import generator_lambda, replacement_distribution
 from moranrec.markov import (
@@ -24,6 +25,7 @@ from moranrec.markov import (
 )
 
 import oracles
+from util import random_recomb
 
 CASES = [
     ((1,), ()),
@@ -197,3 +199,24 @@ def test_generators_and_duality_table_build_no_partition(monkeypatch):
     sampling_table(space, 4)
     assert check_generator_duality(fwd, bwd) <= 1e-10
     assert built == []
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_dense_theta_equals_csr_generator(n):
+    # one weighting, two assemblies: bincount sums duplicate moves in row
+    # order, scipy in its own sort order, so only the last bits may differ
+    probs = list(random_recomb(n, 90 + n).crossover)
+    rho = list(np.random.default_rng(n).uniform(0.3, 2.0, n - 1))
+    if n >= 3:
+        probs[1], rho[1] = 0.0, 0.0
+    recomb, rates = RecombinationDistribution(n, tuple(probs)), DiffusionRates(n, tuple(rho))
+    for N in sorted({1, max(n - 1, 1), n, n + 3, 20}):
+        for variant in VARIANTS:
+            m = BackwardModel(n, N, recomb, variant, rates)
+            dense, ref = generator_theta_dense(m), generator_theta(m).matrix.toarray()
+            assert dense.shape == ref.shape
+            if n <= 4:
+                assert np.array_equal(dense, ref), (N, variant)
+            else:
+                scale = np.where(ref == 0.0, 1.0, np.abs(ref))
+                assert np.max(np.abs(dense - ref) / scale) <= 1e-15, (N, variant)

@@ -106,11 +106,27 @@ def test_incidence_equals_loop_oracle(k):
     assert np.array_equal(got[np.lexsort(got.T)], ref[np.lexsort(ref.T)])
     sizes = lattice(k).sizes
     assert np.array_equal(inc["m"], sizes[inc["a"]]) and np.array_equal(inc["nb"], sizes[inc["b"]])
+    # ordered by row, each row's moves a slice between its offsets
+    assert np.all(np.diff(inc["a"]) >= 0)
+    counts = np.bincount(inc["a"], minlength=len(sizes))
+    assert np.array_equal(inc["offsets"], np.concatenate(([0], np.cumsum(counts))))
 
 
 def test_lattice_cache_is_bounded():
     maxsize = _lattices.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize < 100
+
+
+def test_lde_transform_cache_is_bounded_and_read_only():
+    maxsize = lde_transform.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize < 100
+    T = lde_transform(3, 7)
+    assert not T.flags.writeable
+    with pytest.raises(ValueError):
+        T[0, 0] = 1.0
+    assert lde_transform(3, 7) is T
+    lde_transform.cache_clear()
+    assert np.array_equal(lde_transform(3, 7), T)  # rebuilt, same values
 
 
 def test_one_row_sampling_builds_only_the_lattice_it_reads():
