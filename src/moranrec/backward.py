@@ -152,12 +152,10 @@ def generator_theta(model: BackwardModel) -> GeneratorMatrix:
     landing on another at 1, so each unordered pair of blocks merges at 2.
     The diagonal is minus the ``math.fsum`` over each row's slice of the
     row-sorted incidence, so it does not depend on the order of the moves.
-    :func:`generator_theta_dense` assembles the same entries densely.
+    :func:`generator_theta_dense` assembles the same entries densely, and
+    sums them in the same order, so ``toarray()`` equals it bit for bit.
     """
-    from scipy import sparse
-
-    B, rows, cols, vals = _theta_entries(model)
-    return GeneratorMatrix(sparse.coo_array((vals, (rows, cols)), shape=(B, B)))
+    return GeneratorMatrix(*_theta_entries(model))
 
 
 def generator_theta_dense(model: BackwardModel) -> np.ndarray:
@@ -328,7 +326,7 @@ def generator_to_csv(gen: GeneratorMatrix, partitions: Sequence[Partition],
         buf.write(f"# {header_comment}\n")
     labels = [format_partition(p) for p in partitions]
     buf.write("state," + ",".join(f'"{lab}"' for lab in labels) + "\n")
-    dense = gen.matrix.toarray()
+    dense = gen.toarray()
     for lab, values in zip(labels, dense, strict=True):
         row = ",".join(f"{v:.17g}" for v in values)
         buf.write(f'"{lab}",{row}\n')

@@ -103,7 +103,7 @@ from .measures import (
     measure_to_csv,
     type_token,
 )
-from .operators import DiffusionRates, RecombinationDistribution, sampling
+from .operators import DiffusionRates, RecombinationDistribution, sampling, sampling_weights
 from .partitions import (
     Partition,
     coarsest,
@@ -427,28 +427,26 @@ def cmd_simulate_forward(cfg: RunConfig) -> int:
     def replicates():
         for rep in range(cfg.replicates):
             rec = simulate_forward(model, z0, cfg.t_end, cfg.seed, replicate=rep)
-            for gi, counts in enumerate(rec.states_at(grid)):
-                z_t = PopulationState.from_counts(cfg.space, counts)
-                h = sampling(a0, z_t.measure).weights
-                mean[gi] += h
-                msq[gi] += h * h
+            counts = np.array(list(rec.states_at(grid)))
+            h = sampling_weights(a0, counts.reshape(grid.shape + cfg.space.cards), cfg.N)
+            mean[:] += h
+            msq[:] += h * h
             yield (f"forward_rep{rep:04d}.csv",
                    trajectory_to_csv(rec, cfg.space.cards, f"{stamp} replicate={rep}"))
 
     _write_replicates(cfg, replicates())
     _write_manifest(cfg, "simulate-forward")
     lines = [f"# {stamp}", "time,type,mean_h,stderr"]
+    tokens = [type_token(cfg.space.cards, xi) for xi in range(h0.size)]
     if cfg.replicates == 0:
-        for xi in range(h0.size):
-            lines.append(f"0,{type_token(cfg.space.cards, xi)},{h0[xi]:.17g},0")
+        lines += [f"0,{tok},{h:.17g},0" for tok, h in zip(tokens, h0.tolist())]
     else:
         mean /= cfg.replicates
         var = np.maximum(msq / cfg.replicates - mean**2, 0.0)
         se = np.sqrt(var / cfg.replicates)
-        for gi, t in enumerate(grid):
-            for xi in range(mean.shape[1]):
-                lines.append(f"{t:.17g},{type_token(cfg.space.cards, xi)},"
-                             f"{mean[gi, xi]:.17g},{se[gi, xi]:.17g}")
+        for t, means, errors in zip(grid.tolist(), mean, se):
+            lines += [f"{t:.17g},{tok},{m:.17g},{e:.17g}"
+                      for tok, m, e in zip(tokens, means.tolist(), errors.tolist())]
     _write(cfg, "forward_summary.csv", "\n".join(lines) + "\n")
     _write(cfg, "initial_population.csv", f"# {stamp}\n" + measure_to_csv(z0.measure))
     print(f"simulate-forward: {cfg.replicates} replicates -> {cfg.out}")

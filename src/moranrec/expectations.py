@@ -49,17 +49,17 @@ def _sampling_rows(grid: np.ndarray, N: int) -> np.ndarray:
     ``grid[z]`` holds the counts of measure ``z``, one axis per site,
     ``M`` is the Mobius matrix of the lattice of the sites and ``Rbar`` the
     :func:`block_products` of every partition (read at the positions of
-    the sites).  Only the rows of the partitions with at most ``N`` blocks
-    are kept (their coarsenings have no more blocks).  The result is
-    indexed (partition, measure, type).
+    the sites).  ``M @ Rbar`` is summed straight from the lattice's
+    coarsening groups by :meth:`Lattice.mobius_dot`, without scipy.  Only
+    the rows of the partitions with at most ``N`` blocks are kept (their
+    coarsenings have no more blocks).  The result is indexed (partition,
+    measure, type).
     """
     L = lattice(grid.ndim - 1)
     rbar = block_products(grid, tuple(range(L.k)), L.blocks)
     keep = L.sizes <= N
     scale = np.array([1 / math.perm(N, k) for k in L.sizes[keep]])
-    B = len(L.sizes)
-    rows = (L.mobius @ rbar.reshape(B, -1))[keep]
-    return rows.reshape((-1,) + rbar.shape[1:]) * scale[:, None, None]
+    return L.mobius_dot(rbar)[keep] * scale[:, None, None]
 
 
 def sampling_stack(m: Measure, N: int) -> np.ndarray:
@@ -67,6 +67,11 @@ def sampling_stack(m: Measure, N: int) -> np.ndarray:
     ``N`` individuals, one row per partition of its sites with at most ``N``
     blocks, in lattice order."""
     return _sampling_rows(m.as_grid()[None], N)[:, 0]
+
+
+def _need_sample(n: int, N: int) -> None:
+    if n > N:
+        raise SampleTooLargeError(f"sampling measures need N >= n, got N={N}, n={n}")
 
 
 def sampling_table(space: SiteSpace, N: int) -> np.ndarray:
@@ -78,15 +83,13 @@ def sampling_table(space: SiteSpace, N: int) -> np.ndarray:
     ``K`` the number of types, ``a`` over
     ``enumerate_partitions(space.sites)`` (lattice order) and ``x`` over
     the types in mixed-radix order.  The block-marginal products of every
-    state are contracted against the Mobius matrix of the lattice in a
-    single sparse product; the falling-factorial normalization needs ``N``
-    at least the number of sites.  At most ``DEFAULT_POPULATION_CAP`` population states and
-    ``DEFAULT_SITE_CAP`` sites.
+    state are contracted against the Mobius matrix of the lattice in one
+    pass over its coarsening groups; the falling-factorial normalization
+    needs ``N`` at least the number of sites.  At most
+    ``DEFAULT_POPULATION_CAP`` population states and ``DEFAULT_SITE_CAP``
+    sites.
     """
-    n = space.n
-    if n > N:
-        raise SampleTooLargeError(
-            f"sampling measures need N >= n, got N={N}, n={n}")
+    _need_sample(space.n, N)
     K = space.total_states
     if count_population_states(K, N) > DEFAULT_POPULATION_CAP:
         raise SizeCapError("population state space exceeds the cap; "
@@ -99,23 +102,24 @@ def sampling_table(space: SiteSpace, N: int) -> np.ndarray:
 def check_generator_duality(forward: ForwardModel, backward: BackwardModel) -> float:
     """Maximum absolute defect of the generator intertwining identity.
 
-    Builds the population generator, the partitioning generator and the
-    sampling table, and returns the largest entry of the difference
-    between the forward generator acting on the table and the table
-    contracted with the transposed backward generator.  Exact duality
-    makes this pure floating-point roundoff.
+    Checks ``N >= n`` first, then builds the population generator, the
+    partitioning generator and the sampling table, and returns the largest
+    entry of the difference between the forward generator acting on the
+    table and the table contracted with the transposed backward generator.
+    Both products are :meth:`GeneratorMatrix.dot`, without scipy.  Exact
+    duality makes this pure floating-point roundoff.
     """
     if (forward.N != backward.N or forward.space.n != backward.n
             or forward.recomb != backward.recomb or backward.variant != "finite"):
         raise ValueError("forward and backward models must share N, n and r, "
                          "and the backward model must be finite")
+    _need_sample(forward.space.n, forward.N)
     lam = generator_lambda(forward)
     theta = generator_theta(backward)
     table = sampling_table(forward.space, forward.N)
-    Z, B, K = table.shape
-    lhs = (lam.matrix @ table.reshape(Z, B * K)).reshape(Z, B, K)
-    rhs = theta.matrix @ table.transpose(1, 0, 2).reshape(B, Z * K)
-    return float(np.abs(lhs - rhs.reshape(B, Z, K).transpose(1, 0, 2)).max())
+    lhs = lam.dot(table)
+    rhs = theta.dot(table.transpose(1, 0, 2)).transpose(1, 0, 2)
+    return float(np.abs(lhs - rhs).max())
 
 
 @dataclass(frozen=True, eq=False)

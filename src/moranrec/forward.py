@@ -71,21 +71,9 @@ def replacement_distribution(model: ForwardModel, counts: np.ndarray) -> np.ndar
     return sum((r / N**len(blocks)) * rbar for (blocks, r), rbar in zip(support, products))
 
 
-def generator_lambda(model: ForwardModel) -> GeneratorMatrix:
-    """Exact generator over every population of size ``N``.
-
-    Row and column ``i`` are count vector ``i`` of
-    ``enumerate_population_states(K, N)``, with ``K`` the number of types;
-    monomorphic rows are zero (absorbing).
-    The rate of replacing a ``y`` by an ``x`` goes to the state with one
-    ``y`` fewer and one ``x`` more, ranked by
-    :func:`rank_population_moves`.  Only types present in a state can die,
-    so a row holds at most ``min(N, K) * (K - 1) + 1`` entries, and the
-    working arrays hold ``O(states * K)`` numbers plus the nonzeros (at
-    most the order of a dense matrix, as ``states >= K``).
-    """
-    from scipy import sparse
-
+def _lambda_entries(model: ForwardModel) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """``(states, rows, cols, vals)``: the positive rates of
+    :func:`generator_lambda`, one per move, then the diagonal."""
     K = model.space.total_states
     n_states = count_population_states(K, model.N)
     if n_states > DEFAULT_POPULATION_CAP:
@@ -102,10 +90,24 @@ def generator_lambda(model: ForwardModel) -> GeneratorMatrix:
     rows, y = src[hit], y[hit]
     cols = rank_population_moves(states, model.N, rows, y, x)
     every = np.arange(n_states)
-    G = sparse.coo_array((np.concatenate([rates[hit, x], diagonal]),
-                          (np.concatenate([rows, every]), np.concatenate([cols, every]))),
-                         shape=(n_states, n_states))
-    return GeneratorMatrix(G)
+    return (n_states, np.concatenate([rows, every]), np.concatenate([cols, every]),
+            np.concatenate([rates[hit, x], diagonal]))
+
+
+def generator_lambda(model: ForwardModel) -> GeneratorMatrix:
+    """Exact generator over every population of size ``N``.
+
+    Row and column ``i`` are count vector ``i`` of
+    ``enumerate_population_states(K, N)``, with ``K`` the number of types;
+    monomorphic rows are zero (absorbing).
+    The rate of replacing a ``y`` by an ``x`` goes to the state with one
+    ``y`` fewer and one ``x`` more, ranked by
+    :func:`rank_population_moves`.  Only types present in a state can die,
+    so a row holds at most ``min(N, K) * (K - 1) + 1`` entries, and the
+    working arrays hold ``O(states * K)`` numbers plus the nonzeros (at
+    most the order of a dense matrix, as ``states >= K``).
+    """
+    return GeneratorMatrix(*_lambda_entries(model))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -11,37 +11,88 @@ import numpy as np
 if TYPE_CHECKING:
     from scipy import sparse
 
+# Values of one row chunk in :meth:`GeneratorMatrix.dot` (512 KiB of
+# float64; the chunk's sum and two temporaries of at most that size, or
+# of one row where a row of the product holds more).
+DOT_CHUNK = 2**16
 
-@dataclass(frozen=True, eq=False)
+
 class GeneratorMatrix:
-    """Square rate matrix over an enumerated state space.
+    """Square rate matrix over an enumerated state space, held as CSR arrays.
 
     Row and column ``i`` stand for state ``i`` of the enumeration that
     defines the states: :func:`moranrec.partitions.enumerate_partitions`
     for the partitioning generators, :func:`enumerate_population_states`
     for the population generator.  Rows sum to zero; the diagonal is minus
-    the off-diagonal row sum.  ``matrix`` is a read-only CSR array without
-    explicit zeros, whatever dense or sparse input it was built from.  The
-    expectation solve does not go through it: it assembles the small
+    the off-diagonal row sum.
+
+    Built from the entries ``(n, rows, cols, vals)``: entries that share a
+    position are summed in the order given (as ``np.bincount`` sums them),
+    columns are sorted within each row and zero sums are dropped.
+    ``indptr``, ``indices`` and ``data`` hold that canonical CSR as
+    read-only numpy arrays; :meth:`dot` and :meth:`toarray` read them
+    without scipy.  ``matrix`` wraps the same arrays as a read-only
+    ``scipy.sparse.csr_array``, built on first access.  The expectation
+    solve does not go through this class: it assembles the small
     partitioning generator densely, by
     :func:`moranrec.backward.generator_theta_dense`.
     """
 
-    matrix: sparse.csr_array
+    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
+        key, slot = np.unique(np.asarray(rows, dtype=np.int64) * n + cols, return_inverse=True)
+        data = np.bincount(slot, np.asarray(vals, dtype=float), key.size)
+        nonzero = data != 0
+        row, col = np.divmod(key[nonzero], n)
+        index = np.int32 if max(n, nonzero.sum()) < 2**31 else np.int64
+        self.n = n
+        self.data = data[nonzero]
+        self.indices = col.astype(index)
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n)))).astype(index)
+        for part in (self.data, self.indices, self.indptr):
+            part.flags.writeable = False
 
-    def __post_init__(self) -> None:
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """``G @ x`` for ``x`` of leading length ``n`` and any trailing shape.
+
+        Each output row starts at zero and adds its entries times the rows
+        of ``x`` they point to in column order, as scipy's CSR product
+        does, so the two agree bit for bit.  The rows go longest first, in
+        chunks of about ``DOT_CHUNK`` values, so the ``k``-th entries of a
+        chunk's rows belong to a prefix of them and the temporaries stay
+        bounded.
+        """
+        x = np.asarray(x, dtype=float)
+        flat = x.reshape(self.n, -1)
+        out = np.empty_like(flat)
+        length = np.diff(self.indptr)
+        order = np.argsort(-length, kind="stable")
+        step = max(DOT_CHUNK // max(flat.shape[1], 1), 1)
+        for start in range(0, self.n, step):
+            rows = order[start:start + step]
+            first, size = self.indptr[rows], length[rows]
+            acc = np.zeros((rows.size, flat.shape[1]))
+            having = np.searchsorted(-size, -np.arange(size[0]), side="left")
+            for k, m in enumerate(having.tolist()):  # rows with a k-th entry
+                e = first[:m] + k
+                acc[:m] += self.data[e, None] * flat[self.indices[e]]
+            out[rows] = acc
+        return out.reshape(x.shape)
+
+    def toarray(self) -> np.ndarray:
+        """The dense ``(n, n)`` array, zero off the stored entries."""
+        out = np.zeros((self.n, self.n))
+        out[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices] = self.data
+        return out
+
+    @cached_property
+    def matrix(self) -> sparse.csr_array:
+        """The same arrays as a read-only ``scipy.sparse.csr_array``."""
         from scipy import sparse
 
-        m = sparse.csr_array(self.matrix, dtype=float, copy=True)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"generator matrix must be square, got shape {m.shape}")
-        # canonical (summed, sorted) before freezing: scipy sorts unsorted
-        # indices in place, which read-only arrays would refuse
-        m.sum_duplicates()
-        m.eliminate_zeros()
+        m = sparse.csr_array((self.data, self.indices, self.indptr), shape=(self.n, self.n))
         for part in (m.data, m.indices, m.indptr):
             part.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        return m
 
 
 def enumerate_population_states(n_types: int, N: int) -> list[tuple[int, ...]]:

@@ -39,6 +39,10 @@ from .errors import NotSubsetError, SampleTooLargeError, ZeroMeasureError
 from .measures import Measure
 from .partitions import Block, Partition, lattice, site_set
 
+# Block-marginal products one stacked sampling call forms at once (1 MiB of
+# float64): the coarsenings of a partition times the types, per grid.
+STACK_CHUNK = 2**17
+
 
 def _gap_sums(per_gap: tuple[float, ...], u: tuple[int, ...]) -> tuple[float, ...]:
     """Sum of ``per_gap`` (one value per gap of ``1..n``) over the gaps between
@@ -176,16 +180,37 @@ def recombinator_bar(a: Partition, m: Measure) -> Measure:
     return m.with_weights(_block_products(a, m, [a.blocks])[0])
 
 
-def sampling_bar(a: Partition, z: Measure) -> Measure:
-    """Mobius-inverted recombinator: counts site-spliced samples drawn
-    without replacement when ``z`` is a counting measure.
+def _sampling_bars(a: Partition, sites: tuple[int, ...], grids: np.ndarray) -> np.ndarray:
+    """:func:`sampling_bar` weights of a stack of weight grids on ``sites``,
+    the ground of ``a``: one row per entry of the leading axis of ``grids``.
 
     The Mobius values ``mobius(a, b)`` over the coarsenings ``b`` of ``a``
-    (the lattice of the blocks of ``a``, relabelled to block tuples)
-    applied to their block-marginal products; exact on integer input.
+    (the lattice of the blocks of ``a``, relabelled to block tuples) are
+    applied to their block-marginal products, one matrix-vector product
+    per grid, so a stack of one gives the weights of one measure.  The
+    grids go in chunks of at most ``STACK_CHUNK`` products (at least one
+    grid).
     """
+    if a.ground != sites:
+        raise ValueError(f"partition ground {a.ground} does not match sites {sites}")
     L = lattice(len(a))
-    return Measure(z.sites, z.cards, L.mu_finest @ _block_products(a, z, L.relabel(a.blocks)))
+    parts = L.relabel(a.blocks)
+    step = max(STACK_CHUNK // (len(parts) * math.prod(grids.shape[1:])), 1)
+    rows = []
+    for start in range(0, len(grids), step):
+        chunk = grids[start:start + step]
+        # unbound, so one chunk's products are freed before the next is formed
+        rows += [L.mu_finest @ p for p in np.ascontiguousarray(
+            block_products(chunk, sites, parts).reshape(len(parts), len(chunk), -1).swapaxes(0, 1))]
+    return np.array(rows)
+
+
+def sampling_bar(a: Partition, z: Measure) -> Measure:
+    """Mobius-inverted recombinator: counts site-spliced samples drawn
+    without replacement when ``z`` is a counting measure; exact on integer
+    input.  See :func:`_sampling_bars`.
+    """
+    return z.with_weights(_sampling_bars(a, z.sites, z.as_grid()[None])[0])
 
 
 def sampling(a: Partition, z: Measure) -> Measure:
@@ -202,6 +227,17 @@ def sampling(a: Partition, z: Measure) -> Measure:
         raise SampleTooLargeError(f"cannot draw {m} distinct individuals from {N}")
     bar = sampling_bar(a, z)
     return bar.with_weights(bar.weights * (1 / math.perm(N, m)))
+
+
+def sampling_weights(a: Partition, grids: np.ndarray, N: int) -> np.ndarray:
+    """Weights of :func:`sampling` for a stack of counting measures of ``N``
+    individuals each, given as count grids on the ground of ``a`` after
+    one leading axis; one row per grid, each equal bit for bit to the
+    weights of the single call."""
+    m = len(a)
+    if m > N:
+        raise SampleTooLargeError(f"cannot draw {m} distinct individuals from {N}")
+    return _sampling_bars(a, a.ground, grids) * (1 / math.perm(N, m))
 
 
 def lde_operator(a: Partition, m: Measure) -> Measure:

@@ -13,10 +13,11 @@ than ``DEFAULT_SITE_CAP`` positions), and every enumeration here
 relabels it to canonical block tuples: the partitions of a site set,
 and, in :mod:`moranrec.operators`, the coarsenings of a partition (the
 partitions of its blocks) and its refinements (one partition per
-block).  It is the package's only partition algebra: its
-Mobius and zeta matrices carry every Mobius sum of the exact pipeline,
-and their entries are exact integers so that inversion round-trips
-exactly.
+block).  It is the package's only partition algebra: its coarsening
+groups carry every Mobius sum of the exact pipeline, summed straight
+from them by :meth:`Lattice.mobius_dot` or through the Mobius and zeta
+matrices built from them, and their entries are exact integers so that
+inversion round-trips exactly.
 """
 
 from __future__ import annotations
@@ -139,9 +140,9 @@ class Lattice:
     by their lowest position; ``i`` follows the restricted-growth order of
     :func:`enumerate_partitions`.  ``sizes`` holds the block counts, ``rgs``
     the restricted-growth strings, ``mu_finest[i]`` is ``mobius(finest, i)``
-    and ``mu_coarsest[i]`` is ``mobius(i, coarsest)``.  The Mobius and
-    zeta matrices and the split/merge incidence of the partitioning
-    process are built on first use.
+    and ``mu_coarsest[i]`` is ``mobius(i, coarsest)``.  The coarsening
+    groups, the Mobius and zeta matrices and the split/merge incidence of
+    the partitioning process are built on first use.
     """
 
     def __init__(self, k: int) -> None:
@@ -171,29 +172,55 @@ class Lattice:
                 for p in self.blocks]
 
     @cached_property
-    def mobius(self) -> sparse.csr_array:
-        """``M[a, b] = mobius(a, b)`` when ``a`` refines ``b``, else 0.
+    def coarsenings(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """The coarsenings of every partition, one group per block count.
 
-        The coarsenings of ``a`` are the partitions of its blocks: the
-        restricted-growth string of each is that of a partition ``g`` of
-        the ``|a|`` positions read at the block labels of ``a``, and
-        ``mobius(a, b)`` is ``mobius(finest, g)`` in that lattice.
+        Group ``m`` is ``(a, up, mu)``: ``a`` lists the partitions with
+        ``m`` blocks, and ``up[g, i]`` is the coarsening of ``a[i]`` that
+        merges its blocks as partition ``g`` of ``lattice(m)`` merges its
+        positions (the restricted-growth string of ``g`` read at the block
+        labels of ``a[i]``).  ``mobius(a[i], up[g, i])`` is
+        ``mu[g] = lattice(m).mu_finest[g]``.  ``up`` ascends along ``g``:
+        block ``j`` of ``a[i]`` starts before block ``j + 1``, so two
+        coarsenings first differ where ``g`` does.
         """
-        from scipy import sparse
-
         radix = self.k ** np.arange(self.k - 1, -1, -1)
         code = self.rgs @ radix  # ascending in lattice order
-        rows, cols, vals = [], [], []
+        groups = []
         for m in np.unique(self.sizes).tolist():
             up = self if m == self.k else lattice(m)
             a = np.flatnonzero(self.sizes == m)
             coarse = up.rgs[:, self.rgs[a]]  # (coarsening, a, position)
-            rows.append(np.broadcast_to(a, coarse.shape[:2]).ravel())
-            cols.append(np.searchsorted(code, coarse @ radix).ravel())
-            vals.append(np.repeat(up.mu_finest, len(a)))
+            groups.append((a, np.searchsorted(code, coarse @ radix), up.mu_finest))
+        return tuple(groups)
+
+    @cached_property
+    def mobius(self) -> sparse.csr_array:
+        """``M[a, b] = mobius(a, b)`` when ``a`` refines ``b``, else 0, as a
+        ``scipy.sparse.csr_array`` made from :attr:`coarsenings`."""
+        from scipy import sparse
+
         B = len(self.sizes)
+        rows, cols, vals = zip(*((np.broadcast_to(a, up.shape).ravel(), up.ravel(),
+                                  np.repeat(mu, a.size)) for a, up, mu in self.coarsenings))
         return sparse.csr_array(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(B, B))
+
+    def mobius_dot(self, x: np.ndarray) -> np.ndarray:
+        """``mobius @ x`` summed from :attr:`coarsenings`, without scipy.
+
+        ``x`` has one row per partition and any trailing shape.  Each row
+        starts at zero and adds its coarsenings in column order, as
+        scipy's CSR product does, so the two agree bit for bit.
+        """
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
+        for a, up, mu in self.coarsenings:
+            acc = np.zeros((a.size,) + x.shape[1:])
+            for g, weight in enumerate(mu.tolist()):
+                acc += weight * x[up[g]]
+            out[a] = acc
+        return out
 
     @cached_property
     def zeta(self) -> sparse.csr_array:

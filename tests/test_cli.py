@@ -279,6 +279,22 @@ class TestDualityCommand:
         assert main(["duality-check", "--config", str(path), "--tol", "0"]) != 2
         assert (tmp_path / "out" / "duality_report.txt").exists()
 
+    @pytest.mark.parametrize("sites, N", [(5, 4), (3, 2)])
+    def test_fewer_individuals_than_sites_exits_2_before_any_generator(
+            self, tmp_path, capsys, monkeypatch, sites, N):
+        # 5 binary sites and N = 4 would otherwise hit the population cap first
+        def no_build(*args, **kwargs):
+            raise AssertionError("a generator was built before the N >= n check")
+
+        monkeypatch.setattr(expectations, "generator_lambda", no_build)
+        monkeypatch.setattr(expectations, "generator_theta", no_build)
+        path = write_config(tmp_path, sites=sites, population_size=N,
+                            crossover_probs=[0.1] * (sites - 1), initial_counts=None,
+                            initial_partition=None)
+        assert main(["duality-check", "--config", str(path)]) == 2
+        assert f"sampling measures need N >= n, got N={N}, n={sites}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSimulateForwardCommand:
     def test_outputs_and_determinism(self, tmp_path):
@@ -616,7 +632,8 @@ def scipy_modules():
 
 seen = {"import": scipy_modules()}
 for command, *flags in (["simulate-forward"], ["simulate-backward"],
-                        ["simulate-backward", "--variant", "diffusion"], ["expectations"]):
+                        ["simulate-backward", "--variant", "diffusion"], ["duality-check"],
+                        ["generators"], ["fixation"], ["expectations"]):
     assert moranrec.cli.main([command, "--config", "config.json", *flags]) == 0, command
     seen[" ".join([command, *flags])] = scipy_modules()
 print(json.dumps(seen))
@@ -624,12 +641,17 @@ print(json.dumps(seen))
 
 
 def test_simulators_start_without_scipy(tmp_path):
+    # each command runs after the ones before it, so its list holds theirs too
     write_config(tmp_path, rho=[1.0], replicates=2, t_end=2.0)
     env = dict(os.environ, PYTHONPATH=str(Path(moranrec.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     seen = json.loads(run.stdout.splitlines()[-1])
-    assert seen.pop("import") == [] and "scipy.linalg" in seen.pop("expectations")
+    expectations = seen.pop("expectations")
+    assert "scipy.linalg" in expectations
+    assert not [m for m in expectations if m.startswith("scipy.sparse")]
+    assert seen.pop("import") == []
     assert seen == {"simulate-forward": [], "simulate-backward": [],
-                    "simulate-backward --variant diffusion": []}
+                    "simulate-backward --variant diffusion": [], "duality-check": [],
+                    "generators": [], "fixation": []}

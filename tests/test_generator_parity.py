@@ -1,4 +1,5 @@
-"""The vectorized population generator and duality table against the loop oracles."""
+"""The vectorized population generator and duality table against the loop
+oracles, and the numpy CSR arrays and products against scipy's."""
 
 import tracemalloc
 
@@ -14,15 +15,18 @@ from moranrec import (
     SiteSpace,
     generator_theta,
 )
-from moranrec.backward import VARIANTS, generator_theta_dense
+from moranrec import markov
+from moranrec.backward import VARIANTS, _theta_entries, generator_theta_dense
 from moranrec.expectations import check_generator_duality, sampling_table
-from moranrec.forward import generator_lambda, replacement_distribution
+from moranrec.forward import _lambda_entries, generator_lambda, replacement_distribution
 from moranrec.markov import (
+    GeneratorMatrix,
     count_population_states,
     enumerate_population_states,
     rank_population_moves,
     rank_population_states,
 )
+from moranrec.partitions import lattice
 
 import oracles
 from util import random_recomb
@@ -201,22 +205,92 @@ def test_generators_and_duality_table_build_no_partition(monkeypatch):
     assert built == []
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_dense_theta_equals_csr_generator(n):
-    # one weighting, two assemblies: bincount sums duplicate moves in row
-    # order, scipy in its own sort order, so only the last bits may differ
+def theta_models(n):
+    """Every variant at several N, with random crossover and one zero gap."""
     probs = list(random_recomb(n, 90 + n).crossover)
     rho = list(np.random.default_rng(n).uniform(0.3, 2.0, n - 1))
     if n >= 3:
         probs[1], rho[1] = 0.0, 0.0
     recomb, rates = RecombinationDistribution(n, tuple(probs)), DiffusionRates(n, tuple(rho))
-    for N in sorted({1, max(n - 1, 1), n, n + 3, 20}):
-        for variant in VARIANTS:
-            m = BackwardModel(n, N, recomb, variant, rates)
-            dense, ref = generator_theta_dense(m), generator_theta(m).matrix.toarray()
-            assert dense.shape == ref.shape
-            if n <= 4:
-                assert np.array_equal(dense, ref), (N, variant)
-            else:
-                scale = np.where(ref == 0.0, 1.0, np.abs(ref))
-                assert np.max(np.abs(dense - ref) / scale) <= 1e-15, (N, variant)
+    return [BackwardModel(n, N, recomb, variant, rates)
+            for N in sorted({1, max(n - 1, 1), n, n + 3, 20}) for variant in VARIANTS]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_dense_theta_equals_csr_generator(n):
+    # one weighting, two assemblies, both summing duplicate moves in entry order
+    for m in theta_models(n):
+        assert np.array_equal(generator_theta_dense(m), generator_theta(m).toarray()), m
+
+
+def scipy_canonical(n, rows, cols, vals):
+    from scipy import sparse
+
+    ref = sparse.csr_array(sparse.coo_array((vals, (rows, cols)), shape=(n, n)))
+    ref.sum_duplicates()
+    ref.eliminate_zeros()
+    return ref
+
+
+def assert_canonical_csr(gen, entries):
+    # scipy sums duplicates in its own order, so only the last bit of a sum may differ
+    ref = scipy_canonical(*entries)
+    assert np.array_equal(gen.indptr, ref.indptr)
+    assert np.array_equal(gen.indices, ref.indices)
+    assert np.all(np.abs(gen.data - ref.data) <= 4.3e-16 * np.abs(ref.data))
+    assert all(not part.flags.writeable for part in (gen.indptr, gen.indices, gen.data))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_theta_csr_equals_scipy_canonical(n):
+    for m in theta_models(n):
+        assert_canonical_csr(generator_theta(m), _theta_entries(m))
+
+
+@pytest.mark.parametrize("N", [1, 2, 5])
+@pytest.mark.parametrize("cards, probs", CASES)
+def test_lambda_csr_equals_scipy_canonical(cards, probs, N):
+    m = model(cards, probs, N)
+    assert_canonical_csr(generator_lambda(m), _lambda_entries(m))
+
+
+def test_generator_matrix_sums_duplicates_in_entry_order_and_drops_zeros():
+    vals = np.array([0.1, 0.2, 0.3, -0.6, 1.0, -1.0, 2.0])
+    gen = GeneratorMatrix(3, [0, 0, 0, 0, 2, 2, 1], [2, 2, 2, 0, 1, 1, 0], vals)
+    assert gen.indptr.tolist() == [0, 2, 3, 3]  # row 2 sums to zero: empty
+    assert gen.indices.tolist() == [0, 2, 0]
+    assert gen.data.tolist() == [-0.6, (0.1 + 0.2) + 0.3, 2.0]
+    assert np.array_equal(gen.toarray(), np.bincount(
+        np.array([0, 0, 0, 0, 2, 2, 1]) * 3 + [2, 2, 2, 0, 1, 1, 0], vals, 9).reshape(3, 3))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_theta_dot_equals_csr_product(n, monkeypatch):
+    monkeypatch.setattr(markov, "DOT_CHUNK", 64)  # many row chunks
+    rng = np.random.default_rng(n)
+    for m in theta_models(n):
+        gen = generator_theta(m)
+        for shape in ((), (1,), (3, 5)):
+            x = rng.normal(size=(gen.n,) + shape)
+            ref = (gen.matrix @ x.reshape(gen.n, -1)).reshape(x.shape)
+            assert np.abs(gen.dot(x) - ref).max(initial=0.0) <= 1e-14
+            assert np.array_equal(gen.dot(x), ref)  # the same sums in the same order
+
+
+@pytest.mark.parametrize("cards, probs", CASES)
+def test_lambda_dot_equals_csr_product(cards, probs, monkeypatch):
+    monkeypatch.setattr(markov, "DOT_CHUNK", 256)
+    gen = generator_lambda(model(cards, probs, 5))
+    x = sampling_table(SiteSpace(cards), 5)
+    ref = (gen.matrix @ x.reshape(gen.n, -1)).reshape(x.shape)
+    assert np.array_equal(gen.dot(x), ref)
+
+
+@pytest.mark.parametrize("k", range(0, 9))
+def test_mobius_dot_equals_csr_product_bitwise(k):
+    L = lattice(k)
+    B = len(L.sizes)
+    rng = np.random.default_rng(k)
+    for x in (rng.normal(size=(B, 3)), rng.integers(0, 50, size=(B, 2, 4)).astype(float)):
+        ref = (L.mobius @ x.reshape(B, -1)).reshape(x.shape)
+        assert np.array_equal(L.mobius_dot(x), ref)

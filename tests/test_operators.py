@@ -25,6 +25,9 @@ from moranrec import (
     sampling,
     sampling_bar,
 )
+from moranrec import operators
+from moranrec.operators import block_products, sampling_weights
+from moranrec.partitions import lattice
 
 from oracles import (
     lde_from_sampling,
@@ -236,6 +239,25 @@ class TestSampling:
                 total = sum(sampling_bar(b, z.measure).weights
                             for b in parts if refines(a, b))
                 assert np.array_equal(rbar, total)
+
+    @pytest.mark.parametrize("text", ["1,2,3,4,5,6", "1|2,3|4,5,6", "1,4|2|3,6|5", "1|2|3|4|5|6"])
+    def test_stacked_weights_equal_single_products_bitwise(self, text, monkeypatch):
+        # products of up to 1000**6 are not exact, so this pins the summation order
+        monkeypatch.setattr(operators, "STACK_CHUNK", 200)  # several chunks of grids
+        a, sp, N = P(text), binary_space(6), 1000
+        pops = [random_population(sp, N=N, seed=s) for s in range(7)]
+        stacked = sampling_weights(a, np.array([z.measure.as_grid() for z in pops]), N)
+        L = lattice(len(a))
+        for z, row in zip(pops, stacked):
+            products = block_products(z.measure.as_grid(), sp.sites, L.relabel(a.blocks))
+            single = L.mu_finest @ products.reshape(len(products), -1)
+            assert np.array_equal(row, single * (1 / math.perm(N, len(a))))
+            assert np.array_equal(row, sampling(a, z.measure).weights)
+
+    def test_stacked_weights_refuse_too_many_blocks(self):
+        grids = np.ones((3, 2, 2))
+        with pytest.raises(SampleTooLargeError):
+            sampling_weights(finest([1, 2]), grids, 1)
 
     def test_empty_partition_conventions(self):
         z = random_population(binary_space(2), N=6, seed=50)
