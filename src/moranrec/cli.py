@@ -25,6 +25,8 @@ Config schema (JSON object; unknown keys are rejected)::
       "out": "runs/demo"
     }
 
+``population_size`` must be an integer in 1..2^53: counts are held as
+float64, which counts exactly only up to 2^53.
 Numbers must be finite: ``NaN``, ``Infinity`` and overflowing literals are
 rejected, in the config, in the weights of the population file and in the
 ``--t-end``, ``--grid`` and ``--tol`` flags; ``--tol`` must also be at
@@ -231,6 +233,7 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc))
 
     N = _int_field(raw, "population_size", None, 1)
+    _require(N <= 2**53, f"'population_size' must be at most 2**53 = {2**53}")
 
     probs = raw.get("crossover_probs", [0.0] * (n - 1))
     _require(isinstance(probs, list) and len(probs) == n - 1,

@@ -26,6 +26,7 @@ from .backward import BackwardModel, generator_theta, generator_theta_dense
 from .errors import SampleTooLargeError, ShapeError, SizeCapError
 from .forward import DEFAULT_POPULATION_CAP, ForwardModel, generator_lambda
 from .markov import (
+    GeneratorMatrix,
     assert_sorted_times,
     count_population_states,
     enumerate_population_states,
@@ -49,9 +50,9 @@ def _sampling_rows(grid: np.ndarray, N: int) -> np.ndarray:
     ``grid[z]`` holds the counts of measure ``z``, one axis per site,
     ``M`` is the Mobius matrix of the lattice of the sites and ``Rbar`` the
     :func:`block_products` of every partition (read at the positions of
-    the sites).  ``M @ Rbar`` is summed straight from the lattice's
-    coarsening groups by :meth:`Lattice.mobius_dot`, without scipy.  Only
-    the rows of the partitions with at most ``N`` blocks are kept (their
+    the sites).  ``M @ Rbar`` is the sparse product
+    :meth:`GeneratorMatrix.dot` of :attr:`Lattice.mobius`, without scipy.
+    Only the rows of the partitions with at most ``N`` blocks are kept (their
     coarsenings have no more blocks).  The result is indexed (partition,
     measure, type).
     """
@@ -59,7 +60,7 @@ def _sampling_rows(grid: np.ndarray, N: int) -> np.ndarray:
     rbar = block_products(grid, tuple(range(L.k)), L.blocks)
     keep = L.sizes <= N
     scale = np.array([1 / math.perm(N, k) for k in L.sizes[keep]])
-    return L.mobius_dot(rbar)[keep] * scale[:, None, None]
+    return L.mobius.dot(rbar)[keep] * scale[:, None, None]
 
 
 def sampling_stack(m: Measure, N: int) -> np.ndarray:
@@ -200,6 +201,12 @@ def _lde_scales(L: Lattice, N: int) -> tuple[np.ndarray, np.ndarray]:
     return np.power(float(N), L.sizes), np.array([math.perm(N, k) for k in L.sizes], dtype=float)
 
 
+def _mobius_zeta(L: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """The Mobius matrix of ``L`` and its inverse, the zeta matrix (its nonzero pattern), dense."""
+    M = L.mobius.toarray()
+    return M, (M != 0).astype(float)
+
+
 @lru_cache(maxsize=8)
 def lde_transform(k: int, N: int) -> np.ndarray:
     """Matrix turning a stack of sampling expectations into LDE expectations.
@@ -208,14 +215,26 @@ def lde_transform(k: int, N: int) -> np.ndarray:
     ``T[a, c] = sum over common refinements b of a and c of
     (N)_|c| / N**|b| * mobius(b, a)``, that is
     ``T = M^T diag(N**-|b|) Z diag((N)_|c|)`` with ``M`` the Mobius and
-    ``Z`` the zeta matrix.  Columns with ``|c| > N`` are zero.  The result
-    is cached per ``(k, N)`` (the last 8) and read-only.
+    ``Z`` the zeta matrix, ``M^T`` a :class:`GeneratorMatrix` of the transposed
+    entries of :attr:`Lattice.mobius` and ``Z`` dense.  Columns with ``|c| > N``
+    are zero.  The result is cached per ``(k, N)`` (the last 8) and read-only.
     """
     L = lattice(k)
+    M = L.mobius
     power, falling = _lde_scales(L, N)
-    T = (L.mobius.T @ (L.zeta.toarray() / power[:, None])) * falling[None, :]
+    Mt = GeneratorMatrix(M.n, M.indices, np.repeat(np.arange(M.n), np.diff(M.indptr)), M.data)
+    T = Mt.dot(_mobius_zeta(L)[1] / power[:, None]) * falling[None, :]
     T.flags.writeable = False
     return T
+
+
+def _lde_transform_inverse(k: int, N: int) -> np.ndarray:
+    """Closed-form inverse of :func:`lde_transform` for ``N >= k``, each factor
+    inverted (``Z^-1 = M``): ``diag(1 / (N)_|a|) M diag(N**|b|) Z^T``."""
+    L = lattice(k)
+    M, Z = _mobius_zeta(L)
+    power, falling = _lde_scales(L, N)
+    return (M / falling[:, None] * power[None, :]) @ Z.T
 
 
 def lde_transform_diffusion(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -224,8 +243,9 @@ def lde_transform_diffusion(k: int) -> tuple[np.ndarray, np.ndarray]:
     The limit is the Mobius matrix from below; its inverse is the
     refinement indicator (inversion from below).
     """
-    L = lattice(k)
-    return L.mobius.T.toarray(), L.zeta.T.toarray()
+    M, Z = _mobius_zeta(lattice(k))
+    # C order: BLAS may sum the products of a transposed view in another order
+    return M.T.copy(), Z.T.copy()
 
 
 def lde_trajectory(backward: BackwardModel, z0: PopulationState, u,
@@ -298,11 +318,7 @@ def lde_conjugation_3site(backward: BackwardModel) -> LdeTransform:
     else:
         if backward.N < 3:
             raise SampleTooLargeError("the finite 3-site transform needs N >= 3")
-        T = lde_transform(3, backward.N)
-        # inverse of each factor of T, with Z^-1 = M
-        L = lattice(3)
-        power, falling = _lde_scales(L, backward.N)
-        Tinv = (L.mobius.toarray() / falling[:, None] * power[None, :]) @ L.zeta.T.toarray()
+        T, Tinv = lde_transform(3, backward.N), _lde_transform_inverse(3, backward.N)
     # from lattice order to the display order
     lattice_order = enumerate_partitions((1, 2, 3))
     idx = [lattice_order.index(p) for p in order]

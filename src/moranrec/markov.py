@@ -1,4 +1,4 @@
-"""Shared container for exact generator matrices over enumerated state spaces."""
+"""GeneratorMatrix, any square sparse matrix over an enumerated index, and population states."""
 
 from __future__ import annotations
 
@@ -18,13 +18,13 @@ DOT_CHUNK = 2**16
 
 
 class GeneratorMatrix:
-    """Square rate matrix over an enumerated state space, held as CSR arrays.
+    """Square sparse matrix over an enumerated index, held as CSR arrays.
 
-    Row and column ``i`` stand for state ``i`` of the enumeration that
-    defines the states: :func:`moranrec.partitions.enumerate_partitions`
-    for the partitioning generators, :func:`enumerate_population_states`
-    for the population generator.  Rows sum to zero; the diagonal is minus
-    the off-diagonal row sum.
+    Row and column ``i`` stand for entry ``i`` of the enumeration that
+    defines the index: :func:`moranrec.partitions.enumerate_partitions`
+    for the partitioning generators and :attr:`moranrec.partitions.Lattice.mobius`,
+    :func:`enumerate_population_states` for the population generator.  Only
+    the generators' rows sum to zero (the diagonal is minus the rest).
 
     Built from the entries ``(n, rows, cols, vals)``: entries that share a
     position are summed in the order given (as ``np.bincount`` sums them),
@@ -33,8 +33,7 @@ class GeneratorMatrix:
     read-only numpy arrays; :meth:`dot` and :meth:`toarray` read them
     without scipy.  ``matrix`` wraps the same arrays as a read-only
     ``scipy.sparse.csr_array``, built on first access.  The expectation
-    solve does not go through this class: it assembles the small
-    partitioning generator densely, by
+    solve assembles its small partitioning generator densely instead, by
     :func:`moranrec.backward.generator_theta_dense`.
     """
 
@@ -56,27 +55,35 @@ class GeneratorMatrix:
 
         Each output row starts at zero and adds its entries times the rows
         of ``x`` they point to in column order, as scipy's CSR product
-        does, so the two agree bit for bit.  The rows go longest first, in
-        chunks of about ``DOT_CHUNK`` values, so the ``k``-th entries of a
-        chunk's rows belong to a prefix of them and the temporaries stay
-        bounded.
+        does, so the two agree bit for bit.  The rows go longest first (an
+        order found once per matrix), in chunks of about ``DOT_CHUNK``
+        values, so the ``k``-th entries of a chunk's rows belong to a prefix
+        of them and the temporaries stay bounded.
         """
         x = np.asarray(x, dtype=float)
         flat = x.reshape(self.n, -1)
         out = np.empty_like(flat)
-        length = np.diff(self.indptr)
-        order = np.argsort(-length, kind="stable")
+        order, first, longer = self._rows_by_length
         step = max(DOT_CHUNK // max(flat.shape[1], 1), 1)
         for start in range(0, self.n, step):
             rows = order[start:start + step]
-            first, size = self.indptr[rows], length[rows]
             acc = np.zeros((rows.size, flat.shape[1]))
-            having = np.searchsorted(-size, -np.arange(size[0]), side="left")
-            for k, m in enumerate(having.tolist()):  # rows with a k-th entry
-                e = first[:m] + k
+            for k, count in enumerate(longer):
+                m = min(count - start, rows.size)  # rows of the chunk with a k-th entry
+                if m <= 0:
+                    break
+                e = first[start:start + m] + k
                 acc[:m] += self.data[e, None] * flat[self.indices[e]]
             out[rows] = acc
         return out.reshape(x.shape)
+
+    @cached_property
+    def _rows_by_length(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Rows longest first, their first entries, and how many rows are longer than each ``k``."""
+        length = np.diff(self.indptr)
+        order = np.argsort(-length, kind="stable")
+        longer = np.searchsorted(-length[order], -np.arange(length.max(initial=0)), side="left")
+        return order, self.indptr[order], longer.tolist()
 
     def toarray(self) -> np.ndarray:
         """The dense ``(n, n)`` array, zero off the stored entries."""

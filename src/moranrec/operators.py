@@ -19,7 +19,7 @@ Each is one row of the lattice algebra on measures: the kernel
 :func:`block_products` forms the block-marginal products of a stack of
 weight grids for a list of partitions, and every Mobius value is read
 from the cached lattice of :func:`moranrec.partitions.lattice` (the
-whole Mobius and zeta matrices of the exact pipeline live there too).
+sparse Mobius matrix of the exact pipeline lives there too).
 That lattice refuses more than 8 positions, so ``sampling_bar`` takes at
 most 8 blocks and ``lde_operator`` blocks of at most 8 sites.  The
 marginal crossover law on a subset of sites is

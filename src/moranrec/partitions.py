@@ -14,10 +14,9 @@ relabels it to canonical block tuples: the partitions of a site set,
 and, in :mod:`moranrec.operators`, the coarsenings of a partition (the
 partitions of its blocks) and its refinements (one partition per
 block).  It is the package's only partition algebra: its coarsening
-groups carry every Mobius sum of the exact pipeline, summed straight
-from them by :meth:`Lattice.mobius_dot` or through the Mobius and zeta
-matrices built from them, and their entries are exact integers so that
-inversion round-trips exactly.
+groups carry every Mobius sum of the exact pipeline, through the one
+sparse Mobius matrix :attr:`Lattice.mobius` built from them, and their
+entries are exact integers so that inversion round-trips exactly.
 """
 
 from __future__ import annotations
@@ -25,14 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import EmptyBlockError, OverlapError, SizeCapError
-
-if TYPE_CHECKING:
-    from scipy import sparse
+from .markov import GeneratorMatrix
 
 Block = tuple[int, ...]
 
@@ -141,8 +138,8 @@ class Lattice:
     :func:`enumerate_partitions`.  ``sizes`` holds the block counts, ``rgs``
     the restricted-growth strings, ``mu_finest[i]`` is ``mobius(finest, i)``
     and ``mu_coarsest[i]`` is ``mobius(i, coarsest)``.  The coarsening
-    groups, the Mobius and zeta matrices and the split/merge incidence of
-    the partitioning process are built on first use.
+    groups, the sparse Mobius matrix and the split/merge incidence of the
+    partitioning process are built on first use.
     """
 
     def __init__(self, k: int) -> None:
@@ -195,37 +192,13 @@ class Lattice:
         return tuple(groups)
 
     @cached_property
-    def mobius(self) -> sparse.csr_array:
+    def mobius(self) -> GeneratorMatrix:
         """``M[a, b] = mobius(a, b)`` when ``a`` refines ``b``, else 0, as a
-        ``scipy.sparse.csr_array`` made from :attr:`coarsenings`."""
-        from scipy import sparse
-
-        B = len(self.sizes)
-        rows, cols, vals = zip(*((np.broadcast_to(a, up.shape).ravel(), up.ravel(),
-                                  np.repeat(mu, a.size)) for a, up, mu in self.coarsenings))
-        return sparse.csr_array(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(B, B))
-
-    def mobius_dot(self, x: np.ndarray) -> np.ndarray:
-        """``mobius @ x`` summed from :attr:`coarsenings`, without scipy.
-
-        ``x`` has one row per partition and any trailing shape.  Each row
-        starts at zero and adds its coarsenings in column order, as
-        scipy's CSR product does, so the two agree bit for bit.
-        """
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        for a, up, mu in self.coarsenings:
-            acc = np.zeros((a.size,) + x.shape[1:])
-            for g, weight in enumerate(mu.tolist()):
-                acc += weight * x[up[g]]
-            out[a] = acc
-        return out
-
-    @cached_property
-    def zeta(self) -> sparse.csr_array:
-        """Refinement indicator ``Z[a, b] = 1`` when ``a`` refines ``b``; ``Z = M^-1``."""
-        return (self.mobius != 0).astype(float)
+        :class:`GeneratorMatrix` made from :attr:`coarsenings`.  Its inverse, the
+        zeta matrix, is its nonzero pattern: 1 where ``a`` refines ``b``."""
+        entries = zip(*((np.broadcast_to(a, up.shape).ravel(), up.ravel(), np.repeat(mu, a.size))
+                        for a, up, mu in self.coarsenings))
+        return GeneratorMatrix(len(self.sizes), *map(np.concatenate, entries))
 
     @cached_property
     def incidence(self) -> dict[str, np.ndarray]:

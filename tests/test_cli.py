@@ -89,6 +89,18 @@ class TestConfigValidation:
         assert main([command, "--config", str(path)]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("N", [2**53 + 1, 2**63])
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_population_float64_cannot_count_exits_2(self, tmp_path, capsys, command, N):
+        path = write_config(tmp_path, population_size=N, initial_counts=[N, 0, 0, 0], rho=[1.0])
+        assert main([command, "--config", str(path)]) == 2
+        assert "'population_size' must be at most 2**53" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_population_of_2_to_the_53_runs(self, tmp_path):
+        path = write_config(tmp_path, population_size=2**53, initial_counts=[2**53, 0, 0, 0])
+        assert main(["fixation", "--config", str(path)]) == 0
+
     def test_size_cap_exit_code(self, tmp_path):
         path = write_config(
             tmp_path, sites=9, alphabet_sizes=2, population_size=10,
@@ -622,7 +634,7 @@ class TestGeneratorsCommand:
 
 
 # Runs in a fresh interpreter: the scipy modules loaded after importing the
-# CLI, after each simulate command, and after one exact command.
+# CLI, after each simulate command, and after each exact command.
 _STARTUP_SCRIPT = """
 import json, sys
 import moranrec.cli
@@ -633,7 +645,7 @@ def scipy_modules():
 seen = {"import": scipy_modules()}
 for command, *flags in (["simulate-forward"], ["simulate-backward"],
                         ["simulate-backward", "--variant", "diffusion"], ["duality-check"],
-                        ["generators"], ["fixation"], ["expectations"]):
+                        ["generators"], ["fixation"], ["expectations"], ["lde"]):
     assert moranrec.cli.main([command, "--config", "config.json", *flags]) == 0, command
     seen[" ".join([command, *flags])] = scipy_modules()
 print(json.dumps(seen))
@@ -648,9 +660,10 @@ def test_simulators_start_without_scipy(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     seen = json.loads(run.stdout.splitlines()[-1])
-    expectations = seen.pop("expectations")
-    assert "scipy.linalg" in expectations
-    assert not [m for m in expectations if m.startswith("scipy.sparse")]
+    for command in ("expectations", "lde"):
+        loaded = seen.pop(command)
+        assert "scipy.linalg" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.sparse")]
     assert seen.pop("import") == []
     assert seen == {"simulate-forward": [], "simulate-backward": [],
                     "simulate-backward --variant diffusion": [], "duality-check": [],

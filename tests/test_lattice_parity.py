@@ -1,5 +1,5 @@
 """The cached partition lattice, the block-product kernel and the lattice's
-sparse Mobius/zeta pair against the dict-of-rates, loop and pairwise-scan
+sparse Mobius matrix against the dict-of-rates, loop and pairwise-scan
 oracles."""
 
 import itertools
@@ -60,11 +60,11 @@ def test_mobius_matrix_equals_oracle_and_zeta_inverts_it(n):
     parts = enumerate_partitions(range(1, n + 1))
     M = lattice(n).mobius
     assert np.array_equal(M.toarray(), oracles.mobius_matrix(parts))
-    Z = lattice(n).zeta.toarray()
+    Z = (M.toarray() != 0).astype(float)  # the zeta matrix is M's nonzero pattern
     assert np.array_equal(Z, [[oracles.refines(a, b) for b in parts] for a in parts])
     assert np.array_equal(Z @ M.toarray(), np.eye(len(parts)))
     for i, a in enumerate(parts):  # each row holds the coarsenings of its partition
-        row = M[[i]].toarray()[0]
+        row = M.toarray()[i]
         assert {(parts[j], row[j]) for j in np.flatnonzero(row)} == set(
             oracles.coarsenings_with_mobius(a))
 
@@ -228,6 +228,16 @@ def test_lde_transform_matches_oracle(n, N):
     parts = enumerate_partitions(range(1, n + 1))
     old = oracles.lde_transform(parts, N)
     assert np.abs(lde_transform(n, N) - old).max() <= 1e-12 * np.abs(old).max()
+
+
+@pytest.mark.parametrize("k,N", [(k, N) for k in range(1, 8) for N in sorted({k, k + 3, 20})])
+def test_lde_transform_equals_scipy_formula_bitwise(k, N):
+    L = lattice(k)
+    M = L.mobius.matrix
+    Z = (M != 0).astype(float).toarray()
+    power = np.power(float(N), L.sizes)
+    falling = np.array([math.perm(N, m) for m in L.sizes], dtype=float)
+    assert np.array_equal(lde_transform(k, N), (M.T @ (Z / power[:, None])) * falling[None, :])
 
 
 @pytest.mark.parametrize("n", range(1, 6))
