@@ -26,7 +26,10 @@ Config schema (JSON object; unknown keys are rejected)::
     }
 
 ``population_size`` must be an integer in 1..2^53: counts are held as
-float64, which counts exactly only up to 2^53.
+float64, which counts exactly only up to 2^53.  The weights of a
+population file are summed exactly from their text (a float64 sum
+rounds above 2^53): each must be an integer, and the sum must equal
+``population_size``.
 Numbers must be finite: ``NaN``, ``Infinity`` and overflowing literals are
 rejected, in the config, in the weights of the population file and in the
 ``--t-end``, ``--grid`` and ``--tol`` flags; ``--tol`` must also be at
@@ -101,6 +104,7 @@ from .forward import ForwardModel, simulate_forward, trajectory_to_csv
 from .measures import (
     PopulationState,
     SiteSpace,
+    csv_table,
     measure_from_csv,
     measure_to_csv,
     type_token,
@@ -186,6 +190,22 @@ def _number(value: object, what: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{what} must be a number")
     return _finite_float(value)
+
+
+def _exact_total(text: str) -> int:
+    """Exact sum of the weights of a population file, read from their text;
+    :class:`ConfigError` if one is not an integer."""
+    total = 0
+    for token, value in csv_table(text, ("type", "weight"))[1]:
+        try:
+            weight = int(value)
+        except ValueError:  # "4.0", "1e3": exact as a fraction
+            from fractions import Fraction  # imports decimal; most files never need it
+
+            weight = Fraction(value)
+        _require(weight.denominator == 1, f"weight of type {token!r} is not an integer: {value!r}")
+        total += int(weight)
+    return total
 
 
 def _cap_output(values: int, what: str) -> None:
@@ -276,8 +296,9 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
         pop_path = path.parent / raw["initial_population_file"]
         _require(pop_path.is_file(), f"population file not found: {pop_path}")
         try:
-            m = measure_from_csv(pop_path.read_text(), space.sites, space.cards)
-            _require(int(round(m.norm)) == N, f"population file must sum to {N}")
+            text = pop_path.read_text()
+            m = measure_from_csv(text, space.sites, space.cards)
+            _require(_exact_total(text) == N, f"population file must sum to {N}")
             initial = PopulationState(m, N)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"population file {pop_path}: {exc}")

@@ -9,16 +9,19 @@ the expectations of all sampling measures solve a linear ODE driven by the
 small partition-lattice generator, independently of the type coordinate.
 
 This module verifies the identity exactly, integrates the ODE (the matrix
-exponential of each grid step), translates sampling expectations into
-expected linkage disequilibria, and evaluates the closed-form results
-available for two and three sites.
+exponential of each grid step, by the scaling-and-squaring Pade method of
+:func:`_expm` on numpy alone, each step's exponential kept in a small
+cache), translates sampling expectations into expected linkage
+disequilibria, and evaluates the closed-form results available for two
+and three sites.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -143,21 +146,143 @@ class ExpectationTrajectory:
 
 _EPS = float(np.finfo(float).eps)
 
+# Largest norm (of the scaled matrix, for order 13) that each Pade order
+# serves at unit roundoff: Al-Mohy and Higham, "A new scaling and squaring
+# algorithm for the matrix exponential" (2009), Algorithm 3.1.
+_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+               9: 2.097847961257068, 13: 4.25}
+
+
+def _pade_coefficients(m: int) -> list[float]:
+    """Coefficients ``b_0..b_m`` of the order-``m`` Pade numerator of ``exp``, ``b_m = 1``."""
+    f = math.factorial
+    return [float(f(2 * m - j) // (f(j) * f(m - j))) for j in range(m + 1)]
+
+
+def _onenorm(A: np.ndarray) -> float:
+    return float(np.abs(A).sum(axis=0).max())
+
+
+def _ell(A: np.ndarray, m: int) -> int:
+    """Extra squarings that keep the order-``m`` Pade backward error of ``A``
+    at the unit roundoff ``u = 2**-53`` (Al-Mohy and Higham 2009, eq. (5.1)):
+    ``ceil(log2(|c_{2m+1}| ||abs(A)^(2m+1)||_1 / (u ||A||_1)) / 2m)``, at
+    least 0.  The norm of the nonnegative power is exact: the column sums,
+    by ``2m + 1`` vector-matrix products."""
+    absA = np.abs(A)
+    sums = np.ones(len(A))
+    for _ in range(2 * m + 1):
+        sums = sums @ absA
+    if not sums.max() > 0:
+        return 0
+    f = math.factorial
+    c = float(f(m) ** 2) / (f(2 * m) * f(2 * m + 1))
+    alpha = c * sums.max() / _onenorm(A)
+    return max(math.ceil(math.log2(alpha / 2.0**-53) / (2 * m)), 0)
+
+
+def _pade_sum(coeffs: list[float], powers: list[np.ndarray]) -> np.ndarray:
+    """``coeffs[0] I + sum of coeffs[k] powers[k - 1]``, the identity added on the diagonal."""
+    S = coeffs[1] * powers[0]
+    for c, P in zip(coeffs[2:], powers[1:]):
+        S += c * P
+    S.flat[:: len(S) + 1] += coeffs[0]
+    return S
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential of the square float array ``A``, numpy only.
+
+    Scaling and squaring with a Pade approximant of order 3, 5, 7, 9 or 13,
+    chosen as in Al-Mohy and Higham (2009, Algorithm 3.1).  The order and
+    the scaling ``2**-s`` follow from ``d_k = ||A^k||_1^(1/k)``: exact for
+    the powers the approximant forms anyway (``A^2``, ``A^4``, ``A^6``),
+    bounded above by products of those for the others, so no power is
+    formed only for its norm and no estimate is random.  An ``A`` whose
+    powers overflow gives NaN.
+    """
+    A2 = A @ A
+    d2 = _onenorm(A2) ** (1 / 2)
+    powers = [A2]  # A^2, A^4, ... up to A^(m-1)
+    m = 3
+    if not (d2 <= _PADE_THETA[3] and _ell(A, 3) == 0):
+        powers.append(A2 @ A2)
+        n4 = _onenorm(powers[1])
+        m = 5
+        if not (max(n4 ** (1 / 4), (n4 * d2**2) ** (1 / 6)) <= _PADE_THETA[5]
+                and _ell(A, 5) == 0):
+            powers.append(powers[1] @ A2)
+            n6 = _onenorm(powers[2])
+            d8 = min(n4 ** (1 / 4), (n6 * d2**2) ** (1 / 8))
+            eta = max(n6 ** (1 / 6), d8)
+            m = next((k for k in (7, 9) if eta <= _PADE_THETA[k] and _ell(A, k) == 0), 13)
+    if m == 9:
+        powers.append(powers[1] @ powers[1])
+    s = 0
+    if m == 13:
+        eta = min(eta, max(d8, (n4 * n6) ** (1 / 10)))
+        if not math.isfinite(eta):
+            return np.full_like(A, np.nan)
+        s = max(math.ceil(math.log2(eta / _PADE_THETA[13])), 0) if eta > 0 else 0
+        s += _ell(A * 2.0**-s, 13)
+        A = A * 2.0**-s
+        powers = [P * 2.0 ** (-2 * k * s) for k, P in enumerate(powers, 1)]
+    b, k = _pade_coefficients(m), 2 * len(powers) + 2
+    U = _pade_sum(b[1:k:2], powers)
+    V = _pade_sum(b[0:k:2], powers)
+    if m == 13:
+        B2, B4, B6 = powers
+        U += B6 @ (b[13] * B6 + b[11] * B4 + b[9] * B2)
+        V += B6 @ (b[12] * B6 + b[10] * B4 + b[8] * B2)
+    U = A @ U
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
+# The step propagators of the last _STEP_CACHE_SIZE (model, step) pairs,
+# least recently used first; see _step_propagator.
+_STEP_CACHE_SIZE = 8
+_steps: dict[tuple[BackwardModel, float], np.ndarray] = {}
+
+
+def _step_propagator(backward: BackwardModel, h: float,
+                     generator: Callable[[], np.ndarray]) -> np.ndarray:
+    """``expm(G h)`` for the generator ``G = generator()`` of ``backward``
+    restricted to the partitions with at most ``N`` blocks, read-only.
+
+    The last ``_STEP_CACHE_SIZE`` results are kept, keyed on
+    ``(backward, h)``; at worst each holds one ``B x B`` float64 matrix,
+    ``B`` the number of those partitions (Bell(8) = 4140 at the site cap,
+    137 MB).  ``generator`` is called only on a miss.
+    """
+    key = (backward, h)
+    E = _steps.pop(key, None)
+    if E is None:
+        E = _expm(generator() * h)
+        E.flags.writeable = False
+    _steps[key] = E  # (re)inserted last: the most recently used
+    if len(_steps) > _STEP_CACHE_SIZE:
+        del _steps[next(iter(_steps))]
+    return E
+
 
 def _solve(backward: BackwardModel, m: Measure, N: int, times) -> tuple[np.ndarray, np.ndarray]:
     """The sorted grid and the values of :func:`expected_sampling` for the
     counting measure ``m`` of ``N`` individuals, whose ``k``-th site is site
     ``k`` of ``backward``: (time, partition with at most ``N`` blocks in
-    lattice order, type).  No partition is built."""
-    from scipy.linalg import expm
-
+    lattice order, type).  No partition is built, and the generator is
+    built at most once, on the first step missing from the cache of
+    :func:`_step_propagator`."""
     t = assert_sorted_times(times)
     if N != backward.N:
         raise ValueError(f"population holds {N} individuals, model expects {backward.N}")
     if backward.variant != "finite":
         raise ValueError("expected_sampling needs the finite variant")
     keep = np.flatnonzero(lattice(backward.n).sizes <= backward.N)
-    G = generator_theta_dense(backward)[np.ix_(keep, keep)]
+    generator = cache(lambda: generator_theta_dense(backward)[np.ix_(keep, keep)])
     y = sampling_stack(m, N)
     values = np.empty((t.size, keep.size, y.shape[1]))
     step, E, prev = None, None, 0.0
@@ -165,7 +290,7 @@ def _solve(backward: BackwardModel, m: Measure, N: int, times) -> tuple[np.ndarr
         h = ti - prev
         if h != 0:
             if step is None or abs(h - step) > 4 * _EPS * ti:
-                step, E = h, expm(G * h)
+                step, E = h, _step_propagator(backward, h, generator)
             y = E @ y
         values[i] = y
         prev = ti
@@ -186,10 +311,13 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState,
     cannot be told apart from the grid and reusing ``E`` adds no error
     beyond what the grid already carries: ``linspace(0, 2, 11)``, whose
     steps differ in the last bit, needs one exponential, while a grid of
-    really different steps needs one per distinct step.  The model must be
-    finite.  The trajectory is returned for every partition with at most
-    ``N`` blocks.  Those partitions are closed under the partitioning
-    process, so the generator restricted to them is exact.
+    really different steps needs one per distinct step.  The exponential
+    is :func:`_expm`, on numpy alone, and each step's ``E`` is kept
+    read-only in the bounded cache of :func:`_step_propagator`, keyed on
+    ``(backward, h)``, so a repeated call computes no exponential.  The
+    model must be finite.  The trajectory is returned for every partition
+    with at most ``N`` blocks.  Those partitions are closed under the
+    partitioning process, so the generator restricted to them is exact.
     """
     t, values = _solve(backward, z0.measure, z0.N, times)
     partitions = [p for p in enumerate_partitions(backward.sites) if len(p) <= backward.N]
@@ -306,8 +434,6 @@ def lde_conjugation_3site(backward: BackwardModel) -> LdeTransform:
     eigenvector matrix has a closed form.  Eigen data is computed
     numerically in both cases; the deterministic variant is rejected.
     """
-    from scipy.linalg import eig, inv
-
     if backward.n != 3:
         raise ShapeError("this conjugation is specific to 3 sites")
     if backward.variant == "deterministic":
@@ -326,7 +452,7 @@ def lde_conjugation_3site(backward: BackwardModel) -> LdeTransform:
     theta, T, Tinv = generator_theta_dense(backward)[perm], T[perm], Tinv[perm]
     A = T @ theta @ Tinv
     D = np.diag(np.diag(A))
-    evals, V = eig(A)
+    evals, V = np.linalg.eig(A)
     # order eigenvectors to match the diagonal of A
     cols = []
     used: set[int] = set()
@@ -336,7 +462,7 @@ def lde_conjugation_3site(backward: BackwardModel) -> LdeTransform:
         used.add(k)
         cols.append(k)
     V = np.real_if_close(V[:, cols])
-    Vinv = inv(V)
+    Vinv = np.linalg.inv(V)
     return LdeTransform(order, theta, T, Tinv, A, D, V, Vinv)
 
 

@@ -97,6 +97,26 @@ class TestConfigValidation:
         assert "'population_size' must be at most 2**53" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("rows", [["9007199254740992", "1", "0", "0"],
+                                      ["9007199254740993", "0", "0", "0"],
+                                      ["4503599627370496", "4503599627370496.5", "0", "0"]])
+    @pytest.mark.parametrize("command", ["expectations", "lde", "fixation", "simulate-backward"])
+    def test_population_file_counted_exactly(self, tmp_path, capsys, command, rows):
+        # a float64 sum reads each of these files as 2**53 individuals
+        text = "type,weight\n" + "".join(f"{t},{w}\n" for t, w in zip(["00", "01", "10", "11"], rows))
+        (tmp_path / "pop.csv").write_text(text)
+        path = write_config(tmp_path, population_size=2**53, initial_counts=None,
+                            initial_population_file="pop.csv")
+        assert main([command, "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_population_file_of_2_to_the_53_runs(self, tmp_path):
+        (tmp_path / "pop.csv").write_text("type,weight\n00,4503599627370496\n01,4.503599627370496e15\n")
+        path = write_config(tmp_path, population_size=2**53, initial_counts=None,
+                            initial_population_file="pop.csv")
+        assert main(["fixation", "--config", str(path)]) == 0
+
     def test_population_of_2_to_the_53_runs(self, tmp_path):
         path = write_config(tmp_path, population_size=2**53, initial_counts=[2**53, 0, 0, 0])
         assert main(["fixation", "--config", str(path)]) == 0
@@ -525,6 +545,32 @@ class TestExpectationsAndLde:
         top = -6 / N - (N - 1) * (N - 2) / N**2 * (r1 + r2)
         assert f"{top:.12g}" in out
 
+    @pytest.mark.parametrize("N,probs", [(3, [0.1, 0.25]), (5, [0.5, 0.5]), (6, [0.1, 0.25]),
+                                         (20, [0.3, 0.05]), (1000, [0.0, 0.0])])
+    def test_lde_diagonalization_matches_scipy_oracle(self, tmp_path, monkeypatch, N, probs):
+        # the report as written with scipy.linalg.eig and scipy.linalg.inv: eig
+        # is the same LAPACK call; numpy's inv solves V X = I where scipy's
+        # inverts the LU factors, so the residual may move in its last digits
+        import scipy.linalg
+
+        path = write_config(tmp_path, sites=3, population_size=N, crossover_probs=probs,
+                            rho=[1.0, 2.5], initial_counts=[N - 2, 1, 0, 0, 0, 0, 1, 0],
+                            initial_partition="1,2,3")
+        report = tmp_path / "out" / "lde_diagonalization.txt"
+        assert main(["lde", "--config", str(path)]) == 0
+        got = report.read_text().splitlines()
+        monkeypatch.setattr(np.linalg, "eig", scipy.linalg.eig)
+        monkeypatch.setattr(np.linalg, "inv", scipy.linalg.inv)
+        assert main(["lde", "--config", str(path)]) == 0
+        ref = report.read_text().splitlines()
+        assert len(got) == len(ref) == 7
+        for line, want in zip(got, ref):
+            if line.startswith("diagonalization_residual: "):
+                resid, oracle = (float(x.split(": ")[1]) for x in (line, want))
+                assert resid <= 2 * oracle + 4 * np.finfo(float).eps
+            else:
+                assert line == want
+
     def test_lde_csv_written(self, tmp_path):
         path = write_config(tmp_path, lde_sites=[1, 2])
         assert main(["lde", "--config", str(path)]) == 0
@@ -660,11 +706,6 @@ def test_simulators_start_without_scipy(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     seen = json.loads(run.stdout.splitlines()[-1])
-    for command in ("expectations", "lde"):
-        loaded = seen.pop(command)
-        assert "scipy.linalg" in loaded
-        assert not [m for m in loaded if m.startswith("scipy.sparse")]
-    assert seen.pop("import") == []
-    assert seen == {"simulate-forward": [], "simulate-backward": [],
+    assert seen == {"import": [], "simulate-forward": [], "simulate-backward": [],
                     "simulate-backward --variant diffusion": [], "duality-check": [],
-                    "generators": [], "fixation": []}
+                    "generators": [], "fixation": [], "expectations": [], "lde": []}

@@ -1,4 +1,5 @@
-"""Grid stepping and the block-by-block CSV writer against their oracles."""
+"""Grid stepping, the in-package matrix exponential and its step cache, and
+the block-by-block CSV writer against their oracles."""
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ import scipy.linalg
 import oracles
 from moranrec import (
     BackwardModel,
+    DiffusionRates,
     PopulationState,
     SiteSpace,
     expected_sampling,
+    expectations,
     lde_trajectory,
 )
+from moranrec.backward import generator_theta_dense
 from moranrec.cli import expectations_to_csv
 
 from util import binary_space, random_population, random_recomb
@@ -39,21 +43,89 @@ def test_stepping_matches_per_time_expm(n, N):
         assert np.abs(got.values - ref.values).max() <= 1e-12, name
 
 
-@pytest.mark.parametrize("name,expected", [("uniform", 1), ("uniform-11", 1), ("uniform-101", 1),
-                                           ("near-uniform", 2), ("irregular", 4)])
-def test_uniform_grid_needs_one_expm(monkeypatch, name, expected):
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """Shapes of the matrices the package exponentiates, with an empty step cache."""
     calls = []
-    real = scipy.linalg.expm
+    real = expectations._expm
 
     def counting(A):
         calls.append(A.shape)
         return real(A)
 
-    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    monkeypatch.setattr(expectations, "_expm", counting)
+    monkeypatch.setattr(expectations, "_steps", {})
+    return calls
+
+
+@pytest.mark.parametrize("name,expected", [("uniform", 1), ("uniform-11", 1), ("uniform-101", 1),
+                                           ("near-uniform", 2), ("irregular", 4)])
+def test_uniform_grid_needs_one_expm(expm_calls, name, expected):
     bwd = BackwardModel(4, 6, random_recomb(4, 3))
     z0 = random_population(binary_space(4), 6, seed=3)
     expected_sampling(bwd, z0, GRIDS[name])
-    assert len(calls) == expected
+    assert len(expm_calls) == expected
+
+
+def assert_expm_matches_scipy(A) -> None:
+    ref = scipy.linalg.expm(A)
+    assert np.abs(expectations._expm(A) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("variant", ["finite", "deterministic", "diffusion"])
+@pytest.mark.parametrize("n,N", [(n, N) for n in range(1, 6) for N in (n, 40)])
+def test_expm_matches_scipy_on_generators(n, N, variant):
+    rho = DiffusionRates(n, tuple(np.linspace(0.5, 3.0, n - 1)))
+    theta = generator_theta_dense(BackwardModel(n, N, random_recomb(n, 50 + n), variant, rho))
+    for h in (1e-3, 0.2, 2.5, 10, 100):  # 10 and 100 scale and square
+        assert_expm_matches_scipy(theta * h)
+
+
+def test_expm_matches_scipy_on_special_matrices():
+    rng = np.random.default_rng(11)
+    for A in (np.zeros((1, 1)), np.array([[-2.5]]), np.array([[40.0]]), np.zeros((5, 5)),
+              np.diag([-100.0, -1.0, 0.0, 1e-3, 3.0]),
+              rng.standard_normal((12, 12)) * 4,  # non-normal
+              np.triu(rng.standard_normal((8, 8))) * 20):
+        assert_expm_matches_scipy(A)
+    assert np.array_equal(expectations._expm(np.zeros((3, 3))), np.eye(3))
+
+
+def test_expm_of_overflowing_matrix_is_nan():
+    assert np.isnan(expectations._expm(np.array([[1e300, 1e300], [0.0, 1.0]]))).all()
+
+
+def test_repeated_lde_call_reuses_its_step_propagators(expm_calls):
+    bwd = BackwardModel(5, 12, random_recomb(5, 8))
+    z0 = random_population(binary_space(5), 12, seed=8)
+    first = lde_trajectory(bwd, z0, (1, 3, 4), [0, 0.5, 1.0, 1.2, 3.0])
+    computed = len(expm_calls)
+    assert computed == 3
+    again = lde_trajectory(bwd, z0, (1, 3, 4), [0, 0.5, 1.0, 1.2, 3.0])
+    assert len(expm_calls) == computed
+    assert np.array_equal(first.values, again.values)
+    assert all(not E.flags.writeable for E in expectations._steps.values())
+    with pytest.raises(ValueError):
+        next(iter(expectations._steps.values()))[0, 0] = 1.0
+
+
+def test_step_cache_is_bounded_and_builds_one_generator_per_solve(expm_calls, monkeypatch):
+    built = []
+    real = expectations.generator_theta_dense
+    monkeypatch.setattr(expectations, "generator_theta_dense",
+                        lambda model: built.append(model) or real(model))
+    bwd = BackwardModel(3, 5, random_recomb(3, 9))
+    z0 = random_population(binary_space(3), 5, seed=9)
+    size = expectations._STEP_CACHE_SIZE
+    grid = np.cumsum([0] + [0.1 * k for k in range(1, size + 4)])  # size + 3 distinct steps
+    expected_sampling(bwd, z0, grid)
+    assert len(built) == 1
+    assert len(expm_calls) == size + 3
+    assert len(expectations._steps) == size
+    # the steps used last are kept, the first ones evicted
+    assert [h for _, h in expectations._steps] == np.diff(grid)[-size:].tolist()
+    expected_sampling(bwd, z0, grid[:2])
+    assert len(built) == 2 and len(expm_calls) == size + 4
 
 
 def assert_writer_matches_oracle(tmp_path, traj) -> None:
