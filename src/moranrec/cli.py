@@ -28,8 +28,8 @@ Config schema (JSON object; unknown keys are rejected)::
 ``population_size`` must be an integer in 1..2^53: counts are held as
 float64, which counts exactly only up to 2^53.  The weights of a
 population file are summed exactly from their text (a float64 sum
-rounds above 2^53): each must be an integer, and the sum must equal
-``population_size``.
+rounds above 2^53): each must be an integer of at most 2^53, and the
+sum must equal ``population_size``.
 Numbers must be finite: ``NaN``, ``Infinity`` and overflowing literals are
 rejected, in the config, in the weights of the population file and in the
 ``--t-end``, ``--grid`` and ``--tol`` flags; ``--tol`` must also be at
@@ -194,17 +194,23 @@ def _number(value: object, what: str) -> float:
 
 def _exact_total(text: str) -> int:
     """Exact sum of the weights of a population file, read from their text;
-    :class:`ConfigError` if one is not an integer."""
+    :class:`ConfigError` if one is not an integer of at most ``2**53`` in size."""
     total = 0
     for token, value in csv_table(text, ("type", "weight"))[1]:
         try:
             weight = int(value)
-        except ValueError:  # "4.0", "1e3": exact as a fraction
-            from fractions import Fraction  # imports decimal; most files never need it
+        except ValueError:  # "4.0", "1e3": exact as a decimal, its exponent never expanded
+            from decimal import Decimal, InvalidOperation  # most files never need it
 
-            weight = Fraction(value)
-        _require(weight.denominator == 1, f"weight of type {token!r} is not an integer: {value!r}")
-        total += int(weight)
+            try:
+                exact = Decimal(value)
+            except InvalidOperation:  # an exponent beyond 10**18, which float() reads
+                exact = None
+            _require(exact is not None and exact.is_finite() and exact.copy_abs() <= 2**53
+                     and exact == exact.to_integral_value(),
+                     f"weight of type {token!r} is not an integer of at most 2**53: {value!r}")
+            weight = int(exact)
+        total += weight
     return total
 
 

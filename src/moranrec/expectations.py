@@ -19,6 +19,7 @@ and three sites.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, lru_cache
@@ -153,6 +154,7 @@ _PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.5041789961
                9: 2.097847961257068, 13: 4.25}
 
 
+@cache
 def _pade_coefficients(m: int) -> list[float]:
     """Coefficients ``b_0..b_m`` of the order-``m`` Pade numerator of ``exp``, ``b_m = 1``."""
     f = math.factorial
@@ -163,30 +165,39 @@ def _onenorm(A: np.ndarray) -> float:
     return float(np.abs(A).sum(axis=0).max())
 
 
-def _ell(A: np.ndarray, m: int) -> int:
-    """Extra squarings that keep the order-``m`` Pade backward error of ``A``
-    at the unit roundoff ``u = 2**-53`` (Al-Mohy and Higham 2009, eq. (5.1)):
-    ``ceil(log2(|c_{2m+1}| ||abs(A)^(2m+1)||_1 / (u ||A||_1)) / 2m)``, at
-    least 0.  The norm of the nonnegative power is exact: the column sums,
-    by ``2m + 1`` vector-matrix products."""
+def _ell(A: np.ndarray, m: int, scale: float = 1.0) -> int:
+    """Extra squarings that keep the order-``m`` Pade backward error of
+    ``scale * A`` at the unit roundoff ``u = 2**-53`` (Al-Mohy and Higham
+    2009, eq. (5.1)): ``ceil(log2(alpha / u) / 2m)``, at least 0, with
+    ``alpha = |c_{2m+1}| ||abs(A)^(2m+1)||_1 / ||A||_1``.
+
+    ``alpha <= |c_{2m+1}| ||A||_1^(2m)``, so a matrix whose norm keeps that
+    bound at ``u / 2`` needs none, and no power is formed.  Otherwise the
+    norm of the nonnegative power is exact: the column sums, by ``2m + 1``
+    vector-matrix products, each multiplied by ``scale`` (a power of 2, so
+    exactly as if ``A`` were) rather than copying ``A``."""
     absA = np.abs(A)
+    norm = scale * float(absA.sum(axis=0).max())
+    f = math.factorial
+    c = float(f(m) ** 2) / (f(2 * m) * f(2 * m + 1))
+    if norm <= (2.0**-54 / c) ** (1 / (2 * m)):  # the bound, solved for the norm
+        return 0
     sums = np.ones(len(A))
     for _ in range(2 * m + 1):
         sums = sums @ absA
+        if scale != 1.0:
+            sums *= scale
     if not sums.max() > 0:
         return 0
-    f = math.factorial
-    c = float(f(m) ** 2) / (f(2 * m) * f(2 * m + 1))
-    alpha = c * sums.max() / _onenorm(A)
+    alpha = c * sums.max() / norm
     return max(math.ceil(math.log2(alpha / 2.0**-53) / (2 * m)), 0)
 
 
-def _pade_sum(coeffs: list[float], powers: list[np.ndarray]) -> np.ndarray:
-    """``coeffs[0] I + sum of coeffs[k] powers[k - 1]``, the identity added on the diagonal."""
-    S = coeffs[1] * powers[0]
-    for c, P in zip(coeffs[2:], powers[1:]):
-        S += c * P
-    S.flat[:: len(S) + 1] += coeffs[0]
+def _add(S: np.ndarray | None, c: float, P: np.ndarray) -> np.ndarray:
+    """``S + c P``, summed into ``S`` (a new array if ``S`` is None)."""
+    if S is None:
+        return c * P
+    S += c * P
     return S
 
 
@@ -225,27 +236,47 @@ def _expm(A: np.ndarray) -> np.ndarray:
         if not math.isfinite(eta):
             return np.full_like(A, np.nan)
         s = max(math.ceil(math.log2(eta / _PADE_THETA[13])), 0) if eta > 0 else 0
-        s += _ell(A * 2.0**-s, 13)
-        A = A * 2.0**-s
-        powers = [P * 2.0 ** (-2 * k * s) for k, P in enumerate(powers, 1)]
-    b, k = _pade_coefficients(m), 2 * len(powers) + 2
-    U = _pade_sum(b[1:k:2], powers)
-    V = _pade_sum(b[0:k:2], powers)
-    if m == 13:
+        s += _ell(A, 13, 2.0**-s)
+        for k, P in enumerate(powers, 1):  # A^2k of the scaled A, in place
+            P *= 2.0 ** (-2 * k * s)
+    # U and V are summed one term at a time, the order-13 products first,
+    # then the powers from the highest down, each freed once both hold it:
+    # at most six B x B arrays live besides A.
+    b = _pade_coefficients(m)
+    U = V = None
+    if m == 13:  # B6 (b13 B6 + b11 B4 + b9 B2), and the same for V
         B2, B4, B6 = powers
-        U += B6 @ (b[13] * B6 + b[11] * B4 + b[9] * B2)
-        V += B6 @ (b[12] * B6 + b[10] * B4 + b[8] * B2)
+        U = B6 @ _add(_add(b[13] * B6, b[11], B4), b[9], B2)
+        V = B6 @ _add(_add(b[12] * B6, b[10], B4), b[8], B2)
+        del B2, B4, B6
+    del A2
+    while powers:
+        k = 2 * len(powers)  # the last power is A^k
+        P = powers.pop()
+        U, V = _add(U, b[k + 1], P), _add(V, b[k], P)
+        del P
+    U.ravel()[:: len(U) + 1] += b[1]  # views: U and V are C-contiguous
+    V.ravel()[:: len(V) + 1] += b[0]
     U = A @ U
-    E = np.linalg.solve(V - U, V + U)
+    if s:
+        U *= 2.0**-s  # the scaled A's product: scaling by 2**-s is exact
+    Q = V - U
+    V += U
+    del U
+    E = np.linalg.solve(Q, V)
+    del Q, V
     for _ in range(s):
         E = E @ E
     return E
 
 
-# The step propagators of the last _STEP_CACHE_SIZE (model, step) pairs,
-# least recently used first; see _step_propagator.
+# The step propagators of the last (model, step) pairs, least recently used
+# first: at most _STEP_CACHE_SIZE of them and _STEP_CACHE_BYTES in all; see
+# _step_propagator.
 _STEP_CACHE_SIZE = 8
+_STEP_CACHE_BYTES = 32 * 2**20
 _steps: dict[tuple[BackwardModel, float], np.ndarray] = {}
+_steps_lock = threading.Lock()
 
 
 def _step_propagator(backward: BackwardModel, h: float,
@@ -254,18 +285,22 @@ def _step_propagator(backward: BackwardModel, h: float,
     restricted to the partitions with at most ``N`` blocks, read-only.
 
     The last ``_STEP_CACHE_SIZE`` results are kept, keyed on
-    ``(backward, h)``; at worst each holds one ``B x B`` float64 matrix,
-    ``B`` the number of those partitions (Bell(8) = 4140 at the site cap,
-    137 MB).  ``generator`` is called only on a miss.
+    ``(backward, h)``, while they hold at most ``_STEP_CACHE_BYTES``
+    (32 MiB) together: the least recently used go first, and a ``B x B``
+    float64 result above that size alone (``B > 2048``, only at 8 sites)
+    is not kept.  ``generator`` is called only on a miss.
     """
     key = (backward, h)
-    E = _steps.pop(key, None)
+    with _steps_lock:  # calls from several threads share the cache
+        E = _steps.pop(key, None)
     if E is None:
         E = _expm(generator() * h)
         E.flags.writeable = False
-    _steps[key] = E  # (re)inserted last: the most recently used
-    if len(_steps) > _STEP_CACHE_SIZE:
-        del _steps[next(iter(_steps))]
+    with _steps_lock:
+        _steps[key] = E  # (re)inserted last: the most recently used
+        while (len(_steps) > _STEP_CACHE_SIZE
+               or sum(P.nbytes for P in _steps.values()) > _STEP_CACHE_BYTES):
+            del _steps[next(iter(_steps))]
     return E
 
 

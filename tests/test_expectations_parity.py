@@ -1,6 +1,9 @@
 """Grid stepping, the in-package matrix exponential and its step cache, and
 the block-by-block CSV writer against their oracles."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -86,7 +89,8 @@ def test_expm_matches_scipy_on_special_matrices():
     for A in (np.zeros((1, 1)), np.array([[-2.5]]), np.array([[40.0]]), np.zeros((5, 5)),
               np.diag([-100.0, -1.0, 0.0, 1e-3, 3.0]),
               rng.standard_normal((12, 12)) * 4,  # non-normal
-              np.triu(rng.standard_normal((8, 8))) * 20):
+              np.triu(rng.standard_normal((8, 8))) * 20,
+              np.array([[0.0, 1e200], [0.0, 0.0]])):  # nilpotent, ||A||^6 overflows
         assert_expm_matches_scipy(A)
     assert np.array_equal(expectations._expm(np.zeros((3, 3))), np.eye(3))
 
@@ -126,6 +130,53 @@ def test_step_cache_is_bounded_and_builds_one_generator_per_solve(expm_calls, mo
     assert [h for _, h in expectations._steps] == np.diff(grid)[-size:].tolist()
     expected_sampling(bwd, z0, grid[:2])
     assert len(built) == 2 and len(expm_calls) == size + 4
+
+
+@pytest.mark.parametrize("kept", [0, 1, 3])
+def test_step_cache_holds_at_most_its_byte_bound(expm_calls, monkeypatch, kept):
+    bwd = BackwardModel(3, 5, random_recomb(3, 9))
+    z0 = random_population(binary_space(3), 5, seed=9)
+    entry = 5 * 5 * 8  # one Bell(3) x Bell(3) float64 propagator
+    monkeypatch.setattr(expectations, "_STEP_CACHE_BYTES", kept * entry + entry - 1)
+    grid = [0.0, 0.1, 0.3, 0.6, 1.0]  # 4 distinct steps
+    expected_sampling(bwd, z0, grid)
+    assert len(expm_calls) == 4
+    assert [h for _, h in expectations._steps] == np.diff(grid)[4 - kept:].tolist()
+    expected_sampling(bwd, z0, [0.0, np.diff(grid)[-1]])
+    assert len(expm_calls) == 4 + (kept == 0)  # a kept step needs no new exponential
+
+
+def test_step_cache_shared_by_threads(monkeypatch):
+    bwd = BackwardModel(3, 5, random_recomb(3, 9))
+    z0 = random_population(binary_space(3), 5, seed=9)
+    grids = [[0.0, 0.1 * k, 0.25 * k] for k in range(1, 7)]
+    monkeypatch.setattr(expectations, "_steps", {})
+    want = [expected_sampling(bwd, z0, grid).values for grid in grids]
+    monkeypatch.setattr(expectations, "_STEP_CACHE_SIZE", 2)  # evicts on most calls
+    errors = []
+
+    def work(i):
+        try:
+            for r in range(100):
+                k = (i + r) % len(grids)
+                if not np.array_equal(expected_sampling(bwd, z0, grids[k]).values, want[k]):
+                    errors.append(f"thread {i}, grid {k}: values differ")
+        except Exception as exc:  # reported below
+            errors.append(repr(exc))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(expectations._steps) <= 2
 
 
 def assert_writer_matches_oracle(tmp_path, traj) -> None:
