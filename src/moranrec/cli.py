@@ -59,7 +59,8 @@ of ``expectations`` and ``lde`` or times x types of the
 ``simulate-forward`` summary, checked before anything is computed.
 
 Exit codes: 0 success, 2 config validation failure (including a config
-file that cannot be read, is a directory or is not UTF-8), 3 size cap
+file that cannot be read, is a directory or is not UTF-8) or an output
+that cannot be made or written, 3 size cap
 exceeded (including a replicate of ``simulate-forward`` or
 ``simulate-backward`` that would record more than ``backward.MAX_EVENTS``
 = 100,000 events before ``t_end``: the finite and diffusion partitioning
@@ -77,7 +78,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
+import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
@@ -128,6 +132,8 @@ MASS_TOL = 1e-10
 # times x partitions x types of ``expectations`` and ``lde`` or times x
 # types of the ``simulate-forward`` summary.
 DEFAULT_OUTPUT_CAP = 2**27
+
+_SHARE_MIN = 2**16  # values per share of expectations_to_csv: about 50 ms of %.17g
 
 _ALLOWED_KEYS = {
     "sites", "alphabet_sizes", "population_size", "crossover_probs", "rho",
@@ -397,20 +403,61 @@ def expectations_to_csv(path: Path, times, partitions, cards, values,
                         comment: str) -> None:
     """Write rows ``time,partition,type,value`` of a (times, partitions, types) block.
 
-    The file is written one (time, partition) block at a time; each
-    partition label is formatted once per file.
+    The (time, partition) blocks go in ``W`` contiguous shares, ``W`` the least
+    of the block count, the CPUs this process may run on and one per
+    ``_SHARE_MIN`` values (1 without ``os.fork``).  Forked children write all
+    but the first to unlinked temporary files beside ``path``, appended in
+    order by ``os.sendfile``.  A share whose file, fork or child fails is
+    written here, so the bytes never depend on ``W``; an exception kills and
+    reaps every child.
     """
-    tokens = [type_token(cards, xi) for xi in range(values.shape[2])]
-    labels = [f'"{format_partition(p)}",' for p in partitions]
+    labels = [f'"{format_partition(p)}",' for p in partitions]  # each formatted once
+    prefixes = [f"{t:.17g},{label}" for t in times for label in labels]
     # one %-template per block: the prefix (a time and a partition) holds no '%'
-    rows = [f"{tok},%.17g\n" for tok in tokens]
-    with open(path, "w") as f:
+    rows = [f"{type_token(cards, xi)},%.17g\n" for xi in range(values.shape[2])]
+    flat = values.reshape(-1, values.shape[2])
+
+    def blocks(f, start: int, stop: int) -> None:
+        for prefix, row in zip(prefixes[start:stop], flat[start:stop]):
+            f.write((prefix + prefix.join(rows)) % tuple(row.tolist()))
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = (len(affinity(0)) if affinity else os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    W = max(1, min(cpus, values.size // _SHARE_MIN, len(flat)))
+    shares = [(len(flat) * k // W, len(flat) * (k + 1) // W) for k in range(W)]
+    with open(path, "w") as f, ExitStack() as temps:
         f.write(f"# {comment}\ntime,partition,type,value\n")
-        for ti, t in enumerate(times):
-            at = f"{t:.17g},"
-            for pi, label in enumerate(labels):
-                prefix = at + label
-                f.write((prefix + prefix.join(rows)) % tuple(values[ti, pi].tolist()))
+        f.flush()  # a child inherits no buffered bytes
+        parent, files, pids = os.getpid(), {}, {}  # by share: temporary files, unreaped children
+        try:
+            for k in range(1, W):
+                try:
+                    files[k] = temps.enter_context(tempfile.TemporaryFile("w", dir=path.parent))
+                    pids[k] = os.fork()
+                    if not pids[k]:  # the child formats share k and leaves by os._exit
+                        blocks(files[k], *shares[k])
+                        files[k].flush()
+                        os._exit(0)
+                except OSError:  # no file or no child: this process formats share k
+                    pass
+                finally:
+                    if os.getpid() != parent:  # a child that failed never returns
+                        os._exit(1)
+            blocks(f, *shares[0])
+            for k in range(1, W):
+                if k in pids and os.waitpid(pids[k], 0)[1] == 0:
+                    del pids[k]
+                    f.flush()
+                    done, size = 0, os.fstat(files[k].fileno()).st_size
+                    while done < size:
+                        done += os.sendfile(f.fileno(), files[k].fileno(), done, size - done)
+                else:
+                    pids.pop(k, None)
+                    blocks(f, *shares[k])
+        finally:
+            for pid in pids.values():
+                os.kill(pid, 9)  # SIGKILL: no need to load the signal module
+                os.waitpid(pid, 0)
 
 
 def _check_output(values: np.ndarray, probability: bool) -> None:
@@ -642,6 +689,9 @@ def main(argv: list[str] | None = None) -> int:
         return 5
     except MoranRecError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # config and population files raise ConfigError instead
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

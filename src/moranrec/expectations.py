@@ -165,24 +165,24 @@ def _onenorm(A: np.ndarray) -> float:
     return float(np.abs(A).sum(axis=0).max())
 
 
-def _ell(A: np.ndarray, m: int, scale: float = 1.0) -> int:
+def _ell(absA: np.ndarray, norm: float, m: int, scale: float = 1.0) -> int:
     """Extra squarings that keep the order-``m`` Pade backward error of
     ``scale * A`` at the unit roundoff ``u = 2**-53`` (Al-Mohy and Higham
     2009, eq. (5.1)): ``ceil(log2(alpha / u) / 2m)``, at least 0, with
-    ``alpha = |c_{2m+1}| ||abs(A)^(2m+1)||_1 / ||A||_1``.
+    ``alpha = |c_{2m+1}| ||absA^(2m+1)||_1 / norm``, ``absA = abs(A)`` and
+    ``norm = ||A||_1`` (formed once per exponential).
 
     ``alpha <= |c_{2m+1}| ||A||_1^(2m)``, so a matrix whose norm keeps that
     bound at ``u / 2`` needs none, and no power is formed.  Otherwise the
     norm of the nonnegative power is exact: the column sums, by ``2m + 1``
     vector-matrix products, each multiplied by ``scale`` (a power of 2, so
     exactly as if ``A`` were) rather than copying ``A``."""
-    absA = np.abs(A)
-    norm = scale * float(absA.sum(axis=0).max())
+    norm *= scale
     f = math.factorial
     c = float(f(m) ** 2) / (f(2 * m) * f(2 * m + 1))
     if norm <= (2.0**-54 / c) ** (1 / (2 * m)):  # the bound, solved for the norm
         return 0
-    sums = np.ones(len(A))
+    sums = np.ones(len(absA))
     for _ in range(2 * m + 1):
         sums = sums @ absA
         if scale != 1.0:
@@ -213,21 +213,23 @@ def _expm(A: np.ndarray) -> np.ndarray:
     formed only for its norm and no estimate is random.  An ``A`` whose
     powers overflow gives NaN.
     """
+    absA = np.abs(A)  # for _ell, which every finite A reaches
+    norm = float(absA.sum(axis=0).max())
     A2 = A @ A
     d2 = _onenorm(A2) ** (1 / 2)
     powers = [A2]  # A^2, A^4, ... up to A^(m-1)
     m = 3
-    if not (d2 <= _PADE_THETA[3] and _ell(A, 3) == 0):
+    if not (d2 <= _PADE_THETA[3] and _ell(absA, norm, 3) == 0):
         powers.append(A2 @ A2)
         n4 = _onenorm(powers[1])
         m = 5
         if not (max(n4 ** (1 / 4), (n4 * d2**2) ** (1 / 6)) <= _PADE_THETA[5]
-                and _ell(A, 5) == 0):
+                and _ell(absA, norm, 5) == 0):
             powers.append(powers[1] @ A2)
             n6 = _onenorm(powers[2])
             d8 = min(n4 ** (1 / 4), (n6 * d2**2) ** (1 / 8))
             eta = max(n6 ** (1 / 6), d8)
-            m = next((k for k in (7, 9) if eta <= _PADE_THETA[k] and _ell(A, k) == 0), 13)
+            m = next((k for k in (7, 9) if eta <= _PADE_THETA[k] and _ell(absA, norm, k) == 0), 13)
     if m == 9:
         powers.append(powers[1] @ powers[1])
     s = 0
@@ -236,9 +238,10 @@ def _expm(A: np.ndarray) -> np.ndarray:
         if not math.isfinite(eta):
             return np.full_like(A, np.nan)
         s = max(math.ceil(math.log2(eta / _PADE_THETA[13])), 0) if eta > 0 else 0
-        s += _ell(A, 13, 2.0**-s)
+        s += _ell(absA, norm, 13, 2.0**-s)
         for k, P in enumerate(powers, 1):  # A^2k of the scaled A, in place
             P *= 2.0 ** (-2 * k * s)
+    del absA  # no _ell call follows: one B x B array less at the peak below
     # U and V are summed one term at a time, the order-13 products first,
     # then the powers from the highest down, each freed once both hold it:
     # at most six B x B arrays live besides A.

@@ -245,6 +245,8 @@ def trajectory_to_csv(rec: TrajectoryRecord, cards: Sequence[int],
     if header_comment:
         buf.write(f"# {header_comment}\n")
     buf.write("time,dying_type,new_type\n")
+    codes = {code for _, y, x in rec.events for code in (y, x)}
+    tokens = {code: type_token(cards, code) for code in codes}  # each formatted once
     for t, y, x in rec.events:
-        buf.write(f"{t:.17g},{type_token(cards, y)},{type_token(cards, x)}\n")
+        buf.write(f"{t:.17g},{tokens[y]},{tokens[x]}\n")
     return buf.getvalue()

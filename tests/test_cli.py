@@ -657,6 +657,22 @@ class TestOutputPostcondition:
         assert main(["expectations", "--config", str(path)]) == 5
         assert not (tmp_path / "out" / "expected_sampling.csv").exists()
 
+    @pytest.mark.parametrize("command", ["expectations", "lde", "simulate-forward",
+                                         "duality-check"])
+    @pytest.mark.parametrize("where", ["out-is-a-file", "out-under-a-file",
+                                       "run-json-is-a-directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = {"out-is-a-file": blocker, "out-under-a-file": blocker / "out",
+               "run-json-is-a-directory": tmp_path / "out"}[where]
+        if where == "run-json-is-a-directory":  # the directory is made, a write fails
+            (out / "run.json").mkdir(parents=True)
+        path = write_config(tmp_path, out=str(out))
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+        assert blocker.read_text() == "kept\n"
+
 
 class TestFixationCommand:
     def test_zero_crossover_prints_initial_frequencies(self, tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Grid stepping, the in-package matrix exponential and its step cache, and
 the block-by-block CSV writer against their oracles."""
 
+import errno
+import os
+import signal
 import sys
+import tempfile
 import threading
 
 import numpy as np
@@ -14,6 +18,7 @@ from moranrec import (
     DiffusionRates,
     PopulationState,
     SiteSpace,
+    cli,
     expected_sampling,
     expectations,
     lde_trajectory,
@@ -185,6 +190,14 @@ def assert_writer_matches_oracle(tmp_path, traj) -> None:
     ref = oracles.expectations_to_csv(traj.times, traj.partitions, traj.cards,
                                       traj.values, "stamp")
     assert path.read_bytes() == ref.encode()
+    assert_no_trace(tmp_path)
+
+
+def assert_no_trace(directory) -> None:
+    """No child of this process is left, and ``directory`` holds only the output."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(directory) == ["out.csv"]
 
 
 def test_writer_matches_oracle_mixed_alphabets(tmp_path):
@@ -209,3 +222,131 @@ def test_writer_matches_oracle_on_signed_lde_values(tmp_path):
     traj = lde_trajectory(bwd, z0, (1, 2, 3), [0.0, 0.4, 2.0])
     assert (traj.values < 0).any()
     assert_writer_matches_oracle(tmp_path, traj)
+
+
+def writer_cases():
+    """Trajectories by name, of 4 to 15 (time, partition) blocks."""
+    bwd = BackwardModel(3, 6, random_recomb(3, 7))
+    z0 = random_population(binary_space(3), 6, seed=7)
+    mixed = SiteSpace((2, 3))
+    return {
+        "one-time": expected_sampling(bwd, z0, [0.7]),  # 5 blocks
+        "one-partition": expected_sampling(BackwardModel(1, 4, random_recomb(1, 1)),
+                                           random_population(SiteSpace((3,)), 4, seed=1),
+                                           [0.0, 0.5, 1.0, 2.0]),  # 4 blocks
+        "mixed-alphabets": expected_sampling(BackwardModel(2, 5, random_recomb(2, 5)),
+                                             random_population(mixed, 5, seed=5),
+                                             [0.0, 0.3, 1.7]),  # 6 blocks
+        "uneven": expected_sampling(bwd, z0, [0.0, 0.4, 2.0]),  # 15 blocks
+    }
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Let every value start a share, and set the CPUs the writer may use."""
+    monkeypatch.setattr(cli, "_SHARE_MIN", 1)
+    return lambda count: monkeypatch.setattr(os, "sched_getaffinity",
+                                             lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls of ``os.fork``, one entry each."""
+    calls, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real())
+    return calls
+
+
+@pytest.mark.parametrize("name", ["one-time", "one-partition", "mixed-alphabets", "uneven"])
+def test_forked_writers_match_oracle(tmp_path, cpus, forks, name):
+    traj = writer_cases()[name]
+    blocks = traj.values.shape[0] * traj.values.shape[1]
+    for count in (2, 3, blocks + 2):
+        forks.clear()
+        cpus(count)
+        assert_writer_matches_oracle(tmp_path, traj)
+        assert len(forks) == min(count, blocks) - 1
+
+
+@pytest.mark.parametrize("share_min,cpu_count,expected", [
+    (40, 8, 3),  # 120 values: one writer per 40
+    (121, 8, 1),  # fewer values than one share
+    (1, 2, 2),  # the CPUs bound it
+])
+def test_writer_count_follows_share_rule(tmp_path, cpus, forks, monkeypatch, share_min,
+                                         cpu_count, expected):
+    traj = writer_cases()["uneven"]
+    assert traj.values.size == 120
+    monkeypatch.setattr(cli, "_SHARE_MIN", share_min)
+    cpus(cpu_count)
+    assert_writer_matches_oracle(tmp_path, traj)
+    assert len(forks) == expected - 1
+
+
+def test_writer_count_without_affinity_or_fork(tmp_path, cpus, forks, monkeypatch):
+    traj = writer_cases()["uneven"]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert_writer_matches_oracle(tmp_path, traj)
+    assert len(forks) == 2
+    monkeypatch.delattr(os, "fork")  # no process may be forked now
+    assert_writer_matches_oracle(tmp_path, traj)
+
+
+def _fail_in_children(monkeypatch, how):
+    """Make each forked writer fail by ``how`` before it finishes its share."""
+    parent, real = os.getpid(), tempfile.TemporaryFile
+
+    def temporary_file(*args, **kwargs):
+        file = real(*args, **kwargs)
+        write = file.write
+
+        def failing(text):
+            if os.getpid() != parent:
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise OSError(errno.ENOSPC, "no space left on device")
+            return write(text)
+
+        file.write = failing
+        return file
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+
+
+@pytest.mark.parametrize("failure", ["fork", "temporary-file", "child-raises", "child-killed"])
+def test_writer_does_failed_shares_itself(tmp_path, cpus, monkeypatch, failure):
+    traj = writer_cases()["uneven"]
+    cpus(4)
+    if failure == "fork":
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", no_fork)
+    elif failure == "temporary-file":
+        def no_file(*args, **kwargs):
+            raise OSError(errno.EROFS, "Read-only file system")
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
+    else:
+        _fail_in_children(monkeypatch, failure.split("-")[1])
+    assert_writer_matches_oracle(tmp_path, traj)
+
+
+class _InterruptedInParent(np.ndarray):
+    """Values whose rows the forking process cannot read: an interrupt there."""
+
+    parent = os.getpid()
+
+    def tolist(self):
+        if os.getpid() == self.parent:
+            raise KeyboardInterrupt
+        return super().tolist()
+
+
+def test_interrupted_writer_leaves_no_child_and_no_file(tmp_path, cpus):
+    traj = writer_cases()["uneven"]
+    cpus(4)
+    values = traj.values.view(_InterruptedInParent)
+    with pytest.raises(KeyboardInterrupt):
+        expectations_to_csv(tmp_path / "out.csv", traj.times, traj.partitions, traj.cards,
+                            values, "stamp")
+    assert_no_trace(tmp_path)
