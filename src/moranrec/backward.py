@@ -302,6 +302,10 @@ def simulate_backward(model: BackwardModel, sigma0: Partition, t_end: float,
     return PartitionTrajectory(sigma0, tuple(events), seed, replicate, t_end)
 
 
+# each distinct state is formatted once for all replicates, up to the state cache's size
+_label = lru_cache(maxsize=STATE_CACHE_SIZE)(format_partition)
+
+
 def partition_trajectory_to_csv(rec: PartitionTrajectory,
                                 header_comment: str | None = None) -> str:
     """Serialize as ``time,partition`` rows; the partition field is quoted."""
@@ -309,12 +313,8 @@ def partition_trajectory_to_csv(rec: PartitionTrajectory,
     if header_comment:
         buf.write(f"# {header_comment}\n")
     buf.write("time,partition\n")
-    labels: dict[Partition, str] = {}  # each distinct state is formatted once
     for t, p in rec.events:
-        label = labels.get(p)
-        if label is None:
-            label = labels[p] = format_partition(p)
-        buf.write(f'{t:.17g},"{label}"\n')
+        buf.write(f'{t:.17g},"{_label(p)}"\n')
     return buf.getvalue()
 
 

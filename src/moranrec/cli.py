@@ -69,7 +69,7 @@ like one above the individual cap, leaves no ``run.json`` and no
 replicate CSV behind), 4 duality-check defect above tolerance,
 5 output check failed (``expectations`` found a non-finite value or a
 block that is not a probability vector, or ``lde`` a non-finite value; no
-CSV is written).
+CSV is written), 130 interrupted (Ctrl-C; outputs may be incomplete).
 """
 
 from __future__ import annotations
@@ -668,6 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    cfg = None
     try:
         cfg = load_config(args.config, args)
         if args.command in EXACT_COMMANDS and cfg.variant != "finite":
@@ -693,6 +694,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # config and population files raise ConfigError instead
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # the CSV writer has killed and reaped its children
+        print(f"interrupted: outputs under {cfg.out if cfg else 'the output directory'} "
+              "may be incomplete", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -8,12 +8,12 @@ of the partitioning generator.  That identity closes the moment hierarchy:
 the expectations of all sampling measures solve a linear ODE driven by the
 small partition-lattice generator, independently of the type coordinate.
 
-This module verifies the identity exactly, integrates the ODE (the matrix
-exponential of each grid step, by the scaling-and-squaring Pade method of
-:func:`_expm` on numpy alone, each step's exponential kept in a small
-cache), translates sampling expectations into expected linkage
-disequilibria, and evaluates the closed-form results available for two
-and three sites.
+This module verifies the identity exactly, integrates the ODE (on two
+sites in closed form; on three or more by the matrix exponential of each
+grid step, by the scaling-and-squaring Pade method of :func:`_expm` on
+numpy alone, each step's exponential kept in a small cache), translates
+sampling expectations into expected linkage disequilibria, and evaluates
+the closed-form results available for two and three sites.
 """
 
 from __future__ import annotations
@@ -307,18 +307,46 @@ def _step_propagator(backward: BackwardModel, h: float,
     return E
 
 
+def _pair_rates(r: float, N: int) -> tuple[float, float]:
+    """``(a, b)`` of the 2-site generator ``[[-a, a], [b, -b]]`` on ({12}, {1|2}),
+    ``a = r (N-1) / N`` and ``b = 2 / N``, rounded as :func:`generator_theta` rounds them."""
+    return r / N**2 * (N * (N - 1)), 2 / N
+
+
+def _solve_pair(r: float, m: Measure, N: int, t: np.ndarray) -> np.ndarray:
+    """:func:`_solve` on two sites, in closed form at each time of ``t``.
+
+    With ``(a, b)`` from :func:`_pair_rates`, ``lam = a + b``, ``whole = n / N`` and
+    ``split = (rowsums x colsums - n) / (N (N-1))`` for the counts ``n``,
+    their common limit ``c = (b whole + a split) / lam`` and ``d = whole - split``:
+    ``whole(t) = c + (a / lam) e^(-lam t) d``, ``split(t) = c - (b / lam) e^(-lam t) d``,
+    evaluated through ``expm1`` from ``y0``, which they keep exactly at ``t = 0``.
+    ``N = 1`` keeps {12} alone, where ``a = 0`` and ``y(t) = y0``.
+    """
+    n = m.as_grid()
+    whole = n.ravel() * (1 / N)
+    # the split rows of one individual are 0 and dropped
+    split = (np.outer(n.sum(axis=1), n.sum(axis=0)) - n).ravel() * (1 / max(N * (N - 1), 1))
+    a, b = _pair_rates(r, N)
+    d = np.expm1(-(a + b) * t)[:, None] * ((whole - split) / (a + b))
+    return np.stack([whole + a * d, split - b * d], axis=1)[:, :N]
+
+
 def _solve(backward: BackwardModel, m: Measure, N: int, times) -> tuple[np.ndarray, np.ndarray]:
     """The sorted grid and the values of :func:`expected_sampling` for the
     counting measure ``m`` of ``N`` individuals, whose ``k``-th site is site
     ``k`` of ``backward``: (time, partition with at most ``N`` blocks in
-    lattice order, type).  No partition is built, and the generator is
-    built at most once, on the first step missing from the cache of
-    :func:`_step_propagator`."""
+    lattice order, type).  A 2-site model takes :func:`_solve_pair`, with no
+    lattice, generator, exponential or cache; more sites step along the grid.
+    No partition is built, and the generator is built at most once, on the
+    first step missing from the cache of :func:`_step_propagator`."""
     t = assert_sorted_times(times)
     if N != backward.N:
         raise ValueError(f"population holds {N} individuals, model expects {backward.N}")
     if backward.variant != "finite":
         raise ValueError("expected_sampling needs the finite variant")
+    if backward.n == 2:
+        return t, _solve_pair(backward.recomb.crossover[0], m, N, t)
     keep = np.flatnonzero(lattice(backward.n).sizes <= backward.N)
     generator = cache(lambda: generator_theta_dense(backward)[np.ix_(keep, keep)])
     y = sampling_stack(m, N)
@@ -340,7 +368,10 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState,
     """Expected sampling measures of the evolving population, all partitions.
 
     Solves the closed linear ODE with the partitioning generator acting on
-    the initial sampling stack, stepping along the sorted grid from time 0:
+    the initial sampling stack.  Two sites take its closed form at each time,
+    with no stepping, exponential or cache (:func:`_solve_pair`: the rows relax
+    to their common limit as ``e^(-lam t)``, ``lam = (r (N-1) + 2) / N``).
+    Three or more sites step along the sorted grid from time 0:
     ``y_i = expm(G h_i) @ y_{i-1}`` with ``h_i = t_i - t_{i-1}``.  The
     exponential ``E = expm(G h)`` of the last step ``h`` taken is reused
     while ``|h_i - h| <= 4 eps t_i`` (``eps`` the float64 machine epsilon)
@@ -423,6 +454,9 @@ def lde_trajectory(backward: BackwardModel, z0: PopulationState, u,
     expected sampling measures of the ``u``-marginal population are solved
     on the Bell(|u|) lattice of ``u``, mapped by :func:`lde_transform` and
     relabelled to the sites of ``u``.  Only ``|u|`` is capped, not ``n``.
+    A pair is solved in the closed form of :func:`_solve_pair`, ``r`` the
+    marginal crossover probability (the sum over the gaps between its
+    sites), so it builds no generator and computes no exponential.
     """
     if backward.variant != "finite":
         raise ValueError("lde_trajectory needs the finite variant")

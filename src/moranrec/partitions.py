@@ -184,7 +184,7 @@ class Lattice:
         radix = self.k ** np.arange(self.k - 1, -1, -1)
         code = self.rgs @ radix  # ascending in lattice order
         groups = []
-        for m in np.unique(self.sizes).tolist():
+        for m in sorted(set(self.sizes.tolist())):  # np.unique would import numpy.ma
             up = self if m == self.k else lattice(m)
             a = np.flatnonzero(self.sizes == m)
             coarse = up.rgs[:, self.rgs[a]]  # (coarsening, a, position)

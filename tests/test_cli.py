@@ -673,6 +673,17 @@ class TestOutputPostcondition:
         assert capsys.readouterr().err.startswith("error: cannot write output: ")
         assert blocker.read_text() == "kept\n"
 
+    def test_interrupt_exits_130_without_traceback(self, tmp_path, monkeypatch, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "expectations_to_csv", interrupted)
+        path = write_config(tmp_path)
+        assert main(["expectations", "--config", str(path)]) == 130
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"interrupted: outputs under {tmp_path / 'out'} may be incomplete\n"
+
 
 class TestFixationCommand:
     def test_zero_crossover_prints_initial_frequencies(self, tmp_path, capsys):
@@ -709,21 +720,22 @@ class TestGeneratorsCommand:
             assert np.array_equal(dense, gen.matrix.toarray())
 
 
-# Runs in a fresh interpreter: the scipy modules loaded after importing the
-# CLI, after each simulate command, and after each exact command.
+# Runs in a fresh interpreter: the scipy and numpy.ma modules loaded after
+# importing the CLI, after each simulate command, and after each exact command.
 _STARTUP_SCRIPT = """
 import json, sys
 import moranrec.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def unwanted_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])
 
-seen = {"import": scipy_modules()}
+seen = {"import": unwanted_modules()}
 for command, *flags in (["simulate-forward"], ["simulate-backward"],
                         ["simulate-backward", "--variant", "diffusion"], ["duality-check"],
                         ["generators"], ["fixation"], ["expectations"], ["lde"]):
     assert moranrec.cli.main([command, "--config", "config.json", *flags]) == 0, command
-    seen[" ".join([command, *flags])] = scipy_modules()
+    seen[" ".join([command, *flags])] = unwanted_modules()
 print(json.dumps(seen))
 """
 

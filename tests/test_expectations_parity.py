@@ -1,7 +1,8 @@
-"""Grid stepping, the in-package matrix exponential and its step cache, and
-the block-by-block CSV writer against their oracles."""
+"""Grid stepping, the in-package matrix exponential and its step cache, the
+2-site closed form, and the block-by-block CSV writer against their oracles."""
 
 import errno
+import json
 import os
 import signal
 import sys
@@ -17,6 +18,7 @@ from moranrec import (
     BackwardModel,
     DiffusionRates,
     PopulationState,
+    RecombinationDistribution,
     SiteSpace,
     cli,
     expected_sampling,
@@ -182,6 +184,76 @@ def test_step_cache_shared_by_threads(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert len(expectations._steps) <= 2
+
+
+PAIR_NS = (1, 2, 3, 12, 100)
+# unequal crossovers whose pairs cover the marginal probabilities 0, 0.1 and 0.9
+FIVE_SITE_RECOMB = RecombinationDistribution(5, (0.1, 0.0, 0.35, 0.45))
+
+
+@pytest.mark.parametrize("N", PAIR_NS)
+@pytest.mark.parametrize("r", [0.0, 0.1, 0.9])
+@pytest.mark.parametrize("cards", [(2, 2), (3, 2)])
+def test_two_site_closed_form_matches_per_time_expm(N, r, cards):
+    bwd = BackwardModel(2, N, RecombinationDistribution(2, (r,)))
+    z0 = random_population(SiteSpace(cards), N, seed=N + cards[0])
+    for name, grid in GRIDS.items():
+        got = expected_sampling(bwd, z0, grid)
+        ref = oracles.expected_sampling(bwd, z0, grid)
+        assert got.partitions == ref.partitions
+        assert np.array_equal(got.times, ref.times)
+        assert np.abs(got.values - ref.values).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("N", PAIR_NS)
+def test_pair_lde_matches_the_full_lattice(N):
+    bwd = BackwardModel(5, N, FIVE_SITE_RECOMB)
+    z0 = random_population(SiteSpace((3, 2, 2, 3, 2)), N, seed=N)
+    pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+    assert {round(bwd.recomb.marginal(u).crossover[0], 12) for u in pairs} >= {0.0, 0.1, 0.9}
+    for name, grid in GRIDS.items():
+        for u in pairs:
+            got = lde_trajectory(bwd, z0, u, grid)
+            ref = oracles.lde_trajectory(bwd, z0, u, grid)
+            assert got.partitions == ref.partitions and got.cards == ref.cards
+            assert np.array_equal(got.times, ref.times)
+            assert np.abs(got.values - ref.values).max() <= 1e-12, (name, u)
+
+
+@pytest.mark.parametrize("N", PAIR_NS)
+@pytest.mark.parametrize("r", [0.0, 0.1, 0.9])
+def test_pair_rates_are_the_generator_off_diagonals(N, r):
+    theta = generator_theta_dense(BackwardModel(2, N, RecombinationDistribution(2, (r,))))
+    # with one individual {1|2} is unreachable, and its row of the generator is 0
+    assert expectations._pair_rates(r, N)[:N] == (theta[0, 1], theta[1, 0])[:N]
+
+
+def test_pairs_make_no_exponential_and_fill_no_cache(expm_calls, monkeypatch):
+    built = []
+    monkeypatch.setattr(expectations, "generator_theta_dense", built.append)
+    monkeypatch.setattr(expectations, "sampling_stack", built.append)
+    bwd = BackwardModel(5, 12, FIVE_SITE_RECOMB)
+    lde_trajectory(bwd, random_population(binary_space(5), 12, seed=2), (2, 4), GRIDS["irregular"])
+    expected_sampling(BackwardModel(2, 12, RecombinationDistribution(2, (0.3,))),
+                      random_population(binary_space(2), 12, seed=2), GRIDS["irregular"])
+    assert expm_calls == [] and built == [] and expectations._steps == {}
+
+
+def test_two_site_expectations_at_an_enormous_time_are_probabilities(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "sites": 2, "alphabet_sizes": 2, "population_size": 5, "crossover_probs": [0.2],
+        "initial_counts": [2, 1, 0, 2], "initial_partition": "1,2", "t_end": 1.0,
+        "grid": [0.0, 1e10], "replicates": 1, "seed": 1, "out": str(tmp_path / "out")}))
+    assert cli.main(["expectations", "--config", str(config)]) == 0
+    traj = expected_sampling(BackwardModel(2, 5, RecombinationDistribution(2, (0.2,))),
+                             PopulationState.from_counts(binary_space(2), [2, 1, 0, 2]),
+                             [0.0, 1e10])
+    values = oracles.expectations_from_csv(
+        (tmp_path / "out" / "expected_sampling.csv").read_text(), (2, 2), traj.partitions,
+        traj.times)
+    assert np.array_equal(values, traj.values)
+    assert np.abs(values.sum(axis=-1) - 1).max() <= 1e-12
 
 
 def assert_writer_matches_oracle(tmp_path, traj) -> None:
