@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import InvalidInitialError, SizeCapError
 from .markov import GeneratorMatrix
+from .measures import FORMAT_CHUNK, format_g17
 from .operators import DiffusionRates, RecombinationDistribution
 from .partitions import Block, Partition, format_partition, lattice
 
@@ -321,13 +322,21 @@ def partition_trajectory_to_csv(rec: PartitionTrajectory,
 def generator_to_csv(gen: GeneratorMatrix, partitions: Sequence[Partition],
                      header_comment: str | None = None) -> str:
     """Dense CSV with ``partitions``, the states of the rows in order, as header row."""
-    buf = io.StringIO()
+    buf = io.BytesIO()
     if header_comment:
-        buf.write(f"# {header_comment}\n")
+        buf.write(f"# {header_comment}\n".encode())
     labels = [format_partition(p) for p in partitions]
-    buf.write("state," + ",".join(f'"{lab}"' for lab in labels) + "\n")
+    buf.write(("state," + ",".join(f'"{lab}"' for lab in labels) + "\n").encode())
     dense = gen.toarray()
-    for lab, values in zip(labels, dense, strict=True):
-        row = ",".join(f"{v:.17g}" for v in values)
-        buf.write(f'"{lab}",{row}\n')
-    return buf.getvalue()
+    B = dense.shape[1]
+    per = max(1, FORMAT_CHUNK // B)  # rows per call of the formatter
+
+    def rows():
+        for lo in range(0, len(dense), per):
+            text = format_g17(dense[lo:lo + per].ravel())
+            for j in range(0, len(text), B):
+                yield b",".join(text[j:j + B])
+
+    for lab, row in zip(labels, rows(), strict=True):
+        buf.write(f'"{lab}",'.encode() + row + b"\n")
+    return buf.getvalue().decode()

@@ -106,9 +106,11 @@ from .expectations import (
 )
 from .forward import ForwardModel, simulate_forward, trajectory_to_csv
 from .measures import (
+    FORMAT_CHUNK,
     PopulationState,
     SiteSpace,
     csv_table,
+    format_g17,
     measure_from_csv,
     measure_to_csv,
     type_token,
@@ -133,7 +135,9 @@ MASS_TOL = 1e-10
 # types of the ``simulate-forward`` summary.
 DEFAULT_OUTPUT_CAP = 2**27
 
-_SHARE_MIN = 2**16  # values per share of expectations_to_csv: about 50 ms of %.17g
+# Values per share of expectations_to_csv: 20-30 ms of formatting and writing, against
+# 2-3 ms to fork a 300 MiB process.
+_SHARE_MIN = 2**16
 
 _ALLOWED_KEYS = {
     "sites", "alphabet_sizes", "population_size", "crossover_probs", "rho",
@@ -403,6 +407,11 @@ def expectations_to_csv(path: Path, times, partitions, cards, values,
                         comment: str) -> None:
     """Write rows ``time,partition,type,value`` of a (times, partitions, types) block.
 
+    Each value is written as ``%.17g`` writes it, through
+    :func:`~moranrec.measures.format_g17` on chunks of at most ``FORMAT_CHUNK``
+    values: whole (time, partition) blocks, or pieces of one block with more
+    types.
+
     The (time, partition) blocks go in ``W`` contiguous shares, ``W`` the least
     of the block count, the CPUs this process may run on and one per
     ``_SHARE_MIN`` values (1 without ``os.fork``).  Forked children write all
@@ -412,27 +421,35 @@ def expectations_to_csv(path: Path, times, partitions, cards, values,
     reaps every child.
     """
     labels = [f'"{format_partition(p)}",' for p in partitions]  # each formatted once
-    prefixes = [f"{t:.17g},{label}" for t in times for label in labels]
-    # one %-template per block: the prefix (a time and a partition) holds no '%'
-    rows = [f"{type_token(cards, xi)},%.17g\n" for xi in range(values.shape[2])]
+    prefixes = [f"{t:.17g},{label}".encode() for t in times for label in labels]
+    # one %-template per block or piece: the prefix (a time and a partition) holds no '%'
+    rows = [f"{type_token(cards, xi)},%s\n".encode() for xi in range(values.shape[2])]
     flat = values.reshape(-1, values.shape[2])
+    K = flat.shape[1]
+    per, width = max(1, FORMAT_CHUNK // K), min(K, FORMAT_CHUNK)  # blocks, types per chunk
 
     def blocks(f, start: int, stop: int) -> None:
-        for prefix, row in zip(prefixes[start:stop], flat[start:stop]):
-            f.write((prefix + prefix.join(rows)) % tuple(row.tolist()))
+        for lo in range(start, stop, per):
+            chunk = flat[lo:min(lo + per, stop)]
+            for i in range(0, K, width):  # a block longer than a chunk goes in pieces
+                part = rows[i:i + width]
+                text = format_g17(chunk[:, i:i + width].ravel())
+                for b, j in enumerate(range(0, len(text), len(part)), lo):
+                    prefix = prefixes[b]
+                    f.write((prefix + prefix.join(part)) % tuple(text[j:j + len(part)]))
 
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = (len(affinity(0)) if affinity else os.cpu_count() or 1) if hasattr(os, "fork") else 1
     W = max(1, min(cpus, values.size // _SHARE_MIN, len(flat)))
     shares = [(len(flat) * k // W, len(flat) * (k + 1) // W) for k in range(W)]
-    with open(path, "w") as f, ExitStack() as temps:
-        f.write(f"# {comment}\ntime,partition,type,value\n")
+    with open(path, "wb") as f, ExitStack() as temps:
+        f.write(f"# {comment}\ntime,partition,type,value\n".encode())
         f.flush()  # a child inherits no buffered bytes
         parent, files, pids = os.getpid(), {}, {}  # by share: temporary files, unreaped children
         try:
             for k in range(1, W):
                 try:
-                    files[k] = temps.enter_context(tempfile.TemporaryFile("w", dir=path.parent))
+                    files[k] = temps.enter_context(tempfile.TemporaryFile(dir=path.parent))
                     pids[k] = os.fork()
                     if not pids[k]:  # the child formats share k and leaves by os._exit
                         blocks(files[k], *shares[k])

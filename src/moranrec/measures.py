@@ -16,6 +16,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -207,6 +208,79 @@ def measure_to_csv(m: Measure) -> str:
     for idx in range(m.n_states):
         buf.write(f"{type_token(m.cards, idx)},{m.weights[idx]:.17g}\n")
     return buf.getvalue()
+
+
+# Values per call of format_g17 in the table writers.  Its temporaries then stay in
+# a core's cache: 130-180 ns a value, against 320-330 ns in calls of 2**16.
+FORMAT_CHUNK = 2**13
+
+_SPLITTER = 2.0**27 + 1  # Dekker's: splits a double into two halves of 26 bits
+
+
+def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    t = _SPLITTER * v
+    high = t - (t - v)
+    return high, v - high
+
+
+@cache
+def _g17_tables() -> tuple[np.ndarray, ...]:
+    """Digit quads, first digits, leads and the powers 10**17..10**20 with their halves."""
+    d = np.arange(10**4)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+    full = (48 + d).astype(np.uint8)
+    # the quad with its trailing zeros as NUL bytes, which end an S string
+    trimmed = np.where(np.cumsum(d[:, ::-1], axis=1)[:, ::-1] > 0, full, 0).astype(np.uint8)
+    quads = np.concatenate([full, trimmed]).view(np.uint32).ravel()
+    firsts = np.array([0, *b"123456789"], np.uint8)  # 0 only when every digit is 0
+    # S7 and the 17 digits make S24, which holds the longest %.17g: -1.2345678901234567e-308
+    leads = np.array([b"0.", b"0.0", b"0.00", b"0.000", b"0", b"", b"", b"",
+                      b"-0.", b"-0.0", b"-0.00", b"-0.000", b"-0"], "S7")
+    powers = 10.0 ** np.arange(17, 21)  # exact: 5**20 < 2**53
+    return quads, firsts, leads, powers, *_halves(powers)
+
+
+def format_g17(x: np.ndarray) -> list[bytes]:
+    """``b"%.17g" % v`` for every value ``v`` of the 1-D float64 array ``x``, in order.
+
+    Values with ``1e-4 <= |v| < 1`` and zeros are formatted in numpy: for the
+    decimal exponent ``e``, Dekker's error-free product gives ``|v| * 10**k``,
+    ``k = 16 - e``, as ``p + err`` exactly, so ``D = p + rint(err)`` is the
+    17-digit significand rounded half to even, as ``%.17g`` rounds (``p`` is
+    an even integer: its ulp is at least 2 in ``[1e16, 1e17]``).  Every other
+    value, and any ``D`` outside ``[1e16, 1e17)`` (where ``log10`` put ``e``
+    a decade off, a few ulps below a power of ten), goes through ``%.17g``.
+    """
+    quads, firsts, leads, powers, powers_hi, powers_lo = _g17_tables()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1.0)
+    a = np.where(fast, a, 0.5)
+    k = (-1 - np.clip(np.floor(np.log10(a)), -4, -1)).astype(np.intp)  # k - 17
+    a_hi, a_lo = _halves(a)
+    b_hi, b_lo = powers_hi[k], powers_lo[k]
+    p = a * powers[k]
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    D = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    ok = fast & (D >= 10**16) & (D < 10**17)
+    high, low4 = np.divmod(np.where(ok, D, 0), 10**8)
+    first, high = np.divmod(high.astype(np.uint32), 10**8)
+    q1, q2 = np.divmod(high, 10**4)
+    q3, q4 = np.divmod(low4.astype(np.uint32), 10**4)
+    # 17 digits at byte 3 of five words: first digit, then four quads; a quad
+    # comes trimmed when every quad after it is 0
+    words = np.empty((x.size, 5), np.uint32)
+    words.view(np.uint8)[:, 3] = firsts[first]
+    words[:, 4] = quads[q4 + 10**4]
+    zeros = q4 == 0
+    words[:, 3] = quads[q3 + 10**4 * zeros]
+    zeros &= q3 == 0
+    words[:, 2] = quads[q2 + 10**4 * zeros]
+    zeros &= q2 == 0
+    words[:, 1] = quads[q1 + 10**4 * zeros]
+    digits = words.view(np.uint8)[:, 3:].view("S17")[:, 0]
+    out = np.char.add(leads[np.where(ok, k, 4) + 8 * np.signbit(x)], digits)
+    slow = ~ok & (x != 0)
+    out[slow] = [b"%.17g" % v for v in x[slow].tolist()]
+    return out.tolist()
 
 
 def csv_table(text: str, header: Sequence[str]) -> tuple[list[str], Iterator[list[str]]]:

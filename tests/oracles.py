@@ -55,6 +55,7 @@ from moranrec import (
     EmptyBlockError,
     InvalidInitialError,
     ExpectationTrajectory,
+    GeneratorMatrix,
     Measure,
     OverlapError,
     Partition,
@@ -783,6 +784,18 @@ def expectations_to_csv(times, partitions, cards, values, comment: str) -> str:
             for xi in range(values.shape[2]):
                 lines.append(f'{t:.17g},"{ptxt}",{type_token(cards, xi)},'
                              f"{values[ti, pi, xi]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def generator_to_csv(gen: GeneratorMatrix, partitions: Sequence[Partition],
+                     header_comment: str | None = None) -> str:
+    """Dense CSV of a generator, one f-string ``%.17g`` per entry: the reference
+    for ``backward.generator_to_csv``."""
+    lines = [f"# {header_comment}"] if header_comment else []
+    labels = [format_partition(p) for p in partitions]
+    lines.append("state," + ",".join(f'"{lab}"' for lab in labels))
+    for lab, values in zip(labels, gen.toarray(), strict=True):
+        lines.append(f'"{lab}",' + ",".join(f"{v:.17g}" for v in values))
     return "\n".join(lines) + "\n"
 
 

@@ -15,8 +15,10 @@ from moranrec import (
     parse_partition,
     simulate_backward,
 )
+from moranrec import backward
 from moranrec.backward import generator_to_csv, partition_trajectory_to_csv
 
+import oracles
 from oracles import (
     _falling_weight,
     drop_block,
@@ -388,3 +390,17 @@ class TestPartitionCsv:
         labels, dense = generator_from_csv(generator_to_csv(gen, parts, "stamp"))
         assert labels == parts
         assert np.array_equal(dense, gen.matrix.toarray())
+
+    @pytest.mark.parametrize("chunk", [2**13, 160])  # 160: rows of 52 in threes, then one
+    @pytest.mark.parametrize("variant", ["finite", "deterministic", "diffusion"])
+    @pytest.mark.parametrize("n,N", [(3, 7), (5, 13)])
+    def test_generator_csv_matches_f_string_oracle(self, monkeypatch, n, N, variant, chunk):
+        monkeypatch.setattr(backward, "FORMAT_CHUNK", chunk)
+        rho = DiffusionRates(n, tuple(np.random.default_rng(n).uniform(0.01, 3.0, n - 1)))
+        model = BackwardModel(n, N, random_recomb(n, seed=n), variant, rho)
+        gen = generator_theta(model)
+        parts = enumerate_partitions(model.sites)
+        values = gen.toarray()
+        assert (values == 0).any() and ((np.abs(values) >= 1e-4) & (np.abs(values) < 1)).any()
+        assert generator_to_csv(gen, parts, "stamp") == oracles.generator_to_csv(gen, parts,
+                                                                                   "stamp")

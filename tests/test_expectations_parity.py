@@ -355,6 +355,14 @@ def test_writer_count_follows_share_rule(tmp_path, cpus, forks, monkeypatch, sha
     assert len(forks) == expected - 1
 
 
+@pytest.mark.parametrize("chunk", [1, 5, 8, 20])
+def test_writer_chunks_match_oracle(tmp_path, monkeypatch, chunk):
+    # 8 types a block: pieces of 1 and of 5 + 3 types, whole blocks one and two at a time
+    traj = writer_cases()["uneven"]
+    monkeypatch.setattr(cli, "FORMAT_CHUNK", chunk)
+    assert_writer_matches_oracle(tmp_path, traj)
+
+
 def test_writer_count_without_affinity_or_fork(tmp_path, cpus, forks, monkeypatch):
     traj = writer_cases()["uneven"]
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from moranrec import (
     measure_from_csv,
     measure_to_csv,
 )
-from moranrec.measures import type_token, parse_type_token, zero_site_measure
+from moranrec.measures import format_g17, type_token, parse_type_token, zero_site_measure
 
 from oracles import tensor_site_ordered
 from util import binary_space, random_measure
@@ -187,3 +189,30 @@ class TestCsv:
         text = "# stamped\n" + measure_to_csv(m)
         back = measure_from_csv(text, m.sites, m.cards)
         assert np.array_equal(back.weights, m.weights)
+
+
+def _g17_cases() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(23)
+    uniform = rng.random(10**6)
+    log_uniform = 10.0 ** rng.uniform(-7, 1, 10**6)
+    decades = 10.0 ** -np.arange(7)
+    decades = np.concatenate([decades, np.nextafter(decades, 0), np.nextafter(decades, 2)])
+    # every double m / 2**(k+1) with m odd whose product with 10**k, a half-integer,
+    # lies in [1e16, 1e17): a tie at the 17th digit
+    ties = np.concatenate([np.arange(2 * 10**16 // 5**k + 1 | 1, 2 * 10**17 // 5**k, 2)
+                           / 2.0 ** (k + 1) for k in range(17, 21)])
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, 1e300, np.inf, -np.inf, np.nan,
+                         1e-4, 9.9999999999999995e-5, 0.5, 1.5, 123.456, 2.0**-1074 * 3])
+    negatives = -np.concatenate([uniform[:10**4], log_uniform[:10**4], decades, ties])
+    return {"uniform": uniform, "log-uniform": log_uniform, "decades": decades,
+            "ties": ties, "specials": specials, "negatives": negatives, "empty": np.zeros(0)}
+
+
+@pytest.mark.parametrize("case", ["uniform", "log-uniform", "decades", "ties", "specials",
+                                  "negatives", "empty"])
+def test_format_g17_is_percent_17g(case):
+    values = _g17_cases()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = format_g17(values)
+    assert got == [b"%.17g" % v for v in values.tolist()]
