@@ -303,19 +303,16 @@ def simulate_backward(model: BackwardModel, sigma0: Partition, t_end: float,
     return PartitionTrajectory(sigma0, tuple(events), seed, replicate, t_end)
 
 
-# each distinct state is formatted once for all replicates, up to the state cache's size
-_label = lru_cache(maxsize=STATE_CACHE_SIZE)(format_partition)
-
-
 def partition_trajectory_to_csv(rec: PartitionTrajectory,
                                 header_comment: str | None = None) -> str:
-    """Serialize as ``time,partition`` rows; the partition field is quoted."""
+    """Serialize as ``time,partition`` rows; the partition field is quoted.  Each
+    state the simulator caches is formatted once, as its :attr:`Partition.label`."""
     buf = io.StringIO()
     if header_comment:
         buf.write(f"# {header_comment}\n")
     buf.write("time,partition\n")
     for t, p in rec.events:
-        buf.write(f'{t:.17g},"{_label(p)}"\n')
+        buf.write(f'{t:.17g},"{p.label}"\n')
     return buf.getvalue()
 
 

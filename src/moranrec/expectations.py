@@ -35,8 +35,8 @@ from .markov import (
     count_population_states,
     enumerate_population_states,
 )
-from .measures import Measure, PopulationState, SiteSpace, marginalize
-from .operators import block_products, sampling
+from .measures import Measure, PopulationState, SiteSpace
+from .operators import RecombinationDistribution, _gap_sums, block_products, sampling
 from .partitions import (
     Lattice,
     Partition,
@@ -67,11 +67,11 @@ def _sampling_rows(grid: np.ndarray, N: int) -> np.ndarray:
     return L.mobius.dot(rbar)[keep] * scale[:, None, None]
 
 
-def sampling_stack(m: Measure, N: int) -> np.ndarray:
-    """Matrix of normalized sampling measures of the counting measure ``m`` of
-    ``N`` individuals, one row per partition of its sites with at most ``N``
-    blocks, in lattice order."""
-    return _sampling_rows(m.as_grid()[None], N)[:, 0]
+def sampling_stack(grid: np.ndarray, N: int) -> np.ndarray:
+    """Matrix of normalized sampling measures of the counts ``grid`` of ``N``
+    individuals (one axis per site, as :meth:`Measure.as_grid`), one row per
+    partition of its sites with at most ``N`` blocks, in lattice order."""
+    return _sampling_rows(grid[None], N)[:, 0]
 
 
 def _need_sample(n: int, N: int) -> None:
@@ -307,13 +307,21 @@ def _step_propagator(backward: BackwardModel, h: float,
     return E
 
 
+@lru_cache(maxsize=4096)
+def _small_partitions(u: tuple[int, ...]) -> tuple[Partition, ...]:
+    """``enumerate_partitions(u)`` for a set ``u`` of at most 3 sites, kept for the
+    last 4096 sets: at most 20,480 partitions, about 5 MiB (250-260 bytes each).
+    Larger sets are enumerated per call: their solve costs 3-4 times as much."""
+    return tuple(enumerate_partitions(u))
+
+
 def _pair_rates(r: float, N: int) -> tuple[float, float]:
     """``(a, b)`` of the 2-site generator ``[[-a, a], [b, -b]]`` on ({12}, {1|2}),
     ``a = r (N-1) / N`` and ``b = 2 / N``, rounded as :func:`generator_theta` rounds them."""
     return r / N**2 * (N * (N - 1)), 2 / N
 
 
-def _solve_pair(r: float, m: Measure, N: int, t: np.ndarray) -> np.ndarray:
+def _solve_pair(r: float, n: np.ndarray, N: int, t: np.ndarray) -> np.ndarray:
     """:func:`_solve` on two sites, in closed form at each time of ``t``.
 
     With ``(a, b)`` from :func:`_pair_rates`, ``lam = a + b``, ``whole = n / N`` and
@@ -323,33 +331,39 @@ def _solve_pair(r: float, m: Measure, N: int, t: np.ndarray) -> np.ndarray:
     evaluated through ``expm1`` from ``y0``, which they keep exactly at ``t = 0``.
     ``N = 1`` keeps {12} alone, where ``a = 0`` and ``y(t) = y0``.
     """
-    n = m.as_grid()
     whole = n.ravel() * (1 / N)
     # the split rows of one individual are 0 and dropped
-    split = (np.outer(n.sum(axis=1), n.sum(axis=0)) - n).ravel() * (1 / max(N * (N - 1), 1))
+    split = (n.sum(axis=1)[:, None] * n.sum(axis=0) - n).ravel() * (1 / max(N * (N - 1), 1))
     a, b = _pair_rates(r, N)
     d = np.expm1(-(a + b) * t)[:, None] * ((whole - split) / (a + b))
-    return np.stack([whole + a * d, split - b * d], axis=1)[:, :N]
+    out = np.empty((t.size, 2, whole.size))
+    np.add(whole, a * d, out=out[:, 0])
+    np.subtract(split, b * d, out=out[:, 1])
+    return out[:, :N]
 
 
-def _solve(backward: BackwardModel, m: Measure, N: int, times) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted grid and the values of :func:`expected_sampling` for the
-    counting measure ``m`` of ``N`` individuals, whose ``k``-th site is site
-    ``k`` of ``backward``: (time, partition with at most ``N`` blocks in
-    lattice order, type).  A 2-site model takes :func:`_solve_pair`, with no
-    lattice, generator, exponential or cache; more sites step along the grid.
-    No partition is built, and the generator is built at most once, on the
-    first step missing from the cache of :func:`_step_propagator`."""
+def _solve(backward: BackwardModel, grid: np.ndarray, N: int, times,
+           gaps: tuple[float, ...] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The checked grid and the values of :func:`expected_sampling` for the counts
+    ``grid`` of ``N`` individuals, one axis per site of ``backward`` or, given
+    ``gaps``, of its marginal model with these crossover probabilities: (time,
+    partition with at most ``N`` blocks in lattice order, type).  A 2-site model
+    takes :func:`_solve_pair`, with no model, lattice, generator, exponential or
+    cache; more sites step along the grid.  No partition is built, and the
+    generator at most once, on the first step missing from :func:`_step_propagator`."""
     t = assert_sorted_times(times)
     if N != backward.N:
         raise ValueError(f"population holds {N} individuals, model expects {backward.N}")
     if backward.variant != "finite":
         raise ValueError("expected_sampling needs the finite variant")
-    if backward.n == 2:
-        return t, _solve_pair(backward.recomb.crossover[0], m, N, t)
+    k, gaps = grid.ndim, backward.recomb.crossover if gaps is None else gaps
+    if k == 2:
+        return t, _solve_pair(gaps[0], grid, N, t)
+    if k != backward.n:  # the marginal model: the step cache's key
+        backward = BackwardModel(k, N, RecombinationDistribution(k, gaps))
     keep = np.flatnonzero(lattice(backward.n).sizes <= backward.N)
     generator = cache(lambda: generator_theta_dense(backward)[np.ix_(keep, keep)])
-    y = sampling_stack(m, N)
+    y = sampling_stack(grid, N)
     values = np.empty((t.size, keep.size, y.shape[1]))
     step, E, prev = None, None, 0.0
     for i, ti in enumerate(t.tolist()):
@@ -388,7 +402,9 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState,
     with at most ``N`` blocks.  Those partitions are closed under the
     partitioning process, so the generator restricted to them is exact.
     """
-    t, values = _solve(backward, z0.measure, z0.N, times)
+    if z0.measure.sites != backward.sites:
+        raise ValueError(f"population covers sites {z0.measure.sites}, model 1..{backward.n}")
+    t, values = _solve(backward, z0.measure.as_grid(), z0.N, times)
     partitions = [p for p in enumerate_partitions(backward.sites) if len(p) <= backward.N]
     return ExpectationTrajectory(t, backward.sites, tuple(partitions), z0.measure.cards, values)
 
@@ -456,19 +472,22 @@ def lde_trajectory(backward: BackwardModel, z0: PopulationState, u,
     relabelled to the sites of ``u``.  Only ``|u|`` is capped, not ``n``.
     A pair is solved in the closed form of :func:`_solve_pair`, ``r`` the
     marginal crossover probability (the sum over the gaps between its
-    sites), so it builds no generator and computes no exponential.
+    sites), so it builds no model, generator or exponential.  The inputs are checked
+    once, ``u`` before the grid; up to 3 sites, the partitions come from :func:`_small_partitions`.
     """
     if backward.variant != "finite":
         raise ValueError("lde_trajectory needs the finite variant")
     if z0.measure.sites != backward.sites:
         raise ValueError(f"population covers sites {z0.measure.sites}, model 1..{backward.n}")
     u = site_set(u)
-    sub = BackwardModel(len(u), backward.N, backward.recomb.marginal(u))
-    zu = marginalize(z0.measure, u)
-    t, values = _solve(sub, zu, z0.N, times)
+    gaps = _gap_sums(backward.recomb.crossover, u)  # the crossovers of recomb.marginal(u)
+    grid = z0.measure.as_grid().sum(axis=tuple(s - 1 for s in backward.sites if s not in u))
+    t, values = _solve(backward, grid, z0.N, times, gaps)
+    k, N = len(u), backward.N
     # columns with more than N blocks are zero and absent from the solve
-    T = lde_transform(sub.n, sub.N)[:, lattice(sub.n).sizes <= sub.N]
-    return ExpectationTrajectory(t, u, tuple(enumerate_partitions(u)), zu.cards, T @ values)
+    T = lde_transform(k, N) if N >= k else lde_transform(k, N)[:, lattice(k).sizes <= N]
+    parts = _small_partitions(u) if k <= 3 else tuple(enumerate_partitions(u))
+    return ExpectationTrajectory(t, u, parts, grid.shape, T @ values)
 
 
 @dataclass(frozen=True, eq=False)

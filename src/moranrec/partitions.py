@@ -82,6 +82,11 @@ class Partition:
     def __str__(self) -> str:
         return format_partition(self)
 
+    @cached_property
+    def label(self) -> str:
+        """:func:`format_partition` of this partition, formatted once and kept with it."""
+        return format_partition(self)
+
 
 EMPTY = Partition(())
 

@@ -14,7 +14,11 @@ from one ``recombinator_bar`` call per state and partition) that the
 package replaced with whole-array products, the recursive enumeration of
 population states that the package replaced with a successor loop, the
 full-lattice LDE trajectory that the package replaced with a solve on the
-lattice of the subset, the per-measure loops that the package replaced
+lattice of the subset, the subset solve composed of the marginal model, the
+marginal measure, the sliced ``lde_transform`` and a fresh enumeration
+(``marginal_lde_trajectory``), with the three-pass grid check
+(``checked_times``), that the package replaced with inputs checked once
+and the marginal counts as a grid, the per-measure loops that the package replaced
 with one block-marginal product kernel and one-row Mobius products
 (``recombinator_bar`` from marginals and ``tensor_site_ordered``, the
 ``sampling_bar`` and ``lde_operator`` sums, the head/tail replacement
@@ -77,6 +81,7 @@ from moranrec import (
 )
 from moranrec import backward as backward_module
 from moranrec.backward import _merge_into
+from moranrec.expectations import _solve
 from moranrec.expectations import expected_sampling as stepped_expected_sampling
 from moranrec.expectations import lde_transform as lattice_lde_transform
 from moranrec.expectations import sampling_stack
@@ -743,7 +748,7 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState,
     keep = [i for i, p in enumerate(states) if len(p) <= backward.N]
     partitions = [states[i] for i in keep]
     G = generator_theta(backward).matrix.toarray()[np.ix_(keep, keep)]
-    H0 = sampling_stack(z0.measure, z0.N)
+    H0 = sampling_stack(z0.measure.as_grid(), z0.N)
     values = np.empty((t.size, len(partitions), H0.shape[1]))
     for i, ti in enumerate(t):
         values[i] = expm(G * ti) @ H0
@@ -900,6 +905,38 @@ def lde_trajectory(backward: BackwardModel, z0: PopulationState, u,
             m = Measure(sites_S, space.cards, L_full[pi])
             values[ti, pi] = marginalize(m, u).weights
     return ExpectationTrajectory(traj.times, u, tuple(sub_partitions), cards_u, values)
+
+
+def checked_times(times) -> np.ndarray:
+    """The time grid as a float array, rejected by three checks in turn: shape,
+    finiteness, then order and sign."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError("time grid must be a nonempty 1-D sequence")
+    if not np.isfinite(t).all():
+        raise ValueError("time grid must be finite")
+    if np.any(np.diff(t) < 0) or t[0] < 0:
+        raise ValueError("time grid must be nondecreasing and nonnegative")
+    return t
+
+
+def marginal_lde_trajectory(backward: BackwardModel, z0: PopulationState, u,
+                            times) -> ExpectationTrajectory:
+    """Expected linkage disequilibria on the sites ``u``, composed of whole objects.
+
+    The marginal model ``BackwardModel(|u|, N, recomb.marginal(u))`` and the
+    marginal measure ``marginalize(z0.measure, u)`` go through the package's
+    solve, whose values ``lde_transform`` maps, its columns with more than
+    ``N`` blocks cut, onto the partitions of a fresh ``enumerate_partitions(u)``.
+    """
+    if backward.variant != "finite":
+        raise ValueError("lde_trajectory needs the finite variant")
+    u = site_set(u)
+    sub = BackwardModel(len(u), backward.N, backward.recomb.marginal(u))
+    zu = marginalize(z0.measure, u)
+    t, values = _solve(sub, zu.as_grid(), z0.N, times)
+    T = lattice_lde_transform(sub.n, sub.N)[:, lattice(sub.n).sizes <= sub.N]
+    return ExpectationTrajectory(t, u, tuple(enumerate_partitions(u)), zu.cards, T @ values)
 
 
 def _exit_rate(model: BackwardModel, a: Partition) -> float:

@@ -614,6 +614,26 @@ class TestExpectationsAndLde:
         block = expectations_from_csv(text, (2, 2), partitions, [0.0, 0.5, 1.0])
         assert np.isfinite(block).all()
 
+    @pytest.mark.parametrize("field", [
+        {"lde_sites": []}, {"lde_sites": [0, 1]}, {"lde_sites": [2, 9]},
+        {"grid": []}, {"grid": [[0.0, 1.0]]}, {"grid": 1.0}, {"grid": [0.0, float("nan")]},
+        {"grid": [0.0, float("inf")]}, {"grid": [-1.0, 0.0]}, {"grid": [0.0, 2.0, 1.0]},
+    ])
+    def test_lde_rejects_bad_sites_and_grids_with_exit_2(self, tmp_path, capsys, field):
+        path = write_config(tmp_path, **field)
+        assert main(["lde", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_lde_on_repeated_sites_writes_the_set_once(self, tmp_path):
+        rows = []
+        for sites in ([1, 2], [2, 1, 1]):
+            out = tmp_path / f"out{len(rows)}"
+            path = write_config(tmp_path, lde_sites=sites, out=str(out))
+            assert main(["lde", "--config", str(path)]) == 0
+            rows.append((out / "expected_lde.csv").read_text().split("\n", 1)[1])
+        assert rows[0] == rows[1]
+
     def test_lde_on_nine_sites_exceeds_the_cap(self, tmp_path, capsys):
         path = self._ten_site_config(tmp_path, list(range(1, 10)))
         assert main(["lde", "--config", str(path)]) == 3
@@ -722,10 +742,13 @@ class TestGeneratorsCommand:
 
 # Runs in a fresh interpreter: the scipy and numpy.ma modules, and the numpy
 # string modules of the CSV formatter, loaded after importing the CLI, after
-# each simulate command, and after each exact command.
+# one cold pair ``lde_trajectory`` call, after each simulate command, and after
+# each exact command.
 _STARTUP_SCRIPT = """
 import json, sys
 import moranrec.cli
+from moranrec import BackwardModel, PopulationState, RecombinationDistribution, SiteSpace
+from moranrec import lde_trajectory
 
 def unwanted_modules():
     return sorted(m for m in sys.modules
@@ -736,6 +759,10 @@ def string_modules():
                                                                ["numpy", "char"]))
 
 seen = {"import": [unwanted_modules(), string_modules()]}
+z0 = PopulationState.from_counts(SiteSpace((2, 2, 2)), [3, 0, 1, 2, 0, 1, 0, 5])
+lde_trajectory(BackwardModel(3, 12, RecombinationDistribution(3, (0.1, 0.2))), z0, (1, 3),
+               [0.0, 0.5, 1.0])
+seen["lde_trajectory pair"] = [unwanted_modules(), string_modules()]
 for command, *flags in (["simulate-forward"], ["simulate-backward"],
                         ["simulate-backward", "--variant", "diffusion"], ["duality-check"],
                         ["generators"], ["fixation"], ["expectations"], ["lde"]):
@@ -754,7 +781,7 @@ def test_simulators_start_without_scipy(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     seen = json.loads(run.stdout.splitlines()[-1])
-    early = ["import", "simulate-forward", "simulate-backward",
+    early = ["import", "lde_trajectory pair", "simulate-forward", "simulate-backward",
              "simulate-backward --variant diffusion", "duality-check"]
     assert list(seen) == early + ["generators", "fixation", "expectations", "lde"]
     assert all(unwanted == [] for unwanted, _ in seen.values())

@@ -149,7 +149,7 @@ class TestExpectedSampling:
         z0 = random_population(binary_space(3), 5, seed=7)
         traj = expected_sampling(bwd, z0, [0.0])
         assert traj.sites == (1, 2, 3)
-        direct = sampling_stack(z0.measure, z0.N)
+        direct = sampling_stack(z0.measure.as_grid(), z0.N)
         assert np.allclose(traj.values[0], direct, atol=1e-14)
 
     def test_values_stay_probability_measures(self):
@@ -189,7 +189,7 @@ class TestExpectedSampling:
         times = [0.0, 1.0, 4.0, 10.0]
         traj = expected_sampling(bwd, z0, times)
         theta = generator_theta(bwd).matrix
-        h0 = sampling_stack(z0.measure, z0.N)
+        h0 = sampling_stack(z0.measure.as_grid(), z0.N)
         rk4 = expectation_rk4(theta, h0, times, dt=1e-3)
         assert np.abs(rk4 - traj.values).max() < 1e-8
 

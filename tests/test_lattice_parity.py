@@ -157,7 +157,7 @@ def test_sampling_stack_matches_per_partition_sampling(n, N):
     parts = enumerate_partitions(range(1, n + 1))
     z = random_population(binary_space(n), N, seed=10 * n + N)
     old = np.array([sampling(p, z.measure).weights for p in parts])
-    assert np.abs(sampling_stack(z.measure, z.N) - old).max() <= 1e-12
+    assert np.abs(sampling_stack(z.measure.as_grid(), z.N) - old).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n,N", CASES)

@@ -30,7 +30,7 @@ from moranrec import (
     sampling_bar,
     simulate_backward,
 )
-from moranrec import backward
+from moranrec import backward, expectations
 
 from util import binary_space, random_measure, random_population, random_recomb
 
@@ -173,11 +173,17 @@ def test_operators_build_no_partition_beyond_the_argument(built):
 
 
 def test_lde_trajectory_labels_its_result_once(built):
+    expectations._small_partitions.cache_clear()  # no partitions held from earlier calls
     bwd = BackwardModel(6, 8, random_recomb(6, 8))
     z0 = random_population(binary_space(6), 8, seed=8)
     built.clear()
     traj = lde_trajectory(bwd, z0, range(1, 7), [0.0, 0.5])
     assert len(built) == len(traj.partitions) == 203
+    # a pair's partitions are built on its first call and kept for the next
+    built.clear()
+    for _ in range(3):
+        lde_trajectory(bwd, z0, (2, 5), [0.0, 0.5])
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
