@@ -17,19 +17,21 @@ lattice.  The simulator draws from the same moves, grouped in classes: a
 block kept whole, or a block cut after one of its sites, each at the rate
 at which it changes the state; where the fragments land is drawn after.
 It visits each state as its canonical tuple of blocks and reads the
-class table from a bounded cache of states, so an event costs three
-random draws and a few tuple operations.
+class table from its model's bounded table of states, keyed by the block
+tuple alone, and it reads each replicate's random stream as blocks of
+uniforms, so an event costs three or four uniforms from a list, a
+``log1p`` and a few tuple operations.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,9 +49,12 @@ VARIANTS = ("finite", "deterministic", "diffusion")
 # otherwise run until memory is exhausted.
 MAX_EVENTS = 100_000
 
-# Simulation states held by the state cache: twice the 4140 partitions of
-# the largest lattice, so two models of 8 sites fit at once.
+# Simulation states held by the state tables of all models together: every
+# state of one 8-site model (4140 partitions) and most of a second's.
 STATE_CACHE_SIZE = 8192
+
+# Uniforms the simulator draws from a replicate's stream in one call.
+_UNIFORM_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,6 @@ class BackwardModel:
         return tuple(range(1, self.n + 1))
 
 
-@lru_cache(maxsize=4096)
 def _split_choices(model: BackwardModel,
                    block: Block) -> tuple[tuple[tuple[Block, ...], float], ...]:
     """(fragments, weight) pairs: ``block`` whole, then cut after each of its
@@ -186,7 +190,8 @@ class PartitionTrajectory:
 
 
 class _State(NamedTuple):
-    """What the simulator needs of one state, built once per (model, blocks).
+    """What the simulator needs of one state, built once per model and
+    block tuple and kept in the model's :class:`_Table`.
 
     ``moves`` lists the move classes of positive rate as ``(j, fragments)``:
     block ``j`` kept whole (one fragment) or cut in two.  ``cum`` holds
@@ -202,9 +207,45 @@ class _State(NamedTuple):
     moves: tuple[tuple[int, tuple[Block, ...]], ...]
 
 
-@lru_cache(maxsize=STATE_CACHE_SIZE)
+class _Table(NamedTuple):
+    """The simulator's tables of one model: its states by canonical block
+    tuple, and the :func:`_split_choices` of their blocks by block."""
+
+    states: dict[tuple[Block, ...], _State]
+    splits: dict[Block, tuple[tuple[tuple[Block, ...], float], ...]]
+
+
+# One table per model.  Their states number at most STATE_CACHE_SIZE in all,
+# and a table's split choices at most one per block of its states, so the
+# tables stay bounded for any number of sites.  The lock guards every change
+# to the set of tables and every insertion of a state; lookups take no lock.
+_tables: dict[BackwardModel, _Table] = {}
+_tables_lock = threading.Lock()
+
+
+def _table(model: BackwardModel) -> _Table:
+    table = _tables.get(model)
+    if table is None:
+        with _tables_lock:
+            table = _tables.setdefault(model, _Table({}, {}))
+    return table
+
+
 def _state(model: BackwardModel, blocks: tuple[Block, ...]) -> _State:
-    """The cached :class:`_State` of the canonical block tuple ``blocks``.
+    """The :class:`_State` of the canonical block tuple ``blocks``, from
+    ``model``'s table, built on its first visit."""
+    table = _table(model)
+    return table.states.get(blocks) or _new_state(model, table, blocks)
+
+
+def _new_state(model: BackwardModel, table: _Table, blocks: tuple[Block, ...]) -> _State:
+    """Build the :class:`_State` of ``blocks`` into ``model``'s ``table``.
+
+    When the tables hold ``STATE_CACHE_SIZE`` states in all, the other
+    models' tables are dropped first, and then ``table`` is cleared if it
+    alone is full.  A path in another thread keeps the table it holds, and
+    counts it again from its next new state on, so each thread holds at
+    most one table beyond the bound, and only while its path runs.
 
     A class's rate is its :func:`_split_choices` weight times the chance
     that it changes the state.  Finite: a whole block must land on one of
@@ -226,37 +267,63 @@ def _state(model: BackwardModel, blocks: tuple[Block, ...]) -> _State:
         whole, cut = m - 1.0, 1.0
     moves, rates = [], []
     for j, block in enumerate(blocks):
-        for fragments, weight in _split_choices(model, block):
+        choices = table.splits.get(block)
+        if choices is None:
+            choices = table.splits[block] = _split_choices(model, block)
+        for fragments, weight in choices:
             rate = weight * (whole if len(fragments) == 1 else cut)
             if rate > 0.0:
                 moves.append((j, fragments))
                 rates.append(rate)
     cum = tuple(accumulate(rates))
     rest = tuple(blocks[:j] + blocks[j + 1:] for j in range(m))
-    return _State(cum[-1] if cum else 0.0, Partition(blocks), rest, cum, tuple(moves))
+    state = _State(cum[-1] if cum else 0.0, Partition._canonical(blocks), rest, cum,
+                   tuple(moves))
+    with _tables_lock:
+        _tables[model] = table  # counted again if another thread dropped it
+        if sum(len(t.states) for t in _tables.values()) >= STATE_CACHE_SIZE:
+            for other in [key for key, t in _tables.items() if t is not table]:
+                del _tables[other]
+            if len(table.states) >= STATE_CACHE_SIZE:
+                table.states.clear()
+                table.splits.clear()
+        table.states[blocks] = state
+    return state
 
 
-def _jump(state: _State, N: int | None, rng: np.random.Generator) -> tuple[Block, ...]:
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """The uniforms of ``rng`` on [0, 1), multiples of 2**-53, drawn
+    ``_UNIFORM_BLOCK`` at a time."""
+    while True:
+        yield from rng.random(_UNIFORM_BLOCK).tolist()
+
+
+def _jump(state: _State, N: int | None, u: Callable[[], float]) -> tuple[Block, ...]:
     """The target of one state-changing event: a move class drawn at its
-    rate, then the parent of each of its fragments.
+    rate, then the parent of each of its fragments, each from the next
+    uniform ``u()``.
 
     Parents ``0..m-2`` carry the other blocks, the rest are empty.  A whole
-    block lands on a uniform other block's parent.  With a population size
-    ``N`` (the finite variant) the two fragments of a cut draw their
-    parents among the ``N`` individuals, redrawn only when both drew the
-    same empty one; without one both get fresh parents.
+    block lands on the other block ``int(u*(m-1))``.  With a population
+    size ``N`` (the finite variant) the two fragments of a cut land on the
+    individuals ``int(u*N)``, redrawn only when both drew the same empty
+    one; without one both get fresh parents.  A class is picked by bisecting
+    ``u*rate`` in the cumulative rates, and a multiple of 2**-53 scaled to
+    ``m-1`` or ``N`` choices lands on each with a probability within 2**-53
+    of its share, so every jump probability is the generator's to within a
+    few units of 2**-53.
     """
     m = len(state.rest)
-    j, fragments = state.moves[bisect_right(state.cum, rng.random() * state.rate,
-                                            0, len(state.cum) - 1)]
+    cum = state.cum
+    j, fragments = state.moves[bisect_right(cum, u() * state.rate, 0, len(cum) - 1)]
     if len(fragments) == 1:
-        parents = [int(rng.integers(m - 1))]
+        parents = (int(u() * (m - 1)),)
     elif N is None:
-        parents = [m - 1, m]
+        parents = (m - 1, m)
     else:
-        parents = rng.integers(N, size=2).tolist()
+        parents = (int(u() * N), int(u() * N))
         while parents[0] == parents[1] >= m - 1:  # silent: the block stays whole
-            parents = rng.integers(N, size=2).tolist()
+            parents = (int(u() * N), int(u() * N))
     blocks = list(state.rest[j])
     for fragment, parent in zip(fragments, parents):
         if parent < m - 1:
@@ -270,20 +337,25 @@ def simulate_backward(model: BackwardModel, sigma0: Partition, t_end: float,
                       seed: int, *, replicate: int = 0) -> PartitionTrajectory:
     """Event-driven path of the partitioning process up to ``t_end``.
 
-    Holding times use the exact rate of leaving the current state, and
-    each jump is drawn by :func:`_jump` from the state's move classes, so
-    no draw is silent and the path law is the generator's in every
-    variant.  The stream is seeded by ``(seed, replicate)``.  The finite
-    and diffusion chains have in general no absorbing state, so a path
-    that would need more than ``MAX_EVENTS`` events before ``t_end`` raises
+    Holding times use the exact rate of leaving the current state, as
+    ``-log1p(-u)/rate``, and each jump is drawn by :func:`_jump` from the
+    state's move classes, so no draw is silent and the path law is the
+    generator's in every variant, to the resolution of 2**-53 of the
+    uniforms ``u``.  The uniforms are read in order from the stream
+    ``default_rng([seed, replicate])``, ``_UNIFORM_BLOCK`` per call, so a
+    path depends only on ``(seed, replicate)``.  The finite and diffusion
+    chains have in general no absorbing state, so a path that would need
+    more than ``MAX_EVENTS`` events before ``t_end`` raises
     :class:`SizeCapError`.
     """
     if sigma0.ground != model.sites:
         raise InvalidInitialError(f"initial partition must cover sites {model.sites}")
     if model.variant == "finite" and len(sigma0) > model.N:
         raise InvalidInitialError("more blocks than individuals in the population")
-    rng = np.random.default_rng([seed, replicate])
+    u = _uniforms(np.random.default_rng([seed, replicate])).__next__
     N = model.N if model.variant == "finite" else None
+    table = _table(model)
+    states = table.states
     cur = sigma0.blocks
     state = _state(model, cur)
     t = 0.0
@@ -291,14 +363,14 @@ def simulate_backward(model: BackwardModel, sigma0: Partition, t_end: float,
     while True:
         if state.rate <= len(cur) * 1e-13:
             break  # absorbing: no state-changing event has positive rate
-        t += rng.exponential(1.0 / state.rate)
+        t -= math.log1p(-u()) / state.rate
         if t >= t_end:
             break
         if len(events) == MAX_EVENTS:
             raise SizeCapError(f"more than {MAX_EVENTS} events before t_end={t_end:g}; "
                                "lower t_end")
-        cur = _jump(state, N, rng)
-        state = _state(model, cur)
+        cur = _jump(state, N, u)
+        state = states.get(cur) or _new_state(model, table, cur)
         events.append((t, state.partition))
     return PartitionTrajectory(sigma0, tuple(events), seed, replicate, t_end)
 

@@ -69,6 +69,15 @@ class Partition:
         blocks = tuple(sorted(blocks, key=lambda b: b[0]))
         object.__setattr__(self, "blocks", blocks)
 
+    @classmethod
+    def _canonical(cls, blocks: tuple[Block, ...]) -> Partition:
+        """The partition of ``blocks``, taken as they are: ascending tuples of
+        distinct ints, ordered by their least site.  For blocks canonical by
+        construction only; nothing is checked or copied."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "blocks", blocks)
+        return p
+
     @property
     def ground(self) -> tuple[int, ...]:
         return tuple(sorted(x for b in self.blocks for x in b))
@@ -295,10 +304,11 @@ def enumerate_partitions(sites: Iterable[int]) -> list[Partition]:
     The first entry is the coarsest partition, the last the finest.  This
     order fixes the row/column indexing of every generator matrix over the
     partition lattice.  It is the one place where lattice rows become
-    :class:`Partition` objects.
+    :class:`Partition` objects; the rows are canonical, so they are not
+    validated again.
     """
     w = site_set(sites)
-    return [Partition(p) for p in lattice(len(w)).relabel((s,) for s in w)]
+    return [Partition._canonical(p) for p in lattice(len(w)).relabel((s,) for s in w)]
 
 
 def format_partition(a: Partition) -> str:

@@ -501,6 +501,25 @@ class TestSimulateBackwardCommand:
         assert not (tmp_path / "out" / "run.json").exists()
         assert not list((tmp_path / "out").glob("backward_rep*.csv"))
 
+    def test_cold_runs_write_identical_csvs(self, tmp_path):
+        # two fresh interpreters, each with empty state tables, on one config
+        env = dict(os.environ, PYTHONPATH=str(Path(moranrec.__file__).parents[1]))
+        outputs = []
+        for run in ("a", "b"):
+            work = tmp_path / run
+            work.mkdir()
+            write_config(work, sites=6, population_size=8, crossover_probs=[0.1] * 5,
+                         initial_counts=None, initial_partition="1,2,3,4,5,6",
+                         t_end=100.0, replicates=3, seed=17, out="out")
+            done = subprocess.run([sys.executable, "-m", "moranrec.cli", "simulate-backward",
+                                   "--config", "config.json"], cwd=work, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append([(p.name, p.read_bytes())
+                            for p in sorted((work / "out").glob("backward_rep*.csv"))])
+        assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
+        assert all(len(text.splitlines()) > 20 for _, text in outputs[0])
+
     def test_diffusion_variant_pure_events(self, tmp_path):
         path = write_config(tmp_path, sites=3, crossover_probs=[0.0, 0.0],
                             rho=[1.5, 2.5], variant="diffusion",

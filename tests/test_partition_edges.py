@@ -5,8 +5,9 @@ lattice rows as canonical block tuples.  The operators are checked here
 against the ``Partition``-list path they replaced (``tests/oracles.py``),
 bit for bit; the jump tables' move classes, spread over their targets,
 against the oracle transition rates and the generator's exit rates.  A
-counter on ``Partition.__post_init__`` holds the number of partitions
-each entry point builds.
+counter on both constructors, ``Partition.__post_init__`` and the
+unchecked ``Partition._canonical``, holds the number of partitions each
+entry point builds.
 """
 
 from itertools import accumulate
@@ -31,6 +32,7 @@ from moranrec import (
     simulate_backward,
 )
 from moranrec import backward, expectations
+from moranrec.partitions import lattice
 
 from util import binary_space, random_measure, random_population, random_recomb
 
@@ -39,16 +41,33 @@ VARIANTS = ("finite", "deterministic", "diffusion")
 
 @pytest.fixture
 def built(monkeypatch):
-    """The block tuples of every ``Partition`` constructed from here on."""
+    """The block tuples of every ``Partition`` constructed from here on, by
+    either constructor."""
     out = []
-    init = Partition.__post_init__
+    init, canonical = Partition.__post_init__, Partition._canonical.__func__
 
     def counting(self):
         out.append(self.blocks)
         init(self)
 
+    def counting_canonical(cls, blocks):
+        out.append(blocks)
+        return canonical(cls, blocks)
+
     monkeypatch.setattr(Partition, "__post_init__", counting)
+    monkeypatch.setattr(Partition, "_canonical", classmethod(counting_canonical))
     return out
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_canonical_constructor_matches_the_validated_one(n):
+    sites = range(3, 3 + 2 * n, 2)  # gaps between the labels
+    rows = lattice(n).relabel((s,) for s in sites)
+    for blocks, listed in zip(rows, enumerate_partitions(sites), strict=True):
+        fast, checked = Partition._canonical(blocks), Partition(blocks[::-1])
+        assert fast.blocks is blocks and listed.blocks == blocks
+        assert fast == checked == listed and hash(fast) == hash(checked) == hash(listed)
+        assert fast.blocks == checked.blocks and fast.label == checked.label
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -75,7 +94,7 @@ def _models(n: int, N: int) -> list[BackwardModel]:
 
 def _class_rates(model: BackwardModel, blocks) -> list[tuple[int, tuple, float]]:
     """``(j, fragments, rate)`` of every move class of positive rate, in table
-    order, at the rate stated in ``backward._state``'s docstring."""
+    order, at the rate stated in ``backward._new_state``'s docstring."""
     m, N = len(blocks), model.N
     out = []
     for j, block in enumerate(blocks):
@@ -153,11 +172,15 @@ def test_jump_tables_match_partition_oracles(n):
                 assert law.keys() == {b.blocks for b in rates}, (N, model.variant, a)
                 got += (law[b.blocks] for b in rates)
                 ref += rates.values()
-            for block in {block for a in enumerate_partitions(model.sites) for block in a.blocks}:
+            table = backward._tables[model]  # every state of the model, read from here on
+            assert len(table.states) == len(exits)
+            blocks = {block for a in enumerate_partitions(model.sites) for block in a.blocks}
+            assert table.splits.keys() == blocks
+            for block in blocks:
                 weights = ((1.0, *model.rho.marginal(block).rho) if model.variant == "diffusion"
                            else (p for _, p in oracles._split_choices(model, block)))
                 splits = (jj.blocks for jj in oracles.ordered_partitions_le2(block))
-                assert backward._split_choices(model, block) == tuple(zip(splits, weights))
+                assert table.splits[block] == tuple(zip(splits, weights))
             assert _relative_error(got, ref) <= 1e-12, (N, model.variant)
             assert _relative_error(cum, cum_ref) <= 1e-12, (N, model.variant)
             assert _relative_error(exits, exit_rates) <= 1e-12, (N, model.variant)
@@ -190,11 +213,11 @@ def test_lde_trajectory_labels_its_result_once(built):
 def test_simulator_builds_one_partition_per_cached_state(built, variant):
     model = _models(6, 8)[VARIANTS.index(variant)]
     start = coarsest(range(1, 7))
-    backward._state.cache_clear()
-    backward._split_choices.cache_clear()
+    backward._tables.clear()
     built.clear()
     events = sum(len(simulate_backward(model, start, 40.0, seed=3, replicate=rep).events)
                  for rep in range(12))
-    states = backward._state.cache_info().currsize
-    assert events > states > 10
-    assert len(built) == states
+    states = backward._tables[model].states
+    assert list(backward._tables) == [model]
+    assert events > len(states) > 10
+    assert sorted(built) == sorted(states)

@@ -4,9 +4,14 @@ Each jump is drawn from the state's move classes at their rates (no
 silent redraw), so its random stream differs from the narrative loop of
 ``oracles.simulate_backward``; the two agree in law, not in bytes.  The
 state reached at a fixed time must follow the row of ``expm(t Θ)``, the
-event budget must stop both simulators alike, and an event must cost a
-few calls of the random generator.
+event budget must stop both simulators alike, an event must cost a small
+fraction of one call of the random generator (uniforms come in blocks),
+a path must depend only on its ``(seed, replicate)``, and the state
+tables must stay bounded.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -28,8 +33,9 @@ from moranrec import (
 
 from util import random_recomb
 
-# horizons with tens of events per path; diffusion blocks coalesce at rate 2
-HORIZON = {"finite": 40.0, "deterministic": 40.0, "diffusion": 1.5}
+# horizons with more than two events on the seed-7 paths of the event-budget
+# test; diffusion blocks coalesce at rate 2
+HORIZON = {"finite": 40.0, "deterministic": 40.0, "diffusion": 2.0}
 
 
 def _model(n: int, N: int, variant: str) -> BackwardModel:
@@ -100,21 +106,155 @@ class _CountingGenerator:
         return counted
 
 
-def test_an_event_costs_about_three_random_draws(monkeypatch):
-    # a holding time, a move class and where it lands; the finite cut
-    # redraws its parent pair only when both fragments pick one empty parent
-    # (probability (N-m+1)/N**2 <= 1/N)
+def _count_generator_calls(monkeypatch) -> list[int]:
     calls = [0]
     make = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed: _CountingGenerator(make(seed), calls))
+    return calls
+
+
+def test_an_event_costs_a_tenth_of_a_generator_call(monkeypatch):
+    # three or four uniforms an event (a holding time, a move class and where
+    # it lands; the finite cut redraws its parent pair only when both
+    # fragments pick one empty parent, with probability (N-m+1)/N**2 <= 1/N),
+    # taken from blocks of backward._UNIFORM_BLOCK
+    calls = _count_generator_calls(monkeypatch)
     model = BackwardModel(8, 20, RecombinationDistribution(8, (0.1,) * 7))
     events = sum(len(simulate_backward(model, coarsest(range(1, 9)), 100.0, seed=5,
                                        replicate=rep).events) for rep in range(3))
     assert events > 100
-    assert calls[0] / events <= 3.5
+    assert calls[0] / events <= 0.1
+
+
+@pytest.mark.parametrize("variant", ("finite", "deterministic", "diffusion"))
+def test_replicate_alone_equals_replicate_after_others(variant):
+    model, start = _model(6, 8, variant), coarsest(range(1, 7))
+    backward._tables.clear()
+    after = [simulate_backward(model, start, 20.0, seed=11, replicate=rep) for rep in range(6)]
+    backward._tables.clear()
+    alone = simulate_backward(model, start, 20.0, seed=11, replicate=5)
+    assert alone.events == after[5].events and len(alone.events) > 3
+    assert after[5].events != after[4].events
+
+
+def test_path_over_several_uniform_blocks_reproduces_bytes(monkeypatch):
+    calls = _count_generator_calls(monkeypatch)
+    model = BackwardModel(8, 20, RecombinationDistribution(8, (0.1,) * 7))
+    start = coarsest(range(1, 9))
+    texts = []
+    for clear in (True, False, True):  # cold tables, warm tables, cold again
+        if clear:
+            backward._tables.clear()
+        calls[0] = 0
+        rec = simulate_backward(model, start, 400.0, seed=9, replicate=3)
+        assert calls[0] >= 4  # the path reads several blocks of uniforms
+        texts.append(backward.partition_trajectory_to_csv(rec, "stamp"))
+    assert texts[0] == texts[1] == texts[2]
+    assert len(rec.events) > 300
 
 
 def test_state_cache_is_bounded():
-    maxsize = backward._state.cache_info().maxsize
-    assert maxsize == backward.STATE_CACHE_SIZE and 0 < maxsize <= 10_000
+    # every state of one 8-site model and most of a second's fit at once; the
+    # state that would pass the bound drops the other model's table
+    bound = backward.STATE_CACHE_SIZE
+    assert 4140 < bound <= 10_000
+    parts = enumerate_partitions(range(1, 9))
+    first, second = (BackwardModel(8, N, RecombinationDistribution(8, (0.1,) * 7))
+                     for N in (20, 30))
+    backward._tables.clear()
+    for a in parts:
+        backward._state(first, a.blocks)
+    room = bound - len(parts)
+    for a in parts[:room]:
+        backward._state(second, a.blocks)
+    assert [len(backward._tables[m].states) for m in (first, second)] == [len(parts), room]
+    backward._state(second, parts[room].blocks)
+    assert list(backward._tables) == [second]
+    assert len(backward._tables[second].states) == room + 1
+
+
+def test_state_tables_never_hold_more_than_the_bound(monkeypatch):
+    # three 8-site models, then a 16-site path (N = 1000) that visits more
+    # distinct states than the bound on its own
+    held, built = [], [0]
+    new_state = backward._new_state
+
+    def counted(model, table, blocks):
+        state = new_state(model, table, blocks)
+        built[0] += 1
+        held.append(sum(len(t.states) for t in backward._tables.values()))
+        return state
+
+    monkeypatch.setattr(backward, "_new_state", counted)
+    backward._tables.clear()
+    for seed in range(3):
+        model = BackwardModel(8, 20, random_recomb(8, seed))
+        for a in enumerate_partitions(model.sites):
+            backward._state(model, a.blocks)
+    assert built[0] == 3 * 4140 and len(backward._tables) < 3
+    built[0] = 0
+    model = BackwardModel(16, 1000, RecombinationDistribution(16, (0.02,) * 15))
+    simulate_backward(model, coarsest(range(1, 17)), 60_000.0, seed=4)
+    assert built[0] > backward.STATE_CACHE_SIZE  # the 16-site table was cleared
+    assert list(backward._tables) == [model]
+    assert max(held) == backward.STATE_CACHE_SIZE
+
+
+def test_a_path_counts_its_table_again_after_a_drop(monkeypatch):
+    # each new state first loses the table from the registry, as a new state
+    # of another model in another thread may drop it
+    new_state = backward._new_state
+
+    def dropped(model, table, blocks):
+        with backward._tables_lock:
+            backward._tables.pop(model, None)
+        return new_state(model, table, blocks)
+
+    monkeypatch.setattr(backward, "_new_state", dropped)
+    model = _model(6, 8, "finite")
+    backward._tables.clear()
+    rec = simulate_backward(model, coarsest(range(1, 7)), 30.0, seed=23)
+    assert {p.blocks for _, p in rec.events} <= backward._tables[model].states.keys()
+
+
+def test_state_tables_stay_bounded_under_threads(monkeypatch):
+    # more threads than cores, each on its own model, against a bound so small
+    # that new states keep dropping and clearing tables; switches forced often
+    monkeypatch.setattr(backward, "STATE_CACHE_SIZE", 40)
+    new_state, over = backward._new_state, []
+
+    def checked(model, table, blocks):
+        state = new_state(model, table, blocks)
+        with backward._tables_lock:
+            held = sum(len(t.states) for t in backward._tables.values())
+        if held > backward.STATE_CACHE_SIZE:
+            over.append(held)
+        return state
+
+    monkeypatch.setattr(backward, "_new_state", checked)
+    models, start = [_model(6, N, "finite") for N in range(8, 14)], coarsest(range(1, 7))
+
+    def paths(model):
+        return [simulate_backward(model, start, 30.0, seed=23, replicate=rep).events
+                for rep in range(4)]
+
+    expected = [paths(model) for model in models]
+    results = [None] * len(models)
+
+    def work(k):
+        results[k] = paths(models[k])
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(models))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert over == []
+    assert results == expected
