@@ -202,6 +202,17 @@ def _number(value: object, what: str) -> float:
     return _finite_float(value)
 
 
+def _per_gap(values: object, key: str, n: int, cls):
+    """``cls(n, values)`` for the list of ``n - 1`` numbers of config key ``key``;
+    :class:`ConfigError` naming ``key`` if it is not one, or if ``cls`` rejects it."""
+    _require(isinstance(values, list) and len(values) == n - 1,
+             f"'{key}' must list {n - 1} values")
+    try:
+        return cls(n, tuple(_number(p, f"'{key}' entries") for p in values))
+    except ValueError as exc:
+        raise ConfigError(f"'{key}': {exc}")
+
+
 def _exact_total(text: str) -> int:
     """Exact sum of the weights of a population file, read from their text;
     :class:`ConfigError` if one is not an integer of at most ``2**53`` in size."""
@@ -271,23 +282,9 @@ def load_config(path: str | Path, overrides: argparse.Namespace) -> RunConfig:
     N = _int_field(raw, "population_size", None, 1)
     _require(N <= 2**53, f"'population_size' must be at most 2**53 = {2**53}")
 
-    probs = raw.get("crossover_probs", [0.0] * (n - 1))
-    _require(isinstance(probs, list) and len(probs) == n - 1,
-             f"'crossover_probs' must list {n - 1} values")
-    try:
-        recomb = RecombinationDistribution(
-            n, tuple(_number(p, "'crossover_probs' entries") for p in probs))
-    except ValueError as exc:
-        raise ConfigError(f"'crossover_probs': {exc}")
-
-    rho = None
-    if raw.get("rho") is not None:
-        _require(isinstance(raw["rho"], list) and len(raw["rho"]) == n - 1,
-                 f"'rho' must list {n - 1} values")
-        try:
-            rho = DiffusionRates(n, tuple(_number(p, "'rho' entries") for p in raw["rho"]))
-        except ValueError as exc:
-            raise ConfigError(f"'rho': {exc}")
+    recomb = _per_gap(raw.get("crossover_probs", [0.0] * (n - 1)), "crossover_probs", n,
+                      RecombinationDistribution)
+    rho = None if raw.get("rho") is None else _per_gap(raw["rho"], "rho", n, DiffusionRates)
 
     variant = raw.get("variant", "finite")
     _require(variant in ("finite", "deterministic", "diffusion"),

@@ -11,7 +11,7 @@ small partition-lattice generator, independently of the type coordinate.
 This module verifies the identity exactly, integrates the ODE (on two
 sites in closed form; on three or more by the matrix exponential of each
 grid step, by the scaling-and-squaring Pade method of :func:`_expm` on
-numpy alone, each step's exponential kept in a small cache), translates
+numpy alone, kept only while the solve runs), translates
 sampling expectations into expected linkage disequilibria, and evaluates
 the closed-form results available for two and three sites.
 """
@@ -19,22 +19,15 @@ the closed-form results available for two and three sites.
 from __future__ import annotations
 
 import math
-import threading
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
 
 from .backward import BackwardModel, generator_theta, generator_theta_dense
-from .errors import SampleTooLargeError, ShapeError, SizeCapError
-from .forward import DEFAULT_POPULATION_CAP, ForwardModel, generator_lambda
-from .markov import (
-    GeneratorMatrix,
-    assert_sorted_times,
-    count_population_states,
-    enumerate_population_states,
-)
+from .errors import SampleTooLargeError, ShapeError
+from .forward import ForwardModel, _population_states, generator_lambda
+from .markov import GeneratorMatrix, assert_sorted_times
 from .measures import Measure, PopulationState, SiteSpace
 from .operators import RecombinationDistribution, _gap_sums, block_products, sampling
 from .partitions import (
@@ -91,15 +84,11 @@ def sampling_table(space: SiteSpace, N: int) -> np.ndarray:
     state are contracted against the Mobius matrix of the lattice in one
     pass over its coarsening groups; the falling-factorial normalization
     needs ``N`` at least the number of sites.  At most
-    ``DEFAULT_POPULATION_CAP`` population states and ``DEFAULT_SITE_CAP``
-    sites.
+    ``forward.DEFAULT_POPULATION_CAP`` population states (the check of
+    :func:`generator_lambda`) and ``DEFAULT_SITE_CAP`` sites.
     """
     _need_sample(space.n, N)
-    K = space.total_states
-    if count_population_states(K, N) > DEFAULT_POPULATION_CAP:
-        raise SizeCapError("population state space exceeds the cap; "
-                           "reduce sites, alphabet or N")
-    states = enumerate_population_states(K, N)
+    states = _population_states(space.total_states, N)
     grid = np.array(states, dtype=float).reshape((len(states),) + space.cards)
     return np.ascontiguousarray(_sampling_rows(grid, N).transpose(1, 0, 2))
 
@@ -273,40 +262,6 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return E
 
 
-# The step propagators of the last (model, step) pairs, least recently used
-# first: at most _STEP_CACHE_SIZE of them and _STEP_CACHE_BYTES in all; see
-# _step_propagator.
-_STEP_CACHE_SIZE = 8
-_STEP_CACHE_BYTES = 32 * 2**20
-_steps: dict[tuple[BackwardModel, float], np.ndarray] = {}
-_steps_lock = threading.Lock()
-
-
-def _step_propagator(backward: BackwardModel, h: float,
-                     generator: Callable[[], np.ndarray]) -> np.ndarray:
-    """``expm(G h)`` for the generator ``G = generator()`` of ``backward``
-    restricted to the partitions with at most ``N`` blocks, read-only.
-
-    The last ``_STEP_CACHE_SIZE`` results are kept, keyed on
-    ``(backward, h)``, while they hold at most ``_STEP_CACHE_BYTES``
-    (32 MiB) together: the least recently used go first, and a ``B x B``
-    float64 result above that size alone (``B > 2048``, only at 8 sites)
-    is not kept.  ``generator`` is called only on a miss.
-    """
-    key = (backward, h)
-    with _steps_lock:  # calls from several threads share the cache
-        E = _steps.pop(key, None)
-    if E is None:
-        E = _expm(generator() * h)
-        E.flags.writeable = False
-    with _steps_lock:
-        _steps[key] = E  # (re)inserted last: the most recently used
-        while (len(_steps) > _STEP_CACHE_SIZE
-               or sum(P.nbytes for P in _steps.values()) > _STEP_CACHE_BYTES):
-            del _steps[next(iter(_steps))]
-    return E
-
-
 @lru_cache(maxsize=4096)
 def _small_partitions(u: tuple[int, ...]) -> tuple[Partition, ...]:
     """``enumerate_partitions(u)`` for a set ``u`` of at most 3 sites, kept for the
@@ -348,9 +303,10 @@ def _solve(backward: BackwardModel, grid: np.ndarray, N: int, times,
     ``grid`` of ``N`` individuals, one axis per site of ``backward`` or, given
     ``gaps``, of its marginal model with these crossover probabilities: (time,
     partition with at most ``N`` blocks in lattice order, type).  A 2-site model
-    takes :func:`_solve_pair`, with no model, lattice, generator, exponential or
-    cache; more sites step along the grid.  No partition is built, and the
-    generator at most once, on the first step missing from :func:`_step_propagator`."""
+    takes :func:`_solve_pair`, with no model, lattice, generator or exponential;
+    more sites step along the grid.  No partition is built, the generator at most
+    once, on the first nonzero step, and one propagator lives at a time: none is
+    kept after the solve returns."""
     t = assert_sorted_times(times)
     if N != backward.N:
         raise ValueError(f"population holds {N} individuals, model expects {backward.N}")
@@ -359,7 +315,7 @@ def _solve(backward: BackwardModel, grid: np.ndarray, N: int, times,
     k, gaps = grid.ndim, backward.recomb.crossover if gaps is None else gaps
     if k == 2:
         return t, _solve_pair(gaps[0], grid, N, t)
-    if k != backward.n:  # the marginal model: the step cache's key
+    if k != backward.n:  # the marginal model, whose generator the steps exponentiate
         backward = BackwardModel(k, N, RecombinationDistribution(k, gaps))
     keep = np.flatnonzero(lattice(backward.n).sizes <= backward.N)
     generator = cache(lambda: generator_theta_dense(backward)[np.ix_(keep, keep)])
@@ -370,7 +326,8 @@ def _solve(backward: BackwardModel, grid: np.ndarray, N: int, times,
         h = ti - prev
         if h != 0:
             if step is None or abs(h - step) > 4 * _EPS * ti:
-                step, E = h, _step_propagator(backward, h, generator)
+                del E  # the last step's propagator goes before the next is formed
+                step, E = h, _expm(generator() * h)
             y = E @ y
         values[i] = y
         prev = ti
@@ -383,7 +340,7 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState,
 
     Solves the closed linear ODE with the partitioning generator acting on
     the initial sampling stack.  Two sites take its closed form at each time,
-    with no stepping, exponential or cache (:func:`_solve_pair`: the rows relax
+    with no stepping or exponential (:func:`_solve_pair`: the rows relax
     to their common limit as ``e^(-lam t)``, ``lam = (r (N-1) + 2) / N``).
     Three or more sites step along the sorted grid from time 0:
     ``y_i = expm(G h_i) @ y_{i-1}`` with ``h_i = t_i - t_{i-1}``.  The
@@ -393,11 +350,11 @@ def expected_sampling(backward: BackwardModel, z0: PopulationState,
     an ulp, and ``ulp(t) <= eps t``, so steps that agree within this bound
     cannot be told apart from the grid and reusing ``E`` adds no error
     beyond what the grid already carries: ``linspace(0, 2, 11)``, whose
-    steps differ in the last bit, needs one exponential, while a grid of
-    really different steps needs one per distinct step.  The exponential
-    is :func:`_expm`, on numpy alone, and each step's ``E`` is kept
-    read-only in the bounded cache of :func:`_step_propagator`, keyed on
-    ``(backward, h)``, so a repeated call computes no exponential.  The
+    steps differ in the last bit, needs one exponential, and any other grid
+    one per change of step (one per step if its steps alternate).  The
+    exponential is :func:`_expm`, on numpy alone.  No exponential is kept
+    between calls, so a repeated call, or one on another subset with the
+    same marginal model, computes its exponentials again.  The
     model must be finite.  The trajectory is returned for every partition
     with at most ``N`` blocks.  Those partitions are closed under the
     partitioning process, so the generator restricted to them is exact.

@@ -71,15 +71,21 @@ def replacement_distribution(model: ForwardModel, counts: np.ndarray) -> np.ndar
     return sum((r / N**len(blocks)) * rbar for (blocks, r), rbar in zip(support, products))
 
 
-def _lambda_entries(model: ForwardModel) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """``(states, rows, cols, vals)``: the positive rates of
-    :func:`generator_lambda`, one per move, then the diagonal."""
-    K = model.space.total_states
-    n_states = count_population_states(K, model.N)
+def _population_states(K: int, N: int) -> list[tuple[int, ...]]:
+    """``enumerate_population_states(K, N)``, or :class:`SizeCapError` if they
+    number more than ``DEFAULT_POPULATION_CAP`` (read at call time)."""
+    n_states = count_population_states(K, N)
     if n_states > DEFAULT_POPULATION_CAP:
         raise SizeCapError(f"{n_states} population states exceeds the cap of "
                            f"{DEFAULT_POPULATION_CAP}; reduce sites, alphabet or N")
-    states = np.array(enumerate_population_states(K, model.N), dtype=np.int64)
+    return enumerate_population_states(K, N)
+
+
+def _lambda_entries(model: ForwardModel) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """``(states, rows, cols, vals)``: the positive rates of
+    :func:`generator_lambda`, one per move, then the diagonal."""
+    states = np.array(_population_states(model.space.total_states, model.N), dtype=np.int64)
+    n_states = len(states)
     # one row of rates[(z, y), x] = q_z(x) * z(y) per type y present in z;
     # distinct (y, x) reach distinct states
     src, y = np.nonzero(states)

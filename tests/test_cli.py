@@ -77,6 +77,23 @@ class TestConfigValidation:
         assert main(["duality-check", "--config", str(path)]) == 2
         assert "crossover" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,rejected", [
+        ("crossover_probs", "crossover probabilities must be finite and nonnegative"),
+        ("rho", "rates must be finite and nonnegative"),
+    ], ids=["crossover_probs", "rho"])
+    @pytest.mark.parametrize("values,message", [
+        pytest.param([0.1], "'{key}' must list 2 values", id="length"),
+        pytest.param([0.1, "x"], "'{key}' entries must be a number", id="entry"),
+        pytest.param([0.1, -0.2], "'{key}': {rejected}", id="rejected"),
+    ])
+    def test_per_gap_list_faults_name_their_key(self, tmp_path, capsys, key, rejected, values,
+                                                message):
+        path = write_config(tmp_path, sites=3, initial_counts=None,
+                            **{"crossover_probs": [0.1, 0.1], key: values})
+        assert main(["duality-check", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: " + message.format(key=key, rejected=rejected)]
+
     def test_wrong_counts_total(self, tmp_path):
         path = write_config(tmp_path, initial_counts=[4, 2, 1, 2])
         assert main(["simulate-forward", "--config", str(path)]) == 2

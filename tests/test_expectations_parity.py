@@ -1,13 +1,15 @@
-"""Grid stepping, the in-package matrix exponential and its step cache, the
-2-site closed form, and the block-by-block CSV writer against their oracles."""
+"""Grid stepping, the in-package matrix exponential, the 2-site closed form,
+and the block-by-block CSV writer against their oracles."""
 
 import errno
+import gc
 import json
 import os
 import signal
 import sys
 import tempfile
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ GRIDS = {
     "uniform-101": np.linspace(0, 2.5, 101),  # steps differ by up to 1.4e-14 relative
     "near-uniform": [0, 0.2, 0.4 + 1e-9],
     "irregular": [0, 0.1, 0.1, 0.35, 2, 10],
+    "alternating": [0, 0.125, 0.375, 0.5, 0.75, 0.875],  # steps exact in binary
     "zero": [0.0],
     "single": [3.0],
 }
@@ -55,7 +58,7 @@ def test_stepping_matches_per_time_expm(n, N):
 
 @pytest.fixture
 def expm_calls(monkeypatch):
-    """Shapes of the matrices the package exponentiates, with an empty step cache."""
+    """Shapes of the matrices the package exponentiates."""
     calls = []
     real = expectations._expm
 
@@ -64,12 +67,12 @@ def expm_calls(monkeypatch):
         return real(A)
 
     monkeypatch.setattr(expectations, "_expm", counting)
-    monkeypatch.setattr(expectations, "_steps", {})
     return calls
 
 
 @pytest.mark.parametrize("name,expected", [("uniform", 1), ("uniform-11", 1), ("uniform-101", 1),
-                                           ("near-uniform", 2), ("irregular", 4)])
+                                           ("near-uniform", 2), ("irregular", 4),
+                                           ("alternating", 5)])
 def test_uniform_grid_needs_one_expm(expm_calls, name, expected):
     bwd = BackwardModel(4, 6, random_recomb(4, 3))
     z0 = random_population(binary_space(4), 6, seed=3)
@@ -106,60 +109,56 @@ def test_expm_of_overflowing_matrix_is_nan():
     assert np.isnan(expectations._expm(np.array([[1e300, 1e300], [0.0, 1.0]]))).all()
 
 
-def test_repeated_lde_call_reuses_its_step_propagators(expm_calls):
+def test_repeated_lde_call_is_bit_identical(expm_calls):
     bwd = BackwardModel(5, 12, random_recomb(5, 8))
     z0 = random_population(binary_space(5), 12, seed=8)
     first = lde_trajectory(bwd, z0, (1, 3, 4), [0, 0.5, 1.0, 1.2, 3.0])
-    computed = len(expm_calls)
-    assert computed == 3
+    assert len(expm_calls) == 3
     again = lde_trajectory(bwd, z0, (1, 3, 4), [0, 0.5, 1.0, 1.2, 3.0])
-    assert len(expm_calls) == computed
+    assert len(expm_calls) == 6  # no exponential is kept between calls
     assert np.array_equal(first.values, again.values)
-    assert all(not E.flags.writeable for E in expectations._steps.values())
-    with pytest.raises(ValueError):
-        next(iter(expectations._steps.values()))[0, 0] = 1.0
 
 
-def test_step_cache_is_bounded_and_builds_one_generator_per_solve(expm_calls, monkeypatch):
+def test_no_propagator_outlives_its_solve(monkeypatch):
+    refs, alive = [], []
+    real = expectations._expm
+
+    def tracked(A):
+        alive.append(sum(ref() is not None for ref in refs))  # while the next is formed
+        E = real(A)
+        refs.append(weakref.ref(E))
+        return E
+
+    monkeypatch.setattr(expectations, "_expm", tracked)
+    bwd = BackwardModel(3, 5, random_recomb(3, 9))
+    z0 = random_population(binary_space(3), 5, seed=9)
+    expected_sampling(bwd, z0, [0.0, 0.1, 0.3, 0.6, 1.0])
+    gc.collect()
+    assert len(refs) == 4 and alive == [0, 0, 0, 0]
+    assert all(ref() is None for ref in refs)
+
+
+def test_solve_builds_one_generator_and_one_expm_per_distinct_step(expm_calls, monkeypatch):
     built = []
     real = expectations.generator_theta_dense
     monkeypatch.setattr(expectations, "generator_theta_dense",
                         lambda model: built.append(model) or real(model))
     bwd = BackwardModel(3, 5, random_recomb(3, 9))
     z0 = random_population(binary_space(3), 5, seed=9)
-    size = expectations._STEP_CACHE_SIZE
-    grid = np.cumsum([0] + [0.1 * k for k in range(1, size + 4)])  # size + 3 distinct steps
+    grid = np.cumsum([0] + [0.1 * k for k in range(1, 12)])  # 11 distinct steps
     expected_sampling(bwd, z0, grid)
-    assert len(built) == 1
-    assert len(expm_calls) == size + 3
-    assert len(expectations._steps) == size
-    # the steps used last are kept, the first ones evicted
-    assert [h for _, h in expectations._steps] == np.diff(grid)[-size:].tolist()
+    assert len(built) == 1 and len(expm_calls) == 11
     expected_sampling(bwd, z0, grid[:2])
-    assert len(built) == 2 and len(expm_calls) == size + 4
+    assert len(built) == 2 and len(expm_calls) == 12
+    expected_sampling(bwd, z0, [0.0, 0.0])  # no step: no generator
+    assert len(built) == 2 and len(expm_calls) == 12
 
 
-@pytest.mark.parametrize("kept", [0, 1, 3])
-def test_step_cache_holds_at_most_its_byte_bound(expm_calls, monkeypatch, kept):
-    bwd = BackwardModel(3, 5, random_recomb(3, 9))
-    z0 = random_population(binary_space(3), 5, seed=9)
-    entry = 5 * 5 * 8  # one Bell(3) x Bell(3) float64 propagator
-    monkeypatch.setattr(expectations, "_STEP_CACHE_BYTES", kept * entry + entry - 1)
-    grid = [0.0, 0.1, 0.3, 0.6, 1.0]  # 4 distinct steps
-    expected_sampling(bwd, z0, grid)
-    assert len(expm_calls) == 4
-    assert [h for _, h in expectations._steps] == np.diff(grid)[4 - kept:].tolist()
-    expected_sampling(bwd, z0, [0.0, np.diff(grid)[-1]])
-    assert len(expm_calls) == 4 + (kept == 0)  # a kept step needs no new exponential
-
-
-def test_step_cache_shared_by_threads(monkeypatch):
+def test_solves_in_threads_equal_serial_values():
     bwd = BackwardModel(3, 5, random_recomb(3, 9))
     z0 = random_population(binary_space(3), 5, seed=9)
     grids = [[0.0, 0.1 * k, 0.25 * k] for k in range(1, 7)]
-    monkeypatch.setattr(expectations, "_steps", {})
     want = [expected_sampling(bwd, z0, grid).values for grid in grids]
-    monkeypatch.setattr(expectations, "_STEP_CACHE_SIZE", 2)  # evicts on most calls
     errors = []
 
     def work(i):
@@ -183,7 +182,6 @@ def test_step_cache_shared_by_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(expectations._steps) <= 2
 
 
 PAIR_NS = (1, 2, 3, 12, 100)
@@ -236,7 +234,7 @@ def test_pairs_make_no_exponential_and_fill_no_cache(expm_calls, monkeypatch):
     lde_trajectory(bwd, random_population(binary_space(5), 12, seed=2), (2, 4), GRIDS["irregular"])
     expected_sampling(BackwardModel(2, 12, RecombinationDistribution(2, (0.3,))),
                       random_population(binary_space(2), 12, seed=2), GRIDS["irregular"])
-    assert expm_calls == [] and built == [] and expectations._steps == {}
+    assert expm_calls == [] and built == []
 
 
 def test_two_site_expectations_at_an_enormous_time_are_probabilities(tmp_path):

@@ -8,12 +8,14 @@ from moranrec import (
     InvalidInitialError,
     PopulationState,
     RecombinationDistribution,
+    SiteSpace,
     SizeCapError,
     coarsest,
     deterministic_step,
     generator_lambda,
     integrate_deterministic,
     measure_from_counts,
+    sampling_table,
     simulate_forward,
 )
 from moranrec.forward import replacement_distribution, trajectory_to_csv
@@ -91,6 +93,11 @@ class TestGeneratorLambda:
         monkeypatch.setattr(forward, "DEFAULT_POPULATION_CAP", 10)
         with pytest.raises(SizeCapError):
             generator_lambda(model2(3, 0.1))
+
+    def test_size_cap_bounds_the_sampling_table_too(self, monkeypatch):
+        monkeypatch.setattr(forward, "DEFAULT_POPULATION_CAP", 10)
+        with pytest.raises(SizeCapError):
+            sampling_table(SiteSpace((2, 2)), 4)  # 35 populations
 
 
 class TestSimulateForward:

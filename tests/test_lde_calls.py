@@ -95,7 +95,7 @@ def test_warm_pair_call_builds_no_model_measure_or_partition(monkeypatch):
     assert built == []
     assert again.partitions is first.partitions
     assert np.array_equal(again.values, first.values)
-    # a triple builds its marginal model, the key of the step cache, and nothing else
+    # a triple builds its marginal model, whose generator it exponentiates, and nothing else
     lde_trajectory(bwd, z0, (1, 2, 4), times)
     assert built == ["RecombinationDistribution", "BackwardModel"]
 
