@@ -46,7 +46,6 @@ from .expectations import (
 from .forward import (
     ForwardModel,
     TrajectoryRecord,
-    deterministic_step,
     generator_lambda,
     integrate_deterministic,
     simulate_forward,

@@ -41,8 +41,9 @@ grid that runs past ``t_end``, whose summary rows would repeat the state
 at ``t_end`` as if it had been simulated.
 Integer fields must be JSON integers; the entries of ``crossover_probs``
 and ``rho`` must be numbers (not booleans), and ``out`` and
-``initial_population_file`` strings.  ``expectations``, ``lde`` and
-``duality-check`` compute the finite variant only and reject any other.
+``initial_population_file`` strings.  ``simulate-forward``,
+``expectations``, ``lde``, ``duality-check`` and ``fixation`` model the
+finite population only and reject any other variant.
 ``lde`` solves on the partition lattice of ``lde_sites`` alone (the sites
 of a subset evolve as a Moran model of their own), so only the number of
 ``lde_sites`` is capped at 8; ``sites`` is bounded by the dense type cap.
@@ -642,7 +643,7 @@ def cmd_generators(cfg: RunConfig) -> int:
     return 0
 
 
-EXACT_COMMANDS = ("expectations", "lde", "duality-check")
+FINITE_COMMANDS = ("simulate-forward", "expectations", "lde", "duality-check", "fixation")
 
 COMMANDS = {
     "simulate-forward": cmd_simulate_forward,
@@ -685,7 +686,7 @@ def main(argv: list[str] | None = None) -> int:
     cfg = None
     try:
         cfg = load_config(args.config, args)
-        if args.command in EXACT_COMMANDS and cfg.variant != "finite":
+        if args.command in FINITE_COMMANDS and cfg.variant != "finite":
             raise ConfigError(f"{args.command} supports only the finite variant, "
                               f"got {cfg.variant!r}")
         if args.command == "duality-check":

@@ -4,7 +4,8 @@ Individuals die at rate one and are replaced by an offspring spliced from
 uniformly drawn parents (with replacement) according to the recombination
 distribution.  The module provides the exact transition rates, the full
 generator matrix over all populations of size ``N``, an event-driven
-simulator, and the infinite-population replacement ODE.
+simulator, and the exact solution of the infinite-population replacement
+equation.
 
 The simulator tells the same story one individual at a time: it keeps the
 type codes of the ``N`` individuals, and at each event (rate ``N``) one of
@@ -25,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import backward
-from .errors import InvalidInitialError, SizeCapError
+from .errors import InvalidInitialError, SizeCapError, ZeroMeasureError
 from .markov import (
     GeneratorMatrix,
     count_population_states,
@@ -128,13 +129,7 @@ class TrajectoryRecord:
 
     def state_at(self, t: float) -> np.ndarray:
         """Counts right after the last event at or before ``t``."""
-        z = np.array(self.initial, dtype=np.int64)
-        for when, y, x in self.events:
-            if when > t:
-                break
-            z[y] -= 1
-            z[x] += 1
-        return z
+        return next(self.states_at((t,)))
 
     def states_at(self, times: Sequence[float]) -> Iterator[np.ndarray]:
         """:meth:`state_at` of each of the nondecreasing ``times``, in one
@@ -205,43 +200,37 @@ def simulate_forward(model: ForwardModel, z0: PopulationState, t_end: float,
                             seed, replicate, t_end)
 
 
-def deterministic_step(recomb: RecombinationDistribution, omega: Measure,
-                       dt: float) -> Measure:
-    """One classical RK4 step of the infinite-population replacement ODE.
-
-    The field is the crossover-weighted sum of (normalized block-marginal
-    product minus current state); it preserves total mass, so probability
-    measures stay probability measures to machine precision.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    cards = omega.cards
-    cuts = [(blocks, r) for blocks, r in recomb.support()[1:] if r > 0.0]
-    parts = [blocks for blocks, _ in cuts]
-
-    def field(w: np.ndarray) -> np.ndarray:
-        norm = w.sum()
-        products = block_products(w.reshape(cards), recomb.sites, parts)
-        return sum((ri * (rbar / norm**2 - w) for (_, ri), rbar in zip(cuts, products)),
-                   np.zeros_like(w))
-
-    w = omega.weights
-    k1 = field(w)
-    k2 = field(w + 0.5 * dt * k1)
-    k3 = field(w + 0.5 * dt * k2)
-    k4 = field(w + dt * k3)
-    return omega.with_weights(w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-
-
 def integrate_deterministic(recomb: RecombinationDistribution, omega: Measure,
-                            t_end: float, dt: float = 1e-3) -> Measure:
-    """Fixed-step RK4 integration of the replacement ODE up to ``t_end``."""
-    steps = int(np.ceil(t_end / dt)) if t_end > 0 else 0
-    if steps:
-        dt = t_end / steps
-    for _ in range(steps):
-        omega = deterministic_step(recomb, omega, dt)
-    return omega
+                            t_end: float) -> Measure:
+    """Exact solution at ``t_end`` of the infinite-population replacement
+    equation from ``omega``, the single-crossover recombination equation.
+
+    Baake and Baake (2003, Can. J. Math. 55) solve it with one map per gap
+    ``g``, and the maps commute: ``w <- c w + (1 - c) R_g(w)`` with
+    ``c = exp(-r_g t_end)`` and ``R_g(w)`` the product of the marginals of
+    ``w`` on sites ``1..g`` and ``g+1..n`` over ``norm(omega)``.  The result
+    keeps the mass of ``omega`` and scales with it; on a probability measure
+    it is the recombination equation's solution.  A gap without crossover is
+    skipped, and ``t_end = inf`` gives the product of the marginals of the
+    segments between gaps that have one.  ``omega`` on other sites than
+    ``recomb``, or a ``t_end`` that is NaN or negative, raises
+    :class:`ValueError`; a measure of zero mass :class:`ZeroMeasureError`.
+    """
+    if omega.sites != recomb.sites:
+        raise ValueError(f"measure on sites {omega.sites} but recombination on "
+                         f"sites {recomb.sites}")
+    if not t_end >= 0:
+        raise ValueError(f"t_end must be nonnegative, got {t_end}")
+    mass = omega.norm
+    if mass == 0:
+        raise ZeroMeasureError("cannot recombine the zero measure")
+    w = omega.weights
+    for blocks, r in recomb.support()[1:]:
+        if r > 0.0:
+            c = math.exp(-r * t_end)
+            w = c * w + ((1.0 - c) / mass) * block_products(
+                w.reshape(omega.cards), recomb.sites, [blocks])[0]
+    return omega.with_weights(w)
 
 
 def trajectory_to_csv(rec: TrajectoryRecord, cards: Sequence[int],

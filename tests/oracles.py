@@ -31,9 +31,11 @@ the package replaced with one run on cached block-tuple states (with its
 refinements and ordered splits (``coarsenings``, ``refinements``,
 ``ordered_partitions_le2``) that the package replaced with lattice block
 tuples, with the operators read off them
-(``partition_list_sampling_bar``, ``partition_list_lde_operator``), and the
-brute-force paths (transition rates, sampling, RK4, LDE via sampling)
-that only tests call.  The pairwise partition algebra (``refines``,
+(``partition_list_sampling_bar``, ``partition_list_lde_operator``), the
+RK4 integrator of the replacement ODE (``deterministic_step``,
+``integrate_deterministic``) that the package replaced with the exact
+per-gap solution, and the brute-force paths (transition rates, sampling,
+RK4, LDE via sampling) that only tests call.  The pairwise partition algebra (``refines``,
 ``meet``, ``join``, ``restrict``, ``drop_block`` and the pairwise
 ``mobius``) is the reference for the lattice's Mobius and zeta matrices,
 and ``diffusion_left_eigenvectors`` the closed form of the diffusion
@@ -92,7 +94,7 @@ from moranrec.markov import (
     enumerate_population_states,
 )
 from moranrec.measures import csv_table, parse_type_token, type_token
-from moranrec.operators import _block_products
+from moranrec.operators import _block_products, block_products
 from moranrec.partitions import _positions, lattice, site_set
 
 # Brute-force tuple enumeration is N!/(N-m)! work; keep it for tests only.
@@ -778,6 +780,45 @@ def expectation_rk4(theta: np.ndarray, H0: np.ndarray, times,
         now = ti
         out[i] = y
     return out
+
+
+def deterministic_step(recomb: RecombinationDistribution, omega: Measure,
+                       dt: float) -> Measure:
+    """One classical RK4 step of the infinite-population replacement ODE.
+
+    The field is the crossover-weighted sum of (normalized block-marginal
+    product minus current state); it preserves total mass, so probability
+    measures stay probability measures to machine precision.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    cards = omega.cards
+    cuts = [(blocks, r) for blocks, r in recomb.support()[1:] if r > 0.0]
+    parts = [blocks for blocks, _ in cuts]
+
+    def field(w: np.ndarray) -> np.ndarray:
+        norm = w.sum()
+        products = block_products(w.reshape(cards), recomb.sites, parts)
+        return sum((ri * (rbar / norm**2 - w) for (_, ri), rbar in zip(cuts, products)),
+                   np.zeros_like(w))
+
+    w = omega.weights
+    k1 = field(w)
+    k2 = field(w + 0.5 * dt * k1)
+    k3 = field(w + 0.5 * dt * k2)
+    k4 = field(w + dt * k3)
+    return omega.with_weights(w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+
+
+def integrate_deterministic(recomb: RecombinationDistribution, omega: Measure,
+                            t_end: float, dt: float = 1e-3) -> Measure:
+    """Fixed-step RK4 integration of the replacement ODE up to ``t_end``."""
+    steps = int(np.ceil(t_end / dt)) if t_end > 0 else 0
+    if steps:
+        dt = t_end / steps
+    for _ in range(steps):
+        omega = deterministic_step(recomb, omega, dt)
+    return omega
 
 
 def expectations_to_csv(times, partitions, cards, values, comment: str) -> str:

@@ -222,7 +222,7 @@ class TestConfigValidation:
 
     def test_exact_commands_reject_other_variants(self, tmp_path, capsys):
         path = write_config(tmp_path, rho=[1.0], variant="deterministic")
-        for command in ("expectations", "lde", "duality-check"):
+        for command in ("simulate-forward", "expectations", "lde", "duality-check", "fixation"):
             for extra in ([], ["--variant", "diffusion"]):
                 assert main([command, "--config", str(path), *extra]) == 2
                 assert "finite variant" in capsys.readouterr().err

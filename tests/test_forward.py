@@ -1,28 +1,36 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import expm
 
 from moranrec import backward, forward
 from moranrec import (
+    BackwardModel,
     ForwardModel,
     InvalidInitialError,
     PopulationState,
     RecombinationDistribution,
     SiteSpace,
     SizeCapError,
+    ZeroMeasureError,
     coarsest,
-    deterministic_step,
+    expected_sampling,
     generator_lambda,
+    generator_theta,
     integrate_deterministic,
+    marginalize,
     measure_from_counts,
     sampling_table,
     simulate_forward,
 )
 from moranrec.forward import replacement_distribution, trajectory_to_csv
 from moranrec.markov import enumerate_population_states
+from moranrec.operators import block_products
+from moranrec.partitions import lattice
 
+import oracles
 from oracles import tensor_site_ordered
-from util import binary_space, random_measure, trajectory_events_from_csv
+from util import binary_space, random_measure, random_recomb, trajectory_events_from_csv
 
 SP2 = binary_space(2)
 
@@ -246,8 +254,6 @@ class TestSimulateForward:
 
     def test_mean_sample_law_matches_exact_expectation(self):
         # forward Monte Carlo against the closed linear ODE
-        from moranrec import BackwardModel, expected_sampling
-
         m = model2(10, 0.2)
         z0 = PopulationState.from_counts(SP2, [4, 2, 1, 3])
         t = 1.0
@@ -275,13 +281,13 @@ class TestDeterministicOde:
                    measure_from_counts(sp, [0.5, 0.5], sites=[2]),
                    measure_from_counts(sp, [0.1, 0.9], sites=[3])]
         omega = tensor_site_ordered(factors)
-        stepped = deterministic_step(r, omega, dt=0.05)
+        stepped = integrate_deterministic(r, omega, t_end=0.05)
         assert np.allclose(stepped.weights, omega.weights, atol=1e-15)
 
     def test_zero_crossover_is_constant(self):
         r = RecombinationDistribution(2, (0.0,))
         omega = measure_from_counts(SP2, [0.4, 0.2, 0.1, 0.3])
-        out = integrate_deterministic(r, omega, t_end=1.0, dt=0.01)
+        out = integrate_deterministic(r, omega, t_end=1.0)
         assert np.array_equal(out.weights, omega.weights)
 
     def test_norm_and_positivity_preserved(self):
@@ -289,19 +295,101 @@ class TestDeterministicOde:
         sp = binary_space(3)
         w = random_measure(sp, seed=8).weights
         omega = measure_from_counts(sp, w / w.sum())
-        out = integrate_deterministic(r, omega, t_end=1.0, dt=1e-3)
+        out = integrate_deterministic(r, omega, t_end=1.0)
         assert abs(out.norm - 1.0) < 1e-12
         assert np.all(out.weights > 0)
+
+    @pytest.mark.parametrize("cards", [(3, 2), (2, 3, 2), (2, 2, 3, 2), (2, 3, 2, 2, 3)],
+                             ids=["n2", "n3", "n4", "n5"])
+    def test_matches_rk4_oracle(self, cards):
+        n = len(cards)
+        sp = SiteSpace(cards)
+        r = random_recomb(n, seed=n)
+        w = random_measure(sp, seed=10 + n).weights
+        omega = measure_from_counts(sp, w / w.sum())
+        for t in (0.3, 1.0, 2.0):
+            exact = integrate_deterministic(r, omega, t)
+            rk4 = oracles.integrate_deterministic(r, omega, t)
+            assert np.abs(exact.weights - rk4.weights).max() <= 1e-12, t
+
+    def test_gap_maps_commute(self):
+        # one single-gap law per gap, applied last gap first
+        sp = SiteSpace((2, 3, 2, 2))
+        r = RecombinationDistribution(4, (0.2, 0.1, 0.3))
+        omega = random_measure(sp, seed=4)
+        reverse = omega
+        for g in (2, 1, 0):
+            one_gap = RecombinationDistribution(4, tuple(r.crossover[g] * (i == g)
+                                                         for i in range(3)))
+            reverse = integrate_deterministic(one_gap, reverse, 1.3)
+        out = integrate_deterministic(r, omega, 1.3)
+        assert np.abs(out.weights - reverse.weights).max() <= 1e-15
+
+    def test_mass_kept_and_scales_off_probability_measures(self):
+        r = RecombinationDistribution(3, (0.2, 0.3))
+        w = random_measure(binary_space(3), seed=3).weights
+        omega = measure_from_counts(binary_space(3), w * 16.53 / w.sum())
+        out = integrate_deterministic(r, omega, 1.0)
+        assert abs(out.norm - omega.norm) <= 1e-14
+        scaled = integrate_deterministic(r, omega.with_weights(2.75 * omega.weights), 1.0)
+        assert np.abs(scaled.weights - 2.75 * out.weights).max() <= 1e-14
+
+    def test_bad_inputs_rejected(self):
+        r = RecombinationDistribution(2, (0.3,))
+        omega = measure_from_counts(SP2, [0.4, 0.2, 0.1, 0.3])
+        for t_end in (np.nan, -1.0):
+            with pytest.raises(ValueError, match="t_end"):
+                integrate_deterministic(r, omega, t_end)
+        with pytest.raises(ValueError, match=r"\(1, 2, 3\).*\(1, 2\)"):
+            integrate_deterministic(r, random_measure(binary_space(3), seed=1), 1.0)
+        with pytest.raises(ZeroMeasureError):
+            integrate_deterministic(r, omega.with_weights(np.zeros(4)), 1.0)
+
+    def test_infinite_time_is_product_of_segment_marginals(self):
+        # gaps 1 and 3 recombine, gap 2 does not: segments {1}, {2, 3}, {4}
+        sp = SiteSpace((2, 3, 2, 2))
+        r = RecombinationDistribution(4, (0.2, 0.0, 0.3))
+        omega = random_measure(sp, seed=6)
+        product = tensor_site_ordered([marginalize(omega, u) for u in ([1], [2, 3], [4])])
+        out = integrate_deterministic(r, omega, np.inf)
+        assert np.abs(out.weights - product.weights / omega.norm**2).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_equals_deterministic_generator_row(self, n):
+        # the one-block row of expm(theta t) over the block products of omega
+        crossover = list(random_recomb(n, seed=5 * n).crossover)
+        crossover[1] = 0.0
+        r = RecombinationDistribution(n, tuple(crossover))
+        w = random_measure(binary_space(n), seed=n).weights
+        omega = measure_from_counts(binary_space(n), w / w.sum())
+        theta = generator_theta(BackwardModel(n, 1, r, "deterministic")).matrix.toarray()
+        products = block_products(omega.as_grid(), tuple(range(n)), lattice(n).blocks)
+        for t in (0.5, 2.0):
+            row = expm(theta * t)[0] @ products
+            assert np.abs(integrate_deterministic(r, omega, t).weights - row).max() <= 1e-14
+
+    def test_finite_model_converges_at_rate_one_over_n(self):
+        sp = binary_space(4)
+        r = RecombinationDistribution(4, (0.1, 0.2, 0.15))
+        counts = np.array([3, 1, 0, 2, 1, 1, 2, 0, 1, 2, 1, 1, 0, 2, 1, 2])
+        limit = integrate_deterministic(r, measure_from_counts(sp, counts / 20), 1.5)
+        sizes = (20, 200, 2000, 20000)
+        errors = []
+        for N in sizes:
+            z0 = PopulationState.from_counts(sp, counts * (N // 20))
+            exact = expected_sampling(BackwardModel(4, N, r), z0, [1.5])
+            row = exact.values[0, exact.partitions.index(coarsest([1, 2, 3, 4]))]
+            errors.append(np.abs(row - limit.weights).max())
+        slope = np.polyfit(np.log(sizes), np.log(errors), 1)[0]
+        assert abs(slope + 1.0) <= 0.05
 
     def test_law_of_large_numbers(self):
         # the exact mean path approaches the ODE path as N grows, and the
         # empirical mean path matches the exact one at each N
-        from moranrec import BackwardModel, expected_sampling
-
         r = RecombinationDistribution(2, (0.4,))
         freq = np.array([0.4, 0.2, 0.1, 0.3])
         t = 1.0
-        omega = integrate_deterministic(r, measure_from_counts(SP2, freq), t, dt=1e-3)
+        omega = integrate_deterministic(r, measure_from_counts(SP2, freq), t)
         dists, exact_dists = [], []
         for N in (20, 200):
             m = ForwardModel(SP2, N, r)
